@@ -13,7 +13,6 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .odometer import embed, sample_point
 from .presets import CHAINS
 from .windows import (
     Window,
+    base_window,
     boundary_measure,
     build_k,
     build_ktilde,
@@ -186,21 +186,7 @@ def cmd_build(args) -> int:
 
 
 def _verify(win: Window) -> tuple[int, list[str]]:
-    base = None
-    if win.spec.kind != "perf":
-        base_spec = replace(
-            win.spec,
-            kind="perf",
-            k=1,
-            sector_level=0,
-            sector_of_rank=None,
-            level_class=None,
-            e_rule="",
-            punctures=(),
-        )
-        from .windows import CylinderTree
-
-        base = Window(base_spec, win.ds, CylinderTree(win.ds, base_spec), win.carries)
+    base = None if win.spec.kind == "perf" else base_window(win)
     reports = verify_window(win, base=base)
     lines, ok = [], True
     for r in reports:
@@ -260,6 +246,7 @@ def cmd_fiber(args) -> int:
     level = args.patch_level if args.patch_level is not None else win.cap
     patch = win.ds.domain_list(level)
     fib = enumerate_fiber(win, xi, patch)
+    distinct = fib.distinct()
     rep = fib.report
     g = win.group
     report = {
@@ -271,7 +258,7 @@ def cmd_fiber(args) -> int:
         },
         "full_coverage": rep.full_coverage(),
         "candidates": len(fib.candidates),
-        "distinct": fib.distinct(),
+        "distinct": distinct,
         "labels": fib.labels,
         "values_on_hitters": {
             label: {g.fmt(h): cand.values[h] for h in rep.hitters()}
@@ -282,7 +269,7 @@ def cmd_fiber(args) -> int:
     if args.out:
         _write(Path(args.out), text)
         print(f"fiber report written to {args.out} "
-              f"({len(fib.candidates)} candidates, {fib.distinct()} distinct)")
+              f"({len(fib.candidates)} candidates, {distinct} distinct)")
     else:
         sys.stdout.write(text)
     return 0

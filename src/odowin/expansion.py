@@ -72,8 +72,7 @@ class DomainSequence:
         self._dom_list: list[list[Elem]] = []
         self._dom_set: list[set[Elem]] = []
         self._dom_arr: list[np.ndarray] = []
-        self._rep_rank: list[np.ndarray] = []    # residue rank -> domain rank
-        self._alpha_rank: list[np.ndarray] = []  # residue rank -> alphabet index (-1 invalid)
+        self._rep_rank: list[np.ndarray] = []  # residue rank -> domain rank
         self._automaton: CarryAutomaton | None = None
 
     # -- construction --------------------------------------------------------
@@ -137,9 +136,6 @@ class DomainSequence:
         rep = np.full(index, -1, dtype=np.int64)
         for rr, rank in ranks.items():
             rep[rr] = rank
-        alpha_rank = np.full(index, -1, dtype=np.int64)
-        for i, t in enumerate(alphabet):
-            alpha_rank[g.residue_rank(t, modulus)] = i
         self.moduli.append(modulus)
         self.alphabets.append(tuple(alphabet))
         self._alpha_index.append({t: i for i, t in enumerate(alphabet)})
@@ -147,8 +143,14 @@ class DomainSequence:
         self._dom_set.append(set(dom))
         self._dom_arr.append(g.to_array(dom))
         self._rep_rank.append(rep)
-        self._alpha_rank.append(alpha_rank)
-        self._automaton = None  # carry data must be rebuilt for new levels
+
+    def pop_level(self) -> None:
+        """Drop the top level; a carry automaton deeper than the domains is cut back."""
+        for per_level in (self.moduli, self.alphabets, self._alpha_index, self._dom_list,
+                          self._dom_set, self._dom_arr, self._rep_rank):
+            per_level.pop()
+        if self._automaton is not None and self._automaton.levels > self.levels:
+            self._automaton = CarryAutomaton(self, self.levels, self._automaton)
 
     # -- basic queries --------------------------------------------------------
 
@@ -180,8 +182,7 @@ class DomainSequence:
         """The D_n component of g (unique element of D_n in the coset g·Γ_n)."""
         if n == 0:
             return self.group.identity
-        rr = self.group.residue_rank(g, self.modulus(n))
-        return self._dom_list[n - 1][int(self._rep_rank[n - 1][rr])]
+        return self._dom_list[n - 1][self.rank_of(g, n)]
 
     def tail(self, g: Elem, n: int) -> Elem:
         return self.group.mul(self.group.inv(self.head(g, n)), g)
@@ -209,37 +210,26 @@ class DomainSequence:
 
     def digit_prefix(self, g: Elem, n: int) -> tuple[Elem, ...]:
         """Digits of head(g, n): defined for every group element."""
-        grp = self.group
-        out = []
-        prev_head = grp.identity
-        for j in range(1, n + 1):
-            h = self.head(g, j)
-            out.append(grp.mul(grp.inv(prev_head), h))
-            prev_head = h
-        return tuple(out)
-
-    def digit_index_prefix(self, g: Elem, n: int) -> tuple[int, ...]:
         return tuple(
-            self.alphabet_index(j + 1, t) for j, t in enumerate(self.digit_prefix(g, n))
+            self.alphabets[j][i] for j, i in enumerate(self.digit_index_prefix(g, n))
         )
 
+    def digit_index_prefix(self, g: Elem, n: int) -> tuple[int, ...]:
+        return tuple(self.radix_digits(self.rank_of(g, n), n))
+
     # -- rank arithmetic --------------------------------------------------------
-    # The rank of a level-n cylinder is the mixed-radix value of its digit
-    # indices, least significant first; level-m prefixes are rank % size(m).
+    # D_n is built as D_{n-1}·T_n in the order rank = d_rank + size(n-1)·t_index,
+    # so the rank of a level-n cylinder is the mixed-radix value of its digit
+    # indices: digit j has place value size(j-1), least significant first.
+    # Level-m prefixes of a rank are rank % size(m).
 
-    def rank_of_indices(self, idx: Sequence[int]) -> int:
-        rank, base = 0, 1
-        for j, i in enumerate(idx, start=1):
-            rank += i * base
-            base *= len(self.alphabets[j - 1])
-        return rank
-
-    def indices_of_rank(self, rank: int, n: int) -> tuple[int, ...]:
+    def radix_digits(self, rank, n: int) -> list:
+        """Digit indices 1..n of level-n ranks (an int or an int64 array)."""
         out = []
-        for j in range(1, n + 1):
-            rank, i = divmod(rank, len(self.alphabets[j - 1]))
+        for alphabet in self.alphabets[:n]:
+            rank, i = divmod(rank, len(alphabet))
             out.append(i)
-        return tuple(out)
+        return out
 
     def element_of_rank(self, rank: int, n: int) -> Elem:
         return self._dom_list[n - 1][rank]
@@ -260,23 +250,15 @@ class DomainSequence:
 
     def vec_digit_indices(self, arr: np.ndarray, n: int) -> np.ndarray:
         """Digit-index matrix (rows, n) of the level-n heads of ``arr``."""
-        g = self.group
-        out = np.empty((arr.shape[0], n), dtype=np.int64)
-        prev = np.zeros_like(arr)
-        for j in range(1, n + 1):
-            heads = self._dom_arr[j - 1][self.vec_rank(arr, j)]
-            digit = g.vec_mul(g.vec_inv(prev), heads)
-            idx = self._alpha_rank[j - 1][g.vec_residue_rank(digit, self.modulus(j))]
-            out[:, j - 1] = idx
-            prev = heads
-        return out
+        return np.stack(self.radix_digits(self.vec_rank(arr, n), n), axis=1)
 
     # -- carry automaton -----------------------------------------------------------
 
     def automaton(self, levels: int | None = None) -> "CarryAutomaton":
+        """The carry automaton to at least ``levels``, extending the cached one."""
         want = self.levels if levels is None else levels
         if self._automaton is None or self._automaton.levels < want:
-            self._automaton = CarryAutomaton(self, want)
+            self._automaton = CarryAutomaton(self, want, self._automaton)
         return self._automaton
 
 
@@ -291,36 +273,41 @@ class CarryAutomaton:
     expandable elements.
     """
 
-    def __init__(self, ds: DomainSequence, levels: int):
+    def __init__(self, ds: DomainSequence, levels: int, prev: "CarryAutomaton | None"):
+        """Close the states through ``levels``, continuing from ``prev`` when given.
+
+        ``prev`` must be built on the same domains; its levels up to ``levels``
+        are reused as they are, so a deeper ``prev`` is cut back.
+        """
         if levels > ds.levels:
             raise ConstructionError("automaton cannot exceed built domain levels")
         self.ds = ds
         self.levels = levels
         g = ds.group
-        ident = g.identity
-        self.states: list[list[tuple[Elem, object]]] = []
-        self.trans_digit: list[np.ndarray] = []
-        self.trans_state: list[np.ndarray] = []
-        witnesses: list[dict[Elem, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+        if prev is None:
+            start = 0
+            self.states = [[(g.identity, g.context_identity())]]
+            # state_witnesses[j-1][s]: digit-index strings of two factors reaching state s
+            self.state_witnesses = [[((), ())]]
+            self.trans_digit, self.trans_state = [], []
+        else:
+            start = min(prev.levels, levels)
+            self.states = prev.states[: start + 1]
+            self.state_witnesses = prev.state_witnesses[: start + 1]
+            self.trans_digit = prev.trans_digit[:start]
+            self.trans_state = prev.trans_state[:start]
 
-        cur: list[tuple[Elem, object]] = [(ident, g.context_identity())]
-        cur_wit: dict[tuple[Elem, object], tuple] = {cur[0]: ((), ())}
-        for j in range(1, levels + 1):
-            self.states.append(cur)
-            wit_j: dict[Elem, tuple] = {}
-            for (carry, _ctx), w in cur_wit.items():
-                wit_j.setdefault(carry, w)
-            witnesses.append(wit_j)
-
+        for j in range(start + 1, levels + 1):
+            cur, cur_wit = self.states[j - 1], self.state_witnesses[j - 1]
             alpha = ds.alphabet(j)
             na = len(alpha)
             tdig = np.empty((len(cur), na, na), dtype=np.int64)
             tstate = np.empty((len(cur), na, na), dtype=np.int64)
             nxt_index: dict[tuple[Elem, object], int] = {}
             nxt: list[tuple[Elem, object]] = []
-            nxt_wit: dict[tuple[Elem, object], tuple] = {}
+            nxt_wit: list[tuple] = []
             for si, (carry, ctx) in enumerate(cur):
-                gw, hw = cur_wit[(carry, ctx)]
+                gw, hw = cur_wit[si]
                 for pi, p in enumerate(alpha):
                     base = g.mul(carry, g.conj_in_context(ctx, p))
                     for qi, q in enumerate(alpha):
@@ -333,18 +320,19 @@ class CarryAutomaton:
                             ni = len(nxt)
                             nxt_index[key] = ni
                             nxt.append(key)
-                            nxt_wit[key] = (gw + (pi,), hw + (qi,))
+                            nxt_wit.append((gw + (pi,), hw + (qi,)))
                         tstate[si, pi, qi] = ni
             self.trans_digit.append(tdig)
             self.trans_state.append(tstate)
-            cur, cur_wit = nxt, nxt_wit
+            self.states.append(nxt)
+            self.state_witnesses.append(nxt_wit)
 
-        self.states.append(cur)
-        wit_last: dict[Elem, tuple] = {}
-        for (carry, _ctx), w in cur_wit.items():
-            wit_last.setdefault(carry, w)
-        witnesses.append(wit_last)
-
+        witnesses: list[dict[Elem, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+        for lvl, wits in zip(self.states, self.state_witnesses):
+            wit_j: dict[Elem, tuple] = {}
+            for (carry, _ctx), w in zip(lvl, wits):
+                wit_j.setdefault(carry, w)
+            witnesses.append(wit_j)
         self.carry_range = CarryRange(
             sets=[sorted({c for c, _ in lvl}, key=g.sort_key) for lvl in self.states],
             witnesses=witnesses,
@@ -370,23 +358,21 @@ class CarryAutomaton:
     # -- vectorized evaluation ---------------------------------------------------
 
     def batch_product(
-        self, g_idx: np.ndarray, h_idx: np.ndarray, n: int
+        self, g_rank: np.ndarray, h_rank: np.ndarray, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Columnwise product digits for index matrices of shape (rows, >= n).
+        """Level-n ranks of the product cylinders of level-n rank vectors.
 
-        Returns (digit index matrix (rows, n), final state index vector).
-        Identity digits (index 0) are assumed beyond the supplied columns.
+        Returns (product rank vector, final state index vector); each level's
+        digits are read off the ranks by the radix decode.
         """
-        rows = g_idx.shape[0]
-        state = np.zeros(rows, dtype=np.int64)
-        out = np.empty((rows, n), dtype=np.int64)
-        zeros = np.zeros(rows, dtype=np.int64)
+        state = np.zeros(len(g_rank), dtype=np.int64)
+        out = np.zeros(len(g_rank), dtype=np.int64)
         for j in range(1, n + 1):
             na = len(self.ds.alphabet(j))
-            pi = g_idx[:, j - 1] if g_idx.shape[1] >= j else zeros
-            qi = h_idx[:, j - 1] if h_idx.shape[1] >= j else zeros
+            g_rank, pi = np.divmod(g_rank, na)
+            h_rank, qi = np.divmod(h_rank, na)
             flat = (state * na + pi) * na + qi
-            out[:, j - 1] = self.trans_digit[j - 1].reshape(-1)[flat]
+            out += self.trans_digit[j - 1].reshape(-1)[flat] * self.ds.size(j - 1)
             state = self.trans_state[j - 1].reshape(-1)[flat]
         return out, state
 
@@ -461,8 +447,8 @@ def verify_carry_identity(
 ) -> dict:
     """Exhaustive two-route check of the carry recursion on D_level × D_level.
 
-    Route A computes product digits through the carry automaton; route B
-    multiplies directly and extracts head digits and the tail.  Returns a
+    Route A computes the product's rank through the carry automaton; route B
+    multiplies directly and looks up the head's rank and the tail.  Returns a
     summary with the mismatch count (must be zero), the number of pairs, a
     nonabelian conjugation witness when one exists, and spot-check results
     comparing the vectorized and scalar paths.
@@ -474,7 +460,6 @@ def verify_carry_identity(
     size = ds.size(n)
     auto = ds.automaton(n)
     dom = ds.domain_array(n)
-    dig = ds.vec_digit_indices(dom, n)
     carry_elems = g.to_array(auto.carry_elements(n))
 
     mismatches = 0
@@ -504,14 +489,11 @@ def verify_carry_identity(
         stop = min(start + chunk, size * size)
         pair = np.arange(start, stop, dtype=np.int64)
         gi, hi = pair // size, pair % size
-        out_idx, state = auto.batch_product(dig[gi], dig[hi], n)
+        out_rank, state = auto.batch_product(gi, hi, n)
         prod = g.vec_mul(dom[gi], dom[hi])
-        prod_dig = ds.vec_digit_indices(prod, n)
-        heads = ds.domain_array(n)[ds.vec_rank(prod, n)]
-        tails = g.vec_mul(g.vec_inv(heads), prod)
-        ok = np.all(out_idx == prod_dig, axis=1) & np.all(
-            carry_elems[state] == tails, axis=1
-        )
+        prod_rank = ds.vec_rank(prod, n)
+        tails = g.vec_mul(g.vec_inv(dom[prod_rank]), prod)
+        ok = (out_rank == prod_rank) & np.all(carry_elems[state] == tails, axis=1)
         mismatches += int((~ok).sum())
         total += stop - start
 

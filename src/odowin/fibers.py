@@ -17,7 +17,6 @@ cylinders).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .groups import ConstructionError, Elem, PrecisionError
-from .model_sets import SymbolicPatch, shifted_orbit_indices
-from .odometer import OdometerPoint, embed, head_of_point
+from .model_sets import SymbolicPatch, shifted_orbit_ranks
+from .odometer import OdometerPoint, head_of_point, rank_of_point
 from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window
 
 
@@ -60,12 +59,7 @@ class FiberSet:
     report: SimilarityReport
 
     def distinct(self) -> int:
-        seen = []
-        for c in self.candidates:
-            v = tuple(c.values[g] for g in c.positions)
-            if v not in seen:
-                seen.append(v)
-        return len(seen)
+        return len({tuple(c.values[g] for g in c.positions) for c in self.candidates})
 
 
 def critical_point(
@@ -101,11 +95,11 @@ def boundary_hitters_exact(win: Window, xi: OdometerPoint) -> list[tuple[Elem, i
     n = win.cap
     g = ds.group
     inv_head = g.inv(head_of_point(ds, xi, n))
+    pend = win.tree.pending_ranks[n - 1]
     out = []
-    for r in win.tree.pending_ranks[n - 1]:
-        base = ds.element_of_rank(int(r), n)
-        hitter = ds.head(g.mul(base, inv_head), n)
-        out.append((hitter, win.sector_of_pending_rank(int(r), n)))
+    for r, sector in zip(pend, win.sector_of(pend)):
+        hitter = ds.head(g.mul(ds.element_of_rank(int(r), n), inv_head), n)
+        out.append((hitter, int(sector)))
     out.sort(key=lambda pair: g.sort_key(pair[0]))
     return out
 
@@ -117,23 +111,12 @@ def similarity_classes(
     if xi.precision < win.cap:
         raise PrecisionError(f"shift point needs precision >= {win.cap}")
     positions = list(patch)
-    idx = shifted_orbit_indices(win, positions, xi)
-    codes, _levels = win.tree.vec_classify(idx)
-    k = win.spec.k if win.spec.kind != "perf" else 1
-    size_l = win.ds.size(win.spec.sector_level) if win.spec.sector_level else 1
-    classes: list[list[Elem]] = [[] for _ in range(k)]
-    for g, code, row in zip(positions, codes, idx):
-        if code != CLS_PENDING:
-            continue
-        if win.spec.kind == "perf":
-            classes[0].append(g)
-        else:
-            rank_l = 0
-            base = 1
-            for j in range(1, win.spec.sector_level + 1):
-                rank_l += int(row[j - 1]) * base
-                base *= len(win.ds.alphabet(j))
-            classes[win.spec.sector_of_rank[rank_l] - 1].append(g)
+    ranks = shifted_orbit_ranks(win, positions, xi)
+    codes, _levels = win.tree.vec_classify(ranks)
+    classes: list[list[Elem]] = [[] for _ in range(win.spec.k)]
+    for g, code, sector in zip(positions, codes, win.sector_of(ranks)):
+        if code == CLS_PENDING:
+            classes[sector - 1].append(g)
     for cls in classes:
         cls.sort(key=win.ds.group.sort_key)
     atoms = list(classes[-1]) if win.spec.kind == "ktilde" else None
@@ -150,8 +133,7 @@ def enumerate_fiber(
     """
     positions = tuple(patch)
     report = similarity_classes(win, xi, positions)
-    idx = shifted_orbit_indices(win, positions, xi)
-    codes, _ = win.tree.vec_classify(idx)
+    codes, _ = win.tree.vec_classify(shifted_orbit_ranks(win, positions, xi))
     base_vals: dict[Elem, int | None] = {}
     for g, code in zip(positions, codes):
         base_vals[g] = 1 if code == CLS_IN else 0 if code == CLS_OUT else None
@@ -212,17 +194,13 @@ def t_region(
     n = win.cap
     if eps_level > n or xi.precision < eps_level:
         raise PrecisionError("ball level must not exceed the cap or the point precision")
-    prefix = [ds.alphabet_index(j, xi.digits[j - 1]) for j in range(1, eps_level + 1)]
-    free_ranges = [range(len(ds.alphabet(j))) for j in range(eps_level + 1, n + 1)]
-    zetas = [tuple(prefix) + combo for combo in itertools.product(*free_ranges)]
-    zmat = np.asarray(zetas, dtype=np.int64).reshape(len(zetas), n)
+    # The ball is the level-cap cylinders whose level-eps_level prefix is ξ's.
+    size_eps = ds.size(eps_level)
+    zetas = rank_of_point(ds, xi, eps_level) + size_eps * np.arange(ds.size(n) // size_eps)
     auto = ds.automaton(n)
 
     def translate_codes(l: Elem) -> np.ndarray:
-        l_idx = np.tile(
-            np.asarray(ds.digit_index_prefix(l, n), dtype=np.int64), (len(zetas), 1)
-        )
-        out, _ = auto.batch_product(l_idx, zmat, n)
+        out, _ = auto.batch_product(np.full_like(zetas, ds.rank_of(l, n)), zetas, n)
         codes, _levels = win.tree.vec_classify(out)
         return codes
 
@@ -240,9 +218,10 @@ def t_region(
     mismatched = 0
     if len(acc) == 1 and len(rej) == 1:
         mismatched = int((undecided & (acc[0] != rej[0])).sum())
+    certified = zip(*(d.tolist() for d in ds.radix_digits(zetas[cert], n)))
     return TRegionResult(
         eps_level,
-        [zetas[i] for i in np.nonzero(cert)[0]],
+        sorted(certified),
         int(excl.sum()),
         int(undecided.sum()),
         mismatched,
@@ -259,40 +238,25 @@ def birkhoff_stats(win: Window, xi: OdometerPoint, levels: Sequence[int]) -> dic
     d_1 > ... > d_{k+1} with their exact sector gaps.
     """
     ds = win.ds
-    k = win.spec.k if win.spec.kind != "perf" else 1
+    k = win.spec.k
     out: dict[int, dict] = {}
     for n in levels:
         if not 1 <= n <= win.cap:
             raise ConstructionError(f"level {n} outside 1..{win.cap}")
-        auto = ds.automaton(n)
-        dom_idx = ds.vec_digit_indices(ds.domain_array(n), n)
-        xi_idx = np.tile(
-            np.asarray(
-                [ds.alphabet_index(j, xi.digits[j - 1]) for j in range(1, n + 1)],
-                dtype=np.int64,
-            ),
-            (ds.size(n), 1),
-        )
-        prod_idx, _ = auto.batch_product(dom_idx, xi_idx, n)
-        rank = np.zeros(ds.size(n), dtype=np.int64)
-        base = 1
-        for j in range(1, n + 1):
-            rank += prod_idx[:, j - 1] * base
-            base *= len(ds.alphabet(j))
-        cls = win.tree.class_by_rank[n - 1][rank]
         size = ds.size(n)
+        dom_rank = np.arange(size, dtype=np.int64)
+        xi_rank = np.full_like(dom_rank, rank_of_point(ds, xi, n))
+        rank, _ = ds.automaton(n).batch_product(dom_rank, xi_rank, n)
+        cls = win.tree.class_by_rank[n - 1][rank]
         freq_in = Fraction(int((cls == CLS_IN).sum()), size)
         freq_pending = Fraction(int((cls == CLS_PENDING).sum()), size)
         census_in = Fraction(int((win.tree.class_by_rank[n - 1] == CLS_IN).sum()), size)
         census_pending = Fraction(len(win.tree.pending_ranks[n - 1]), size)
         sector_freq: dict[int, Fraction] = {}
         sector_census: dict[int, Fraction] = {}
-        usable_sectors = win.spec.kind != "perf" and n >= win.spec.sector_level
-        if usable_sectors:
-            size_l = ds.size(win.spec.sector_level)
-            sec_arr = np.asarray(win.spec.sector_of_rank, dtype=np.int64)
+        if n >= win.spec.sector_level:
             pend_mask = cls == CLS_PENDING
-            sec_of_rank = sec_arr[rank % size_l]
+            sec_of_rank = win.sector_of(rank)
             for j in range(1, k + 1):
                 sector_freq[j] = Fraction(int((pend_mask & (sec_of_rank == j)).sum()), size)
                 sector_census[j] = win.boundary_sector_measure(n, j)

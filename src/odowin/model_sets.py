@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import ConstructionError, Elem, PrecisionError
-from .odometer import OdometerPoint, embed, odo_mul
+from .odometer import OdometerPoint, embed, rank_of_point
 from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window
 
 
@@ -54,38 +54,26 @@ class SymbolicPatch:
 
 def classify(win: Window, x: OdometerPoint) -> tuple[int, int]:
     """(class, deciding level) of a completion point against the window tree."""
-    ds = win.ds
-    if x.precision < win.cap:
-        # may still resolve early; walk what we have
-        idx = [ds.alphabet_index(j, x.digits[j - 1]) for j in range(1, x.precision + 1)]
-        rank, base = 0, 1
-        for j in range(1, x.precision + 1):
-            rank += idx[j - 1] * base
-            base *= len(ds.alphabet(j))
-            code = int(win.tree.class_by_rank[j - 1][rank])
-            if code != CLS_PENDING:
-                return code, j
+    # A point short of the cap may still resolve early: its digits beyond the
+    # precision read as the identity, so only a level within it may decide.
+    n = min(x.precision, win.cap)
+    code, level = win.tree.classify_indices(rank_of_point(win.ds, x, n))
+    if level > n:
         raise PrecisionError(
             f"point has precision {x.precision} but classification needs level {win.cap}"
         )
-    idx = [ds.alphabet_index(j, x.digits[j - 1]) for j in range(1, win.cap + 1)]
-    return win.tree.classify_indices(idx)
+    return code, level
 
 
-def shifted_orbit_indices(win: Window, positions: Sequence[Elem], xi: OdometerPoint) -> np.ndarray:
-    """Digit-index matrix of embed(g)·ξ at the tree cap, one row per position."""
+def shifted_orbit_ranks(win: Window, positions: Sequence[Elem], xi: OdometerPoint) -> np.ndarray:
+    """Level-cap ranks of embed(g)·ξ, one per position."""
     ds = win.ds
     n = win.cap
     if xi.precision < n:
         raise PrecisionError(f"shift point needs precision >= {n}")
-    auto = ds.automaton(n)
-    arr = ds.group.to_array(list(positions))
-    g_idx = ds.vec_digit_indices(arr, n)
-    xi_idx = np.tile(
-        np.array([ds.alphabet_index(j, xi.digits[j - 1]) for j in range(1, n + 1)], dtype=np.int64),
-        (len(positions), 1),
-    )
-    out, _state = auto.batch_product(g_idx, xi_idx, n)
+    g_rank = ds.vec_rank(ds.group.to_array(list(positions)), n)
+    xi_rank = np.full_like(g_rank, rank_of_point(ds, xi, n))
+    out, _state = ds.automaton(n).batch_product(g_rank, xi_rank, n)
     return out
 
 
@@ -110,8 +98,7 @@ def emit_patch(
             raise ConstructionError(f"patch level must lie in 0..{win.cap}")
         patch = ds.domain_list(m) if m else [ds.group.identity]
     positions = tuple(patch)
-    out = shifted_orbit_indices(win, positions, xi)
-    codes, levels = win.tree.vec_classify(out)
+    codes, _levels = win.tree.vec_classify(shifted_orbit_ranks(win, positions, xi))
     values: dict[Elem, int | None] = {}
     for g, c in zip(positions, codes):
         values[g] = 1 if c == CLS_IN else 0 if c == CLS_OUT else None

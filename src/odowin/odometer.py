@@ -86,11 +86,8 @@ def head_of_point(ds: DomainSequence, x: OdometerPoint, n: int) -> Elem:
 
 
 def rank_of_point(ds: DomainSequence, x: OdometerPoint, n: int) -> int:
-    rank, base = 0, 1
-    for j in range(1, n + 1):
-        rank += ds.alphabet_index(j, x.digits[j - 1]) * base
-        base *= len(ds.alphabet(j))
-    return rank
+    """Domain rank of the level-n cylinder around x."""
+    return ds.rank_of(head_of_point(ds, x, n), n)
 
 
 def cylinder_of(ds: DomainSequence, x: OdometerPoint, level: int) -> Cylinder:

@@ -125,24 +125,52 @@ class WindowSpec:
             out *= len(self.partitions[j - 1].boundary)
         return out
 
+    def validate(self, ds: DomainSequence) -> None:
+        """Raise unless the sector, class and puncture data fit the kind and the domains."""
+        if self.kind not in ("perf", "k", "ktilde"):
+            raise ConstructionError(f"window kind must be perf, k, or ktilde (got {self.kind!r})")
+        if self.kind == "perf":
+            if (self.k, self.sector_level, self.sector_of_rank, self.level_class,
+                    self.punctures) != (1, 0, None, None, ()):
+                raise ConstructionError(
+                    "a perf window has k = 1, sector level 0 and no sector, class or "
+                    "puncture data"
+                )
+            return
+        if self.k < 1:
+            raise ConstructionError(f"k must be at least 1 (got {self.k})")
+        if not 1 <= self.sector_level <= self.cap:
+            raise ConstructionError(f"sector level {self.sector_level} outside 1..{self.cap}")
+        size_l = ds.size(self.sector_level)
+        sectors = self.sector_of_rank or ()
+        if len(sectors) != size_l or not all(1 <= s <= self.k for s in sectors):
+            raise ConstructionError(
+                f"need a sector in 1..{self.k} for each of the {size_l} level-"
+                f"{self.sector_level} cylinders"
+            )
+        classes = self.level_class or ()
+        if len(classes) != self.cap or not all(1 <= c <= self.k for c in classes):
+            raise ConstructionError(f"need a class in 1..{self.k} for each of the {self.cap} levels")
+        if self.punctures and self.kind != "ktilde":
+            raise ConstructionError("only ktilde windows carry punctures")
+        for lvl, ranks in self.punctures:
+            if not 1 <= lvl <= self.cap or not all(0 <= r < ds.size(lvl) for r in ranks):
+                raise ConstructionError(f"puncture at level {lvl} outside the built cylinders")
+
 
 class CylinderTree:
     """Per-level ternary classification of every cylinder, as rank arrays."""
 
     def __init__(self, ds: DomainSequence, spec: WindowSpec):
+        spec.validate(ds)
         self.cap = spec.cap
-        self.alphabet_sizes = [len(ds.alphabet(n)) for n in range(1, spec.cap + 1)]
         self.class_by_rank: list[np.ndarray] = []
         self.pending_ranks: list[np.ndarray] = []
         self._build(ds, spec)
 
     def _build(self, ds: DomainSequence, spec: WindowSpec) -> None:
-        size_l = ds.size(spec.sector_level) if spec.sector_level else 0
-        sectors = (
-            np.asarray(spec.sector_of_rank, dtype=np.int64)
-            if spec.sector_of_rank is not None
-            else None
-        )
+        size_l = ds.size(spec.sector_level)
+        sectors = np.asarray(spec.sector_of_rank or (), dtype=np.int64)
         punctures = {lvl: np.asarray(ranks, dtype=np.int64) for lvl, ranks in spec.punctures}
         prev: np.ndarray | None = None
         for n in range(1, spec.cap + 1):
@@ -157,9 +185,6 @@ class CylinderTree:
                 )
             if prev is None:
                 arr = digit_code.copy()
-                if spec.kind in ("k", "ktilde") and spec.level_class is not None:
-                    # levels <= sector_level always carry class 1: nothing to do
-                    pass
             else:
                 base = len(prev)
                 arr = np.empty(base * len(alpha), dtype=np.int8)
@@ -202,32 +227,27 @@ class CylinderTree:
 
     # -- classification ---------------------------------------------------------
 
-    def classify_indices(self, idx: Sequence[int]) -> tuple[int, int]:
-        """(class, deciding level) for a digit-index string of length >= cap.
+    def classify_indices(self, rank: int) -> tuple[int, int]:
+        """(class, deciding level) of the level-cap cylinder with this rank.
 
-        Returns (CLS_PENDING, cap) when every prefix stays on the boundary.
+        The level-j prefix of a rank is rank % size(j).  Returns
+        (CLS_PENDING, cap) when every prefix stays on the boundary.
         """
-        rank, base = 0, 1
-        for j in range(1, self.cap + 1):
-            rank += idx[j - 1] * base
-            base *= self.alphabet_sizes[j - 1]
-            code = int(self.class_by_rank[j - 1][rank])
+        for j, cls in enumerate(self.class_by_rank, start=1):
+            code = int(cls[rank % len(cls)])
             if code != CLS_PENDING:
                 return code, j
         return CLS_PENDING, self.cap
 
-    def vec_classify(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`classify_indices` over rows of an index matrix."""
-        rows = idx.shape[0]
-        rank = np.zeros(rows, dtype=np.int64)
-        base = 1
+    def vec_classify(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`classify_indices` over a vector of level-cap ranks."""
+        rows = len(ranks)
         code = np.full(rows, CLS_PENDING, dtype=np.int8)
         level = np.full(rows, self.cap, dtype=np.int64)
         undecided = np.ones(rows, dtype=bool)
         for j in range(1, self.cap + 1):
-            rank += idx[:, j - 1] * base
-            base *= self.alphabet_sizes[j - 1]
-            cls = self.class_by_rank[j - 1][rank]
+            by_rank = self.class_by_rank[j - 1]
+            cls = by_rank[ranks % len(by_rank)]
             newly = undecided & (cls != CLS_PENDING)
             code[newly] = cls[newly]
             level[newly] = j
@@ -236,11 +256,8 @@ class CylinderTree:
 
     def children_classes(self, parent_rank: int, n: int) -> np.ndarray:
         """Classes of the level-(n+1) children of a level-n cylinder."""
-        base = 1
-        for j in range(n):
-            base *= self.alphabet_sizes[j]
-        child = parent_rank + base * np.arange(self.alphabet_sizes[n], dtype=np.int64)
-        return self.class_by_rank[n][child]
+        size_n = len(self.class_by_rank[n - 1]) if n else 1
+        return self.class_by_rank[n][parent_rank::size_n]
 
     def pending_equal(self, other: "CylinderTree") -> bool:
         if self.cap != other.cap:
@@ -274,23 +291,20 @@ class Window:
         digest = hashlib.sha256(serialize_window(self).encode()).hexdigest()
         return f"{self.spec.kind}-{digest[:12]}"
 
-    def sector_of_pending_rank(self, rank: int, n: int) -> int:
-        """Sector of a boundary cylinder (its level-L prefix decides)."""
-        if self.spec.kind == "perf" or self.spec.sector_of_rank is None:
-            return 1
-        size_l = self.ds.size(self.spec.sector_level)
-        return int(self.spec.sector_of_rank[rank % size_l])
+    def sector_of(self, ranks: np.ndarray) -> np.ndarray:
+        """Sectors of cylinders given by their ranks at a level >= L; 1 for perf.
+
+        The level-L prefix of a rank, rank % size(L), decides the sector.
+        """
+        if self.spec.kind == "perf":
+            return np.ones(len(ranks), dtype=np.int64)
+        sectors = np.asarray(self.spec.sector_of_rank, dtype=np.int64)
+        return sectors[ranks % len(sectors)]
 
     def boundary_sector_measure(self, n: int, sector: int) -> Fraction:
         """Exact measure of the level-n boundary layer inside one sector."""
         pend = self.tree.pending_ranks[n - 1]
-        if self.spec.kind == "perf":
-            count = len(pend) if sector == 1 else 0
-        else:
-            size_l = self.ds.size(self.spec.sector_level)
-            sec = np.asarray(self.spec.sector_of_rank, dtype=np.int64)
-            count = int((sec[pend % size_l] == sector).sum())
-        return Fraction(count, self.ds.size(n))
+        return Fraction(int((self.sector_of(pend) == sector).sum()), self.ds.size(n))
 
 
 @dataclass
@@ -408,7 +422,7 @@ def build_perf(
             )
             log.append("telescoped past modulus "
                        f"{m}: {last_fail}")
-            _pop_level(ds)
+            ds.pop_level()
         if not accepted:
             raise ConstructionError(
                 f"chain exhausted before level {cap}; last failing inequality: {last_fail}"
@@ -426,18 +440,6 @@ def build_perf(
     )
     tree = CylinderTree(ds, spec)
     return Window(spec, ds, tree, carry_ranges(ds, cap), build_log=log)
-
-
-def _pop_level(ds: DomainSequence) -> None:
-    ds.moduli.pop()
-    ds.alphabets.pop()
-    ds._alpha_index.pop()
-    ds._dom_list.pop()
-    ds._dom_set.pop()
-    ds._dom_arr.pop()
-    ds._rep_rank.pop()
-    ds._alpha_rank.pop()
-    ds._automaton = None
 
 
 def build_k(base: Window, k: int, sector_level: int) -> Window:
@@ -475,13 +477,6 @@ def build_k(base: Window, k: int, sector_level: int) -> Window:
     return Window(spec, base.ds, tree, base.carries, build_log=list(base.build_log))
 
 
-def _sector_pendings(win_spec: WindowSpec, tree: CylinderTree, ds: DomainSequence, n: int, sector: int) -> np.ndarray:
-    size_l = ds.size(win_spec.sector_level)
-    sec = np.asarray(win_spec.sector_of_rank, dtype=np.int64)
-    pend = tree.pending_ranks[n - 1]
-    return pend[sec[pend % size_l] == sector]
-
-
 def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
     """Puncture the top sector of a ``k`` window at its designated levels.
 
@@ -498,7 +493,12 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
         raise ConstructionError(f"unknown e_rule {e_rule!r}")
     spec, ds, tree = base.spec, base.ds, base.tree
     lvl_l = spec.sector_level
-    hk_l = [int(r) for r in _sector_pendings(spec, tree, ds, lvl_l, spec.k)]
+
+    def top_pendings(n: int) -> np.ndarray:
+        pend = tree.pending_ranks[n - 1]
+        return pend[base.sector_of(pend) == spec.k]
+
+    hk_l = [int(r) for r in top_pendings(lvl_l)]
     if len(hk_l) < 2:
         raise ConstructionError("top sector must contain at least two boundary cylinders")
     punctures: list[tuple[int, tuple[int, ...]]] = []
@@ -508,7 +508,7 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
         if spec.level_class[n - 1] == spec.k
     ]
     for i, n in enumerate(designated):
-        parents = _sector_pendings(spec, tree, ds, n - 1, spec.k)
+        parents = top_pendings(n - 1)
         a_digit = spec.partitions[n - 1].interior[0]
         a_idx = ds.alphabet_index(n, a_digit)
         base_size = ds.size(n - 1)
@@ -526,6 +526,13 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
     spec2 = replace(spec, kind="ktilde", e_rule=e_rule, punctures=tuple(punctures))
     tree2 = CylinderTree(ds, spec2)
     return Window(spec2, ds, tree2, base.carries, build_log=list(base.build_log))
+
+
+def base_window(win: Window) -> Window:
+    """The perf window a sector or punctured window was carved from."""
+    spec = replace(win.spec, kind="perf", k=1, sector_level=0, sector_of_rank=None,
+                   level_class=None, e_rule="", punctures=())
+    return Window(spec, win.ds, CylinderTree(win.ds, spec), win.carries)
 
 
 # -- measures -----------------------------------------------------------------
@@ -624,7 +631,7 @@ def check_irredundancy(win: Window) -> Report:
     on, where interior children are never dropped and at most one puncture per
     level can interfere.
     """
-    spec, tree, ds = win.spec, win.tree, win.ds
+    spec, tree = win.spec, win.tree
     lines, witnesses = [], {}
     passed = True
     for n in range(0, spec.cap):
@@ -638,10 +645,9 @@ def check_irredundancy(win: Window) -> Report:
                 passed = False
                 lines.append(f"level 0: FAIL, root has {outs} excluded children")
             continue
-        if spec.kind == "perf" or n < spec.sector_level:
-            pool = tree.pending_ranks[n - 1]
-        else:
-            pool = _sector_pendings(spec, tree, ds, n, spec.k)
+        pool = tree.pending_ranks[n - 1]
+        if n >= spec.sector_level:
+            pool = pool[win.sector_of(pool) == spec.k]
         found = None
         for r in pool:
             kids = tree.children_classes(int(r), n)

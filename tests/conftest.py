@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from odowin import presets
@@ -75,3 +77,22 @@ def w_heis_kt2(w_heis_k2):
     from odowin.windows import build_ktilde
 
     return build_ktilde(w_heis_k2, "dovetail")
+
+
+@pytest.fixture(scope="session")
+def malformed_windows(w_kt):
+    """Edits of the z-fiber ktilde k=3 window file that describe no valid window."""
+    from odowin.windows import serialize_window
+
+    text = serialize_window(w_kt[3])
+    edits = {
+        "no-sectors": re.sub(r"\[sectors\]\n[^\[]*", "", text),
+        "puncture-out-of-range": re.sub(
+            r"(\[punctures\]\nlevel \d+ = )\d+", r"\g<1>999999999999", text
+        ),
+        "no-class": re.sub(r"^class = \d+\n", "", text, flags=re.M),
+        "k-zero": re.sub(r"^k = \d+$", "k = 0", text, flags=re.M),
+        "kind-perf": re.sub(r"^kind = \w+$", "kind = perf", text, flags=re.M),
+    }
+    assert text not in edits.values()
+    return edits

@@ -135,6 +135,13 @@ def test_config_errors_exit_two(tmp_path, cfg):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+def test_malformed_window_exits_two(tmp_path, malformed_windows):
+    for label, text in malformed_windows.items():
+        path = tmp_path / f"{label}.txt"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2, label
+
+
 def test_emit_identity_no_undecided(tmp_path, cfg):
     path = cfg("w.cfg", IRR_CFG)
     main(["build", "--config", path, "--out", str(tmp_path / "w")])

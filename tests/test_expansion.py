@@ -3,8 +3,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from odowin import presets
 from odowin.expansion import (
     build_domains,
     carry_mul,
@@ -261,6 +263,23 @@ def test_carry_soundness_sampled(ds_heis):
                 ds_heis, ds_heis.digit_prefix(a, 3), ds_heis.digit_prefix(b, 3), j - 1
             )
             assert carry in set(rng.level(j))
+
+
+def test_automaton_extends_and_cuts_back():
+    # pop_level cuts a deeper automaton back and a later level extends it; the
+    # result equals one closure from level 1: tables, state order, witnesses
+    for name in ("z-carry", "heis-pow2"):
+        ds = presets.domains(name, 4)
+        ds.automaton(4)
+        ds.pop_level()
+        ds.pop_level()
+        assert ds.automaton(2).levels == 2
+        ds.append_level(presets.chain(name).modulus(3))
+        grown, fresh = ds.automaton(3), presets.domains(name, 3).automaton(3)
+        assert grown.states == fresh.states
+        assert grown.carry_range == fresh.carry_range
+        for a, b in zip(grown.trans_digit + grown.trans_state, fresh.trans_digit + fresh.trans_state):
+            assert np.array_equal(a, b)
 
 
 def test_two_route_identity_small(ds_z_carry):

@@ -314,6 +314,7 @@ def test_round_trip(which, w_irr, w_k, w_kt, w_heis, w_z2):
     assert [r.passed for r in verify_window(back)] == [r.passed for r in verify_window(win)]
 
 
-def test_parse_rejects_garbage():
-    with pytest.raises(ConstructionError):
-        parse_window("format = something-else\n")
+def test_parse_rejects_garbage(malformed_windows):
+    for text in ["format = something-else\n", *malformed_windows.values()]:
+        with pytest.raises(ConstructionError):
+            parse_window(text)
