@@ -7,6 +7,11 @@ element g splits uniquely as g = head·tail with head in D_n and tail in Γ_n,
 and elements of D_n factor uniquely into digit strings
 g = t_1·t_2·...·t_n with t_j in the level-j alphabet.
 
+Each D_n is stored once: an int64 array whose rows are its elements in rank
+order, rank = d_rank + size(n-1)·t_index, plus a residue→rank table.  So D_m
+sits at ranks 0..size(m)-1 of every deeper level, and membership, heads,
+depths and digit indices are all rank lookups.
+
 Products are computed digit-by-digit through the carry recursion
 
     c_j = d_j · (s^{-1}·p_j·s) · q_j,      d_{j+1} = tail_j(c_j),
@@ -62,17 +67,19 @@ class CarryRange:
 
 
 class DomainSequence:
-    """Fundamental domains D_1 ⊆ D_2 ⊆ ... built multiplicatively from canonical transversals."""
+    """Fundamental domains D_0 ⊆ D_1 ⊆ ... built multiplicatively from canonical transversals.
+
+    Each D_n is stored once, as the rows of an int64 array in rank order, with
+    a residue→rank table; D_0 = {identity} has modulus m_0 = 1 (Γ_0 = G).
+    D_m sits at ranks 0..size(m)-1 of every deeper level.
+    """
 
     def __init__(self, group: GroupContext):
         self.group = group
-        self.moduli: list[int] = []
+        self.moduli: list[int] = []  # m_1..m_levels
         self.alphabets: list[tuple[Elem, ...]] = []
-        self._alpha_index: list[dict[Elem, int]] = []
-        self._dom_list: list[list[Elem]] = []
-        self._dom_set: list[set[Elem]] = []
-        self._dom_arr: list[np.ndarray] = []
-        self._rep_rank: list[np.ndarray] = []  # residue rank -> domain rank
+        self._dom: list[np.ndarray] = [group.to_array([group.identity])]  # D_0..D_levels
+        self._rep_rank: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]  # residue rank -> rank
         self._automaton: CarryAutomaton | None = None
 
     # -- construction --------------------------------------------------------
@@ -96,16 +103,19 @@ class DomainSequence:
         return SubgroupChain(self.group, self.moduli)
 
     def modulus(self, n: int) -> int:
-        return self.moduli[n - 1]
+        """m_n, with m_0 = 1."""
+        if not 0 <= n <= self.levels:
+            raise ConstructionError(f"level {n} outside the built levels 0..{self.levels}")
+        return self.moduli[n - 1] if n else 1
 
     def index(self, n: int) -> int:
-        return 1 if n == 0 else self.modulus(n) ** self.group.dim
+        return self.modulus(n) ** self.group.dim
 
     def append_level(self, modulus: int) -> None:
         """Extend by one level with the canonical transversal mod ``modulus``."""
         g = self.group
         n = self.levels + 1
-        m_prev = 1 if n == 1 else self.moduli[-1]
+        m_prev = self.modulus(n - 1)
         if modulus <= m_prev or modulus % m_prev:
             raise ConstructionError(
                 f"level {n}: modulus {modulus} must be a proper multiple of {m_prev}"
@@ -113,41 +123,38 @@ class DomainSequence:
         alphabet = g.canonical_transversal(m_prev, modulus)
         if alphabet[0] != g.identity:
             raise ConstructionError(f"level {n}: transversal must start with the identity")
-        for t in alphabet:
-            if n > 1 and g.residue_rank(t, m_prev) != 0:
-                raise ConstructionError(
-                    f"level {n}: transversal element {g.fmt(t)} not in the previous subgroup"
-                )
-        prev = self._dom_list[-1] if self._dom_list else [g.identity]
-        dom = [g.mul(d, t) for t in alphabet for d in prev]
+        t_arr = g.to_array(alphabet)
+        outside = np.flatnonzero(g.vec_residue_rank(t_arr, m_prev))
+        if outside.size:
+            raise ConstructionError(
+                f"level {n}: transversal element {g.fmt(alphabet[outside[0]])} "
+                "not in the previous subgroup"
+            )
+        prev = self._dom[-1]
+        dom = g.vec_mul(np.tile(prev, (len(alphabet), 1)), np.repeat(t_arr, len(prev), axis=0))
+        rr = g.vec_residue_rank(dom, modulus)
+        residues, first = np.unique(rr, return_index=True)
+        owner = first[np.searchsorted(residues, rr)]  # first rank with the same residue
+        dup = np.flatnonzero(owner != np.arange(len(rr)))
+        if dup.size:
+            later, earlier = g.from_array(dom[[dup[0], owner[dup[0]]]])
+            raise ConstructionError(
+                f"level {n}: duplicate coset for {g.fmt(later)} and {g.fmt(earlier)}"
+            )
         index = modulus ** g.dim
-        ranks: dict[int, int] = {}
-        for rank, e in enumerate(dom):
-            rr = g.residue_rank(e, modulus)
-            if rr in ranks:
-                raise ConstructionError(
-                    f"level {n}: duplicate coset for {g.fmt(e)} and {g.fmt(dom[ranks[rr]])}"
-                )
-            ranks[rr] = rank
         if len(dom) != index:
             raise ConstructionError(
                 f"level {n}: domain has {len(dom)} elements, index is {index}"
             )
-        rep = np.full(index, -1, dtype=np.int64)
-        for rr, rank in ranks.items():
-            rep[rr] = rank
+        # Every residue occurs once, so ``first`` is the residue -> rank table.
         self.moduli.append(modulus)
         self.alphabets.append(tuple(alphabet))
-        self._alpha_index.append({t: i for i, t in enumerate(alphabet)})
-        self._dom_list.append(dom)
-        self._dom_set.append(set(dom))
-        self._dom_arr.append(g.to_array(dom))
-        self._rep_rank.append(rep)
+        self._dom.append(dom)
+        self._rep_rank.append(first)
 
     def pop_level(self) -> None:
         """Drop the top level; a carry automaton deeper than the domains is cut back."""
-        for per_level in (self.moduli, self.alphabets, self._alpha_index, self._dom_list,
-                          self._dom_set, self._dom_arr, self._rep_rank):
+        for per_level in (self.moduli, self.alphabets, self._dom, self._rep_rank):
             per_level.pop()
         if self._automaton is not None and self._automaton.levels > self.levels:
             self._automaton = CarryAutomaton(self, self.levels, self._automaton)
@@ -156,33 +163,37 @@ class DomainSequence:
 
     def size(self, n: int) -> int:
         """#D_n (n = 0 gives 1)."""
-        return 1 if n == 0 else len(self._dom_list[n - 1])
+        return len(self._dom[n])
 
     def alphabet(self, n: int) -> tuple[Elem, ...]:
         return self.alphabets[n - 1]
 
     def alphabet_index(self, n: int, t: Elem) -> int:
-        return self._alpha_index[n - 1][t]
+        """Index of t in the level-n alphabet; ``KeyError`` when t is not in it."""
+        i = self.rank_of(t, n) // self.size(n - 1)
+        if self.alphabets[n - 1][i] != t:
+            raise KeyError(t)
+        return i
 
     def domain_list(self, n: int) -> list[Elem]:
-        return self._dom_list[n - 1]
+        """D_n in rank order, converted from the stored rows on each call."""
+        return self.group.from_array(self._dom[n])
 
     def domain_set(self, n: int) -> set[Elem]:
-        return self._dom_set[n - 1]
+        """D_n as a set, converted from the stored rows on each call."""
+        return set(self.domain_list(n))
 
     def domain_array(self, n: int) -> np.ndarray:
-        return self._dom_arr[n - 1]
+        return self._dom[n]
 
     def in_domain(self, g: Elem, n: int) -> bool:
-        return g in self._dom_set[n - 1]
+        return self.element_of_rank(self.rank_of(g, n), n) == g
 
     # -- decomposition and digits ---------------------------------------------
 
     def head(self, g: Elem, n: int) -> Elem:
         """The D_n component of g (unique element of D_n in the coset g·Γ_n)."""
-        if n == 0:
-            return self.group.identity
-        return self._dom_list[n - 1][self.rank_of(g, n)]
+        return self.element_of_rank(self.rank_of(g, n), n)
 
     def tail(self, g: Elem, n: int) -> Elem:
         return self.group.mul(self.group.inv(self.head(g, n)), g)
@@ -194,9 +205,10 @@ class DomainSequence:
 
     def depth(self, g: Elem) -> int:
         """Least n with g ∈ D_{n+1}; raises if g is beyond the built levels."""
-        for n in range(self.levels):
-            if g in self._dom_set[n]:
-                return n
+        top = self.levels
+        rank = self.rank_of(g, top)
+        if top and self.element_of_rank(rank, top) == g:
+            return next(n for n in range(top) if rank < self.size(n + 1))
         raise ConstructionError(
             f"{self.group.fmt(g)} lies outside the built domains "
             f"(no finite digit string within {self.levels} levels)"
@@ -205,8 +217,7 @@ class DomainSequence:
     def digits(self, g: Elem) -> Digits:
         """Full digit expansion of g; defined for elements of the built domains."""
         n = self.depth(g)
-        coeffs = self.digit_prefix(g, n + 1)
-        return Digits(coeffs, n)
+        return Digits(self.digit_prefix(g, n + 1), n)
 
     def digit_prefix(self, g: Elem, n: int) -> tuple[Elem, ...]:
         """Digits of head(g, n): defined for every group element."""
@@ -232,21 +243,17 @@ class DomainSequence:
         return out
 
     def element_of_rank(self, rank: int, n: int) -> Elem:
-        return self._dom_list[n - 1][rank]
+        return self.group.from_array(self._dom[n][[rank]])[0]
 
     def rank_of(self, g: Elem, n: int) -> int:
-        rr = self.group.residue_rank(g, self.modulus(n))
-        rank = int(self._rep_rank[n - 1][rr])
-        if rank < 0:
-            raise ConstructionError("residue outside level")
-        return rank
+        return int(self._rep_rank[n][self.group.residue_rank(g, self.modulus(n))])
 
     # -- vectorized helpers ------------------------------------------------------
 
     def vec_rank(self, arr: np.ndarray, n: int) -> np.ndarray:
         """Domain ranks of the heads of the rows of ``arr`` at level n."""
         rr = self.group.vec_residue_rank(arr, self.modulus(n))
-        return self._rep_rank[n - 1][rr]
+        return self._rep_rank[n][rr]
 
     def vec_digit_indices(self, arr: np.ndarray, n: int) -> np.ndarray:
         """Digit-index matrix (rows, n) of the level-n heads of ``arr``."""
@@ -300,7 +307,8 @@ class CarryAutomaton:
         for j in range(start + 1, levels + 1):
             cur, cur_wit = self.states[j - 1], self.state_witnesses[j - 1]
             alpha = ds.alphabet(j)
-            na = len(alpha)
+            alpha_inv = [g.inv(t) for t in alpha]
+            na, place = len(alpha), ds.size(j - 1)
             tdig = np.empty((len(cur), na, na), dtype=np.int64)
             tstate = np.empty((len(cur), na, na), dtype=np.int64)
             nxt_index: dict[tuple[Elem, object], int] = {}
@@ -312,9 +320,11 @@ class CarryAutomaton:
                     base = g.mul(carry, g.conj_in_context(ctx, p))
                     for qi, q in enumerate(alpha):
                         c = g.mul(base, q)
-                        digit, nxt_carry = ds.decompose(c, j)
-                        tdig[si, pi, qi] = ds.alphabet_index(j, digit)
-                        key = (nxt_carry, g.context_step(ctx, q))
+                        # c lies in Γ_{j-1}, so its level-j head is the digit T_j[i]
+                        # at rank i·size(j-1), and the carry is T_j[i]^{-1}·c.
+                        i = ds.rank_of(c, j) // place
+                        tdig[si, pi, qi] = i
+                        key = (g.mul(alpha_inv[i], c), g.context_step(ctx, q))
                         ni = nxt_index.get(key)
                         if ni is None:
                             ni = len(nxt)
@@ -464,26 +474,18 @@ def verify_carry_identity(
 
     mismatches = 0
     total = 0
-    witness_alpha = None
-    # Conjugation witness: a state/digit combination whose conjugated digit
-    # differs from the raw digit (only possible in nonabelian groups).
-    if not g.abelian:
-        for j in range(1, n + 1):
-            for _carry, ctx in auto.states[j - 1]:
-                for p in ds.alphabet(j):
-                    cp = g.conj_in_context(ctx, p)
-                    if cp != p:
-                        witness_alpha = {
-                            "level": j,
-                            "context": ctx,
-                            "digit": p,
-                            "conjugated": cp,
-                        }
-                        break
-                if witness_alpha:
-                    break
-            if witness_alpha:
-                break
+    # Conjugation witness: the first state/digit combination whose conjugated
+    # digit differs from the raw digit (only possible in nonabelian groups).
+    witness_alpha = next(
+        (
+            {"level": j, "context": ctx, "digit": p, "conjugated": cp}
+            for j in range(1, n + 1)
+            for _carry, ctx in auto.states[j - 1]
+            for p in ds.alphabet(j)
+            if (cp := g.conj_in_context(ctx, p)) != p
+        ),
+        None,
+    )
 
     for start in range(0, size * size, chunk):
         stop = min(start + chunk, size * size)

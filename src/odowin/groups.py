@@ -144,9 +144,8 @@ class GroupContext(ABC):
         return arr.reshape(len(elems), self.dim)
 
     def from_array(self, arr: np.ndarray) -> list[Elem]:
-        if self.dim == 1:
-            return [int(v) for v in arr[:, 0]]
-        return [tuple(int(c) for c in row) for row in arr]
+        rows = arr.tolist()
+        return [r[0] for r in rows] if self.dim == 1 else [tuple(r) for r in rows]
 
     def _check_bounds(self, *arrays: np.ndarray) -> None:
         for a in arrays:
@@ -349,13 +348,7 @@ class SubgroupChain:
         return CosetLabel(n, self.group.residue(g, self.modulus(n)))
 
     def label_rank(self, label: CosetLabel) -> int:
-        m = self.modulus(label.level)
-        if isinstance(label.residue, tuple):
-            rank = 0
-            for c in label.residue:
-                rank = rank * m + c
-            return rank
-        return label.residue
+        return self.group.residue_rank(label.residue, self.modulus(label.level))
 
     def is_member(self, g: Elem, n: int) -> bool:
         return self.project(g, n).is_identity()

@@ -96,7 +96,7 @@ def emit_patch(
         m = win.cap - 1 if patch_level is None else patch_level
         if not 0 <= m <= win.cap:
             raise ConstructionError(f"patch level must lie in 0..{win.cap}")
-        patch = ds.domain_list(m) if m else [ds.group.identity]
+        patch = ds.domain_list(m)
     positions = tuple(patch)
     codes, _levels = win.tree.vec_classify(shifted_orbit_ranks(win, positions, xi))
     values: dict[Elem, int | None] = {}
@@ -123,13 +123,10 @@ class PerSets:
 
 def per_sets(win: Window, n: int) -> PerSets:
     """Exact periodicity partition of D_n: interior / exterior / boundary cylinders."""
-    ds = win.ds
     cls = win.tree.class_by_rank[n - 1]
-    dom = ds.domain_list(n)
-    ones = [dom[r] for r in np.nonzero(cls == CLS_IN)[0]]
-    zeros = [dom[r] for r in np.nonzero(cls == CLS_OUT)[0]]
-    unresolved = [dom[r] for r in np.nonzero(cls == CLS_PENDING)[0]]
-    return PerSets(n, ones, zeros, unresolved)
+    dom = win.ds.domain_array(n)
+    split = (win.group.from_array(dom[cls == c]) for c in (CLS_IN, CLS_OUT, CLS_PENDING))
+    return PerSets(n, *split)
 
 
 def regularity(win: Window, n: int) -> Fraction:
@@ -149,16 +146,19 @@ def regularity(win: Window, n: int) -> Fraction:
 
 def patch_jsonl(win: Window, patch: SymbolicPatch) -> str:
     """One JSON record per position: coordinates, digit string, value (?, 0, 1)."""
-    ds = win.ds
+    ds, n = win.ds, win.cap
+    # One radix decode of the level-cap ranks gives every record's digit string.
+    ranks = ds.vec_rank(ds.group.to_array(list(patch.positions)), n)
+    columns = []
+    for j, idx in enumerate(ds.radix_digits(ranks, n), start=1):
+        alpha = [list(t) if isinstance(t, tuple) else t for t in ds.alphabet(j)]
+        columns.append([alpha[i] for i in idx.tolist()])
     lines = []
-    for g in patch.positions:
+    for g, digits in zip(patch.positions, zip(*columns)):
         v = patch.values[g]
         record = {
             "element": list(g) if isinstance(g, tuple) else g,
-            "digits": [
-                list(d) if isinstance(d, tuple) else d
-                for d in ds.digit_prefix(g, win.cap)
-            ],
+            "digits": list(digits),
             "value": "?" if v is None else v,
         }
         lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))

@@ -321,22 +321,24 @@ class Report:
 def vanhove_boundary(ds: DomainSequence, probe: Sequence[Elem], n: int) -> list[Elem]:
     """Exact probe-boundary of D_n: elements g whose probe^{-1}·g set straddles D_n."""
     g = ds.group
-    dom = ds.domain_set(n)
-    candidates = {g.mul(k, d) for k in probe for d in dom}
-    out = []
-    for c in candidates:
-        hits = [g.mul(g.inv(k), c) in dom for k in probe]
-        if any(hits) and not all(hits):
-            out.append(c)
-    out.sort(key=g.sort_key)
-    return out
+    dom = ds.domain_array(n)
+    ks = g.to_array(probe)
+
+    def products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Every left row times every right row, left-major."""
+        return g.vec_mul(np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1)))
+
+    # np.unique sorts the rows lexicographically, which is the canonical order.
+    candidates = np.unique(products(ks, dom), axis=0)
+    x = products(g.vec_inv(ks), candidates)
+    hits = np.all(dom[ds.vec_rank(x, n)] == x, axis=1).reshape(len(ks), len(candidates))
+    return g.from_array(candidates[hits.any(axis=0) & ~hits.all(axis=0)])
 
 
 def carry_safe_digits(ds: DomainSequence, carries: Sequence[Elem], n: int) -> list[Elem]:
     """Alphabet digits t with carries·t fully inside D_n (eligible boundary digits)."""
     g = ds.group
-    dom = ds.domain_set(n)
-    return [t for t in ds.alphabet(n) if all(g.mul(k, t) in dom for k in carries)]
+    return [t for t in ds.alphabet(n) if all(ds.in_domain(g.mul(k, t), n) for k in carries)]
 
 
 def folner_ratio(ds: DomainSequence, carries: Sequence[Elem], n: int) -> Fraction:
@@ -674,10 +676,9 @@ def check_self_similarity(win: Window) -> Report:
     lines = []
     witness = None
     for n in range(1, spec.cap + 1):
-        dom = ds.domain_set(n)
         for c in spec.partitions[n - 1].boundary:
             for k in win.carries.level(n):
-                if g.mul(k, c) not in dom:
+                if not ds.in_domain(g.mul(k, c), n):
                     witness = {"level": n, "carry": k, "digit": c}
                     break
             if witness:

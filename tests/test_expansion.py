@@ -8,6 +8,7 @@ import pytest
 
 from odowin import presets
 from odowin.expansion import (
+    DomainSequence,
     build_domains,
     carry_mul,
     carry_ranges,
@@ -90,12 +91,97 @@ def test_transversal_outside_subgroup_rejected():
                 reps[1] = reps[1] + 1  # no longer a multiple of m_prev
             return reps
 
-    from odowin.expansion import DomainSequence
-
     ds = DomainSequence(BadZ())
     ds.append_level(4)
     with pytest.raises(ConstructionError):
         ds.append_level(8)
+
+
+def _broken_z(reps):
+    """Z whose transversal for (m_prev, m) is replaced by ``reps[(m_prev, m)]``."""
+
+    class BrokenZ(type(Z)):
+        def canonical_transversal(self, m_prev, m):
+            return reps.get((m_prev, m)) or super().canonical_transversal(m_prev, m)
+
+    return BrokenZ()
+
+
+@pytest.mark.parametrize(
+    "moduli, reps, message",
+    [
+        ([2], {(1, 2): [1, 0]}, "level 1: transversal must start with the identity"),
+        ([2, 4], {(2, 4): [0, 1]}, "level 2: transversal element 1 not in the previous subgroup"),
+        ([2, 4], {(2, 4): [0, 4]}, "level 2: duplicate coset for 4 and 0"),
+        ([2], {(1, 2): [0]}, "level 1: domain has 1 elements, index is 2"),
+    ],
+)
+def test_append_level_rejections(moduli, reps, message):
+    ds = DomainSequence(_broken_z(reps))
+    for m in moduli[:-1]:
+        ds.append_level(m)
+    with pytest.raises(ConstructionError) as exc:
+        ds.append_level(moduli[-1])
+    assert str(exc.value) == message
+    assert ds.levels == len(moduli) - 1  # a rejected level leaves nothing behind
+
+
+def test_level_zero_is_the_whole_group(ds_z_dec):
+    # m_0 = 1: every element lies in the single level-0 cylinder, of rank 0
+    assert ds_z_dec.modulus(0) == 1 and ds_z_dec.index(0) == 1
+    assert ds_z_dec.rank_of(5, 0) == 0 and ds_z_dec.head(5, 0) == 0
+    assert ds_z_dec.vec_rank(np.array([[5], [-7], [999]]), 0).tolist() == [0, 0, 0]
+    assert DomainSequence(Z).modulus(0) == 1
+    for n in (-1, ds_z_dec.levels + 1):
+        with pytest.raises(ConstructionError):
+            ds_z_dec.modulus(n)
+
+
+@pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
+def test_rank_lookups_match_digit_strings(name):
+    # oracle: D_n as the set of products of all level-1..n digit strings
+    levels = 3
+    ds = presets.domains(name, levels)
+    grp = ds.group
+    doms = [
+        {reconstruct(ds, s) for s in itertools.product(*map(ds.alphabet, range(1, n + 1)))}
+        for n in range(levels + 1)
+    ]
+    rng = random.Random(11)
+    reach = 2 * ds.modulus(levels)
+    outside = [
+        tuple(rng.randrange(-reach, reach) for _ in range(grp.dim)) for _ in range(200)
+    ]
+    probes = sorted(doms[levels], key=grp.sort_key) + [
+        c if grp.dim > 1 else c[0] for c in outside
+    ]
+
+    def plain(e):
+        return all(type(c) is int for c in (e if isinstance(e, tuple) else (e,)))
+
+    for n in range(levels + 1):
+        m = ds.modulus(n)
+        head_of_residue = {grp.residue(h, m): h for h in doms[n]}
+        for g in probes:
+            assert ds.in_domain(g, n) == (g in doms[n])
+            head = ds.head(g, n)
+            assert head == head_of_residue[grp.residue(g, m)] and plain(head)
+        for rank in range(ds.size(n)):
+            assert plain(ds.element_of_rank(rank, n))
+    for g in probes:
+        if g in doms[levels]:
+            assert ds.depth(g) == min(n for n in range(levels) if g in doms[n + 1])
+        else:
+            with pytest.raises(ConstructionError):
+                ds.depth(g)
+    for n in range(1, levels + 1):
+        alphabet = ds.alphabet(n)
+        for g in probes:
+            if g in alphabet:
+                assert ds.alphabet_index(n, g) == alphabet.index(g)
+            else:
+                with pytest.raises(KeyError):
+                    ds.alphabet_index(n, g)
 
 
 # -- decomposition -----------------------------------------------------------------
