@@ -16,15 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .expansion import carry_ranges
-from .fibers import (
-    birkhoff_stats,
-    boundary_hitters_exact,
-    coverage_fraction,
-    critical_point,
-    enumerate_fiber,
-    similarity_classes,
-)
+from .fibers import birkhoff_stats, critical_point, enumerate_fiber
 from .groups import ConstructionError, group_by_name, geometric_moduli
 from .model_sets import emit_patch, patch_jsonl, patch_pgm
 from .odometer import embed, sample_point
@@ -47,21 +39,28 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_fraction(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def _fraction(text: str) -> Fraction:
+    num, slash, den = text.partition("/")
+    return Fraction(int(num), int(den) if slash else 1)
 
 
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _number(text: str, parse=int):
+    """A config or flag value parsed as an integer (or by ``parse``); else a ConfigError."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"not a number: {text.strip()!r}") from None
+    except ZeroDivisionError:
+        raise ConfigError(f"zero denominator in {text.strip()!r}") from None
+
+
+def _numbers(text: str) -> list[int]:
+    return [_number(v) for v in text.split(",")]
 
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return _fraction_str(x)
+        return f"{x.numerator}/{x.denominator}"
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -93,14 +92,12 @@ def window_from_config(cfg: configparser.ConfigParser, args) -> Window:
         group = group_by_name(CHAINS[preset][0])
         moduli = list(CHAINS[preset][1])
     elif cfg.has_option("chain", "moduli"):
-        moduli = [int(m) for m in cfg.get("chain", "moduli").split(",")]
+        moduli = _numbers(cfg.get("chain", "moduli"))
     elif cfg.has_option("chain", "rule"):
         if cfg.get("chain", "rule") != "geometric":
             raise ConfigError("only the geometric chain rule is shipped")
         moduli = geometric_moduli(
-            cfg.getint("chain", "base"),
-            cfg.getint("chain", "ratio"),
-            cfg.getint("chain", "length"),
+            *(_number(cfg.get("chain", key)) for key in ("base", "ratio", "length"))
         )
     else:
         raise ConfigError("chain section needs preset, moduli, or rule")
@@ -108,22 +105,22 @@ def window_from_config(cfg: configparser.ConfigParser, args) -> Window:
     kind = args.mode or cfg.get("window", "kind", fallback="perf")
     if kind not in ("perf", "k", "ktilde"):
         raise ConfigError(f"window kind must be perf, k, or ktilde (got {kind!r})")
-    cap = args.cap or cfg.getint("window", "cap", fallback=3)
-    sector_level = cfg.getint("window", "sector_level", fallback=1)
-    k = cfg.getint("window", "k", fallback=1)
+    cap = args.cap if args.cap is not None else _number(cfg.get("window", "cap", fallback="3"))
+    sector_level = _number(cfg.get("window", "sector_level", fallback="1"))
+    k = _number(cfg.get("window", "k", fallback="1"))
     if not cap >= sector_level >= 1:
         raise ConfigError(f"need cap >= sector_level >= 1 (cap={cap}, L={sector_level})")
-    parts = [int(v) for v in cfg.get("window", "a", fallback="3").split(",")]
+    parts = _numbers(cfg.get("window", "a", fallback="3"))
     a_schedule = parts * cap if len(parts) == 1 else parts
     if any(a < 3 for a in a_schedule[:cap]):
         raise ConfigError("every a_n must be at least 3 (two interior digits survive)")
     epsilon = delta = None
     if cfg.has_option("window", "epsilon"):
-        epsilon = _parse_fraction(cfg.get("window", "epsilon"))
+        epsilon = _number(cfg.get("window", "epsilon"), _fraction)
         if not 0 < epsilon < 1:
             raise ConfigError(f"epsilon must lie in (0,1), got {epsilon}")
     if cfg.has_option("window", "delta"):
-        delta = _parse_fraction(cfg.get("window", "delta"))
+        delta = _number(cfg.get("window", "delta"), _fraction)
     if epsilon is None and delta is None:
         raise ConfigError("window section needs epsilon or delta")
     e_rule = cfg.get("window", "e_rule", fallback="dovetail")
@@ -157,8 +154,10 @@ def _write(path: Path, data: str | bytes) -> None:
 
 
 def cmd_build(args) -> int:
-    cfg = load_config(args.config)
-    win = window_from_config(cfg, args)
+    try:
+        win = window_from_config(load_config(args.config), args)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {args.config}: {' '.join(str(exc).split())}")
     out = Path(args.out or "window-out")
     _write(out / "window.txt", serialize_window(win))
     report = {
@@ -244,11 +243,12 @@ def cmd_fiber(args) -> int:
         raise ConfigError("fiber analysis needs --seed or --critical")
     xi = _shift_point(win, args)
     level = args.patch_level if args.patch_level is not None else win.cap
-    patch = win.ds.domain_list(level)
-    fib = enumerate_fiber(win, xi, patch)
+    fib = enumerate_fiber(win, xi, win.ds.domain_list(level))
     distinct = fib.distinct()
     rep = fib.report
     g = win.group
+    hitters = [g.fmt(h) for h in rep.hitters()]
+    hitter_index = [i for idx in rep.index for i in idx]
     report = {
         "window": win.window_id,
         "shift_digits": [g.fmt(d) for d in xi.digits],
@@ -261,7 +261,7 @@ def cmd_fiber(args) -> int:
         "distinct": distinct,
         "labels": fib.labels,
         "values_on_hitters": {
-            label: {g.fmt(h): cand.values[h] for h in rep.hitters()}
+            label: dict(zip(hitters, cand.values_at(hitter_index)))
             for label, cand in zip(fib.labels, fib.candidates)
         },
     }
@@ -278,11 +278,7 @@ def cmd_fiber(args) -> int:
 def cmd_stats(args) -> int:
     win = _load_window(args.window)
     xi = _shift_point(win, args)
-    levels = (
-        [int(v) for v in args.levels.split(",")]
-        if args.levels
-        else list(range(1, win.cap + 1))
-    )
+    levels = _numbers(args.levels) if args.levels else list(range(1, win.cap + 1))
     stats = birkhoff_stats(win, xi, levels)
     ok = all(row["census_match"] for row in stats.values())
     report = {"window": win.window_id, "levels": stats, "census_match": ok}

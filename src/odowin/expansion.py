@@ -45,10 +45,6 @@ class Digits:
     coefficients: tuple[Elem, ...]
     depth: int
 
-    def coefficient(self, j: int, identity: Elem) -> Elem:
-        """Digit j, extended by the identity beyond the stored string (j >= 1)."""
-        return self.coefficients[j - 1] if j <= len(self.coefficients) else identity
-
 
 @dataclass
 class CarryRange:
@@ -177,13 +173,14 @@ class DomainSequence:
 
     def domain_list(self, n: int) -> list[Elem]:
         """D_n in rank order, converted from the stored rows on each call."""
-        return self.group.from_array(self._dom[n])
+        return self.group.from_array(self.domain_array(n))
 
     def domain_set(self, n: int) -> set[Elem]:
         """D_n as a set, converted from the stored rows on each call."""
         return set(self.domain_list(n))
 
     def domain_array(self, n: int) -> np.ndarray:
+        self.modulus(n)  # rejects a level outside 0..levels
         return self._dom[n]
 
     def in_domain(self, g: Elem, n: int) -> bool:

@@ -18,14 +18,14 @@ cylinders).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .groups import ConstructionError, Elem, PrecisionError
-from .model_sets import SymbolicPatch, shifted_orbit_ranks
+from .model_sets import SymbolicPatch, shifted_patch
 from .odometer import OdometerPoint, head_of_point, rank_of_point
 from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window
 
@@ -38,6 +38,7 @@ class SimilarityReport:
     cap: int
     classes: list[list[Elem]]  # classes[j-1] = S_j ∩ patch, canonical order
     atoms: list[Elem] | None   # punctured windows: S_k split into singletons
+    index: list[list[int]]     # index[j-1][i]: patch index of classes[j-1][i]
 
     @property
     def k(self) -> int:
@@ -59,7 +60,7 @@ class FiberSet:
     report: SimilarityReport
 
     def distinct(self) -> int:
-        return len({tuple(c.values[g] for g in c.positions) for c in self.candidates})
+        return len({c.codes.tobytes() for c in self.candidates})
 
 
 def critical_point(
@@ -104,23 +105,31 @@ def boundary_hitters_exact(win: Window, xi: OdometerPoint) -> list[tuple[Elem, i
     return out
 
 
+def _classified(
+    win: Window, xi: OdometerPoint, patch: Sequence[Elem]
+) -> tuple[SymbolicPatch, SimilarityReport]:
+    """The shifted patch and its boundary hitters, split by the sector of their orbit point."""
+    ds = win.ds
+    positions = tuple(patch)
+    ranks = ds.vec_rank(ds.group.to_array(list(positions)), win.cap)
+    base, orbit = shifted_patch(win, xi, positions, ranks)
+    pending = np.flatnonzero(base.codes == CLS_PENDING)
+    sectors = win.sector_of(orbit[pending])
+    key = ds.group.sort_key
+    index = [
+        sorted(pending[sectors == j].tolist(), key=lambda i: key(positions[i]))
+        for j in range(1, win.spec.k + 1)
+    ]
+    classes = [[positions[i] for i in idx] for idx in index]
+    atoms = list(classes[-1]) if win.spec.kind == "ktilde" else None
+    return base, SimilarityReport(tuple(xi.digits), win.cap, classes, atoms, index)
+
+
 def similarity_classes(
     win: Window, xi: OdometerPoint, patch: Sequence[Elem]
 ) -> SimilarityReport:
     """Classes S_j ∩ patch, computed by exact classification of shifted orbits."""
-    if xi.precision < win.cap:
-        raise PrecisionError(f"shift point needs precision >= {win.cap}")
-    positions = list(patch)
-    ranks = shifted_orbit_ranks(win, positions, xi)
-    codes, _levels = win.tree.vec_classify(ranks)
-    classes: list[list[Elem]] = [[] for _ in range(win.spec.k)]
-    for g, code, sector in zip(positions, codes, win.sector_of(ranks)):
-        if code == CLS_PENDING:
-            classes[sector - 1].append(g)
-    for cls in classes:
-        cls.sort(key=win.ds.group.sort_key)
-    atoms = list(classes[-1]) if win.spec.kind == "ktilde" else None
-    return SimilarityReport(tuple(xi.digits), win.cap, classes, atoms)
+    return _classified(win, xi, patch)[1]
 
 
 def enumerate_fiber(
@@ -131,32 +140,22 @@ def enumerate_fiber(
     k+1 threshold candidates always; punctured windows add one candidate per
     top-class hitter in the patch (that hitter flipped to 0).
     """
-    positions = tuple(patch)
-    report = similarity_classes(win, xi, positions)
-    codes, _ = win.tree.vec_classify(shifted_orbit_ranks(win, positions, xi))
-    base_vals: dict[Elem, int | None] = {}
-    for g, code in zip(positions, codes):
-        base_vals[g] = 1 if code == CLS_IN else 0 if code == CLS_OUT else None
-    class_of = {g: j + 1 for j, cls in enumerate(report.classes) for g in cls}
+    base, report = _classified(win, xi, patch)
     k = report.k
     candidates, labels = [], []
     for j in range(1, k + 2):
-        vals = dict(base_vals)
-        for g, cj in class_of.items():
-            vals[g] = 1 if cj >= j else 0
-        candidates.append(
-            SymbolicPatch(positions, vals, win.window_id, tuple(xi.digits), win.cap)
-        )
+        codes = base.codes.copy()
+        for cj, idx in enumerate(report.index, start=1):
+            codes[idx] = CLS_IN if cj >= j else CLS_OUT
+        candidates.append(replace(base, codes=codes))
         labels.append(f"x{j}")
     if win.spec.kind == "ktilde":
         top = candidates[k - 1]  # x_k: assigns 1 to the whole top class
-        for l in report.classes[-1]:
-            vals = dict(top.values)
-            vals[l] = 0
-            candidates.append(
-                SymbolicPatch(positions, vals, win.window_id, tuple(xi.digits), win.cap)
-            )
-            labels.append(f"x{k}-drop-{win.ds.group.fmt(l)}")
+        for i in report.index[-1]:
+            codes = top.codes.copy()
+            codes[i] = CLS_OUT
+            candidates.append(replace(base, codes=codes))
+            labels.append(f"x{k}-drop-{win.ds.group.fmt(base.positions[i])}")
     return FiberSet(candidates, labels, report)
 
 

@@ -9,8 +9,8 @@ cap are marked undecided instead of being forced to 0 or 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,38 +18,42 @@ import numpy as np
 
 from .groups import ConstructionError, Elem, PrecisionError
 from .odometer import OdometerPoint, embed, rank_of_point
-from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window
+from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window, boundary_measure
 
 
-@dataclass
+# Value of the array at a position whose shifted orbit point has this class.
+VALUE_OF_CODE = {CLS_IN: 1, CLS_OUT: 0, CLS_PENDING: None}
+
+
+@dataclass(eq=False)
 class SymbolicPatch:
     """Finite piece of a (possibly shifted) window array.
 
-    ``values[g]`` is 1, 0, or None (undecided at the tree cap).  Provenance
-    records the window, the shift digits, and the classification depth.
+    Fields: ``positions`` (the group elements, in patch order), ``ranks``
+    (int64 level-cap ranks of the positions), ``codes`` (int8 class
+    CLS_IN / CLS_OUT / CLS_PENDING of each position's shifted orbit point),
+    and the provenance ``window_id``, ``shift_digits`` and ``level_used``
+    (the classification depth).  ``values[g]`` is the derived view: 1, 0, or
+    None (undecided at the tree cap).
     """
 
     positions: tuple[Elem, ...]
-    values: dict[Elem, int | None]
+    ranks: np.ndarray
+    codes: np.ndarray
     window_id: str
     shift_digits: tuple[Elem, ...]
     level_used: int
 
+    def values_at(self, index) -> list[int | None]:
+        """Values (1, 0, None) at the given indices into the patch."""
+        return [VALUE_OF_CODE[c] for c in self.codes[index].tolist()]
+
+    @cached_property
+    def values(self) -> dict[Elem, int | None]:
+        return dict(zip(self.positions, self.values_at(slice(None))))
+
     def undecided(self) -> list[Elem]:
-        return [g for g in self.positions if self.values[g] is None]
-
-    def ones(self) -> int:
-        return sum(1 for g in self.positions if self.values[g] == 1)
-
-    def restrict(self, positions: Sequence[Elem]) -> "SymbolicPatch":
-        pos = tuple(positions)
-        return SymbolicPatch(
-            pos,
-            {g: self.values[g] for g in pos},
-            self.window_id,
-            self.shift_digits,
-            self.level_used,
-        )
+        return [self.positions[i] for i in np.flatnonzero(self.codes == CLS_PENDING)]
 
 
 def classify(win: Window, x: OdometerPoint) -> tuple[int, int]:
@@ -65,16 +69,25 @@ def classify(win: Window, x: OdometerPoint) -> tuple[int, int]:
     return code, level
 
 
-def shifted_orbit_ranks(win: Window, positions: Sequence[Elem], xi: OdometerPoint) -> np.ndarray:
-    """Level-cap ranks of embed(g)·ξ, one per position."""
+def shifted_orbit_ranks(win: Window, ranks: np.ndarray, xi: OdometerPoint) -> np.ndarray:
+    """Level-cap ranks of embed(g)·ξ, one per level-cap rank of a position g."""
     ds = win.ds
     n = win.cap
     if xi.precision < n:
         raise PrecisionError(f"shift point needs precision >= {n}")
-    g_rank = ds.vec_rank(ds.group.to_array(list(positions)), n)
-    xi_rank = np.full_like(g_rank, rank_of_point(ds, xi, n))
-    out, _state = ds.automaton(n).batch_product(g_rank, xi_rank, n)
+    xi_rank = np.full_like(ranks, rank_of_point(ds, xi, n))
+    out, _state = ds.automaton(n).batch_product(ranks, xi_rank, n)
     return out
+
+
+def shifted_patch(
+    win: Window, xi: OdometerPoint, positions: tuple[Elem, ...], ranks: np.ndarray
+) -> tuple[SymbolicPatch, np.ndarray]:
+    """The patch on these positions and the level-cap ranks of its shifted orbit points."""
+    orbit = shifted_orbit_ranks(win, ranks, xi)
+    codes, _levels = win.tree.vec_classify(orbit)
+    patch = SymbolicPatch(positions, ranks, codes, win.window_id, tuple(xi.digits), win.cap)
+    return patch, orbit
 
 
 def emit_patch(
@@ -86,8 +99,8 @@ def emit_patch(
     """Evaluate the shifted window array on a finite patch.
 
     The default patch is the domain at ``patch_level`` (cap - 1 when omitted,
-    so embedded points always resolve).  Values: 1 for interior, 0 for
-    exterior, None when the orbit point is still on the boundary at cap.
+    so embedded points always resolve; its level-cap ranks are 0..size - 1).
+    Values: 1 interior, 0 exterior, None when still on the boundary at cap.
     """
     ds = win.ds
     if xi is None:
@@ -96,19 +109,12 @@ def emit_patch(
         m = win.cap - 1 if patch_level is None else patch_level
         if not 0 <= m <= win.cap:
             raise ConstructionError(f"patch level must lie in 0..{win.cap}")
-        patch = ds.domain_list(m)
-    positions = tuple(patch)
-    codes, _levels = win.tree.vec_classify(shifted_orbit_ranks(win, positions, xi))
-    values: dict[Elem, int | None] = {}
-    for g, c in zip(positions, codes):
-        values[g] = 1 if c == CLS_IN else 0 if c == CLS_OUT else None
-    return SymbolicPatch(
-        positions,
-        values,
-        win.window_id,
-        tuple(xi.digits),
-        win.cap,
-    )
+        positions = tuple(ds.domain_list(m))
+        ranks = np.arange(ds.size(m), dtype=np.int64)
+    else:
+        positions = tuple(patch)
+        ranks = ds.vec_rank(ds.group.to_array(list(positions)), win.cap)
+    return shifted_patch(win, xi, positions, ranks)[0]
 
 
 @dataclass
@@ -131,8 +137,6 @@ def per_sets(win: Window, n: int) -> PerSets:
 
 def regularity(win: Window, n: int) -> Fraction:
     """Fraction of level-n cosets already periodic; equals 1 - boundary measure."""
-    from .windows import boundary_measure
-
     cls = win.tree.class_by_rank[n - 1]
     periodic = int((cls != CLS_PENDING).sum())
     d_n = Fraction(periodic, win.ds.size(n))
@@ -144,24 +148,25 @@ def regularity(win: Window, n: int) -> Fraction:
 # -- writers --------------------------------------------------------------------
 
 
+def _json(x: Elem) -> str:
+    """Compact JSON text of a group element: an integer or a list of integers."""
+    return "[" + ",".join(map(str, x)) + "]" if isinstance(x, tuple) else str(x)
+
+
 def patch_jsonl(win: Window, patch: SymbolicPatch) -> str:
-    """One JSON record per position: coordinates, digit string, value (?, 0, 1)."""
+    """One line per position: ``{"digits":[...],"element":...,"value":1|0|"?"}``, no spaces."""
     ds, n = win.ds, win.cap
     # One radix decode of the level-cap ranks gives every record's digit string.
-    ranks = ds.vec_rank(ds.group.to_array(list(patch.positions)), n)
     columns = []
-    for j, idx in enumerate(ds.radix_digits(ranks, n), start=1):
-        alpha = [list(t) if isinstance(t, tuple) else t for t in ds.alphabet(j)]
+    for j, idx in enumerate(ds.radix_digits(patch.ranks, n), start=1):
+        alpha = [_json(t) for t in ds.alphabet(j)]
         columns.append([alpha[i] for i in idx.tolist()])
-    lines = []
-    for g, digits in zip(patch.positions, zip(*columns)):
-        v = patch.values[g]
-        record = {
-            "element": list(g) if isinstance(g, tuple) else g,
-            "digits": list(digits),
-            "value": "?" if v is None else v,
-        }
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    text = {c: '"?"' if v is None else str(v) for c, v in VALUE_OF_CODE.items()}
+    values = [text[c] for c in patch.codes.tolist()]
+    lines = [
+        f'{{"digits":[{",".join(digits)}],"element":{_json(g)},"value":{v}}}'
+        for g, digits, v in zip(patch.positions, zip(*columns), values)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -175,13 +180,12 @@ def patch_pgm(win: Window, patch: SymbolicPatch, level: int) -> bytes:
     if ds.group.name != "Z2":
         raise ConstructionError("image rendering targets the plane group only")
     m = ds.modulus(level)
-    shade = {1: 255, 0: 0, None: 127}
+    shade = {CLS_IN: 255, CLS_OUT: 0, CLS_PENDING: 127}
     grid = np.zeros((m, m), dtype=np.uint8)
     seen = 0
-    for g in patch.positions:
-        x, y = g
+    for (x, y), code in zip(patch.positions, patch.codes.tolist()):
         if 0 <= x < m and 0 <= y < m:
-            grid[y, x] = shade[patch.values[g]]
+            grid[y, x] = shade[code]
             seen += 1
     if seen != m * m:
         raise ConstructionError(f"patch does not cover the {m}x{m} box")

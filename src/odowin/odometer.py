@@ -70,10 +70,6 @@ def sample_point(ds: DomainSequence, rng_seed: int, n: int) -> OdometerPoint:
     return OdometerPoint(digits)
 
 
-def point_from_digits(digits) -> OdometerPoint:
-    return OdometerPoint(tuple(digits))
-
-
 def head_of_point(ds: DomainSequence, x: OdometerPoint, n: int) -> Elem:
     """Product of the first n digits; lies in D_n."""
     if n > x.precision:

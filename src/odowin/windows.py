@@ -30,13 +30,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .expansion import CarryRange, DomainSequence, carry_ranges
 from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, group_by_name
-from .odometer import OdometerPoint
 
 CLS_IN, CLS_OUT, CLS_PENDING = 0, 1, 2
 _CLS_NAME = {CLS_IN: "in", CLS_OUT: "out", CLS_PENDING: "pending"}
@@ -745,7 +744,17 @@ def _parse_fraction(s: str) -> Fraction | None:
     if s == "none":
         return None
     num, den = s.split("/")
+    if int(den) == 0:
+        raise ConstructionError(f"zero denominator in {s!r}")
     return Fraction(int(num), int(den))
+
+
+def _level_number(label: str) -> int:
+    """n of a ``level n`` section header or puncture key."""
+    words = label.split()
+    if len(words) != 2:
+        raise ConstructionError(f"{label!r} does not name one level")
+    return int(words[1])
 
 
 def _fmt_elems(group: GroupContext, elems: Sequence[Elem]) -> str:
@@ -808,7 +817,7 @@ def parse_window(text: str) -> Window:
         if line.startswith("["):
             section = line.strip("[]")
             if section.startswith("level "):
-                current_level = int(section.split()[1])
+                current_level = _level_number(section)
                 levels[current_level] = {}
             continue
         key, _, val = line.partition("=")
@@ -820,8 +829,7 @@ def parse_window(text: str) -> Window:
         elif section == "sectors":
             sectors[key] = val
         elif section == "punctures":
-            lvl = int(key.split()[1])
-            punctures.append((lvl, tuple(int(r) for r in val.split(","))))
+            punctures.append((_level_number(key), tuple(int(r) for r in val.split(","))))
     if head.get("format") != "odowin-window 1":
         raise ConstructionError("unrecognized window file format")
     group = group_by_name(head["group"])

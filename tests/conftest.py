@@ -93,6 +93,9 @@ def malformed_windows(w_kt):
         "no-class": re.sub(r"^class = \d+\n", "", text, flags=re.M),
         "k-zero": re.sub(r"^k = \d+$", "k = 0", text, flags=re.M),
         "kind-perf": re.sub(r"^kind = \w+$", "kind = perf", text, flags=re.M),
+        "level-header-no-number": text.replace("[level 2]", "[level ]"),
+        "puncture-no-level": re.sub(r"(\[punctures\]\n)level \d+ =", r"\g<1>level =", text),
+        "delta-zero-denominator": re.sub(r"^delta = .*$", "delta = 1/0", text, flags=re.M),
     }
     assert text not in edits.values()
     return edits

@@ -121,7 +121,7 @@ def test_verify_fails_on_corrupted_boundary_digits(tmp_path, cfg):
     assert main(["verify", str(wfile)]) == 1
 
 
-def test_config_errors_exit_two(tmp_path, cfg):
+def test_config_errors_exit_two(tmp_path, cfg, capsys):
     assert main(["build", "--config", cfg("a.cfg", IRR_CFG.replace("cap = 3", "cap = 3\na = 2")),
                  "--out", str(tmp_path / "x")]) == 2
     assert main(["build", "--config", cfg("b.cfg", IRR_CFG.replace("epsilon = 1/2", "epsilon = 1")),
@@ -133,6 +133,35 @@ def test_config_errors_exit_two(tmp_path, cfg):
                  "--out", str(tmp_path / "x")]) == 2
     assert main(["build", "--config", cfg("e.cfg", IRR_CFG.replace("cap = 3", "cap = 1\nsector_level = 2")),
                  "--out", str(tmp_path / "x")]) == 2
+    # values that are not numbers, a zero denominator, a file without sections
+    bad = {
+        "cap.cfg": IRR_CFG.replace("cap = 3", "cap = three"),
+        "moduli.cfg": FIBER_CFG.replace("moduli = 8,48", "moduli = 8,4x8"),
+        "a.cfg": IRR_CFG.replace("cap = 3", "cap = 3\na = 3,x"),
+        "delta.cfg": Z2_CFG.replace("delta = 60", "delta = sixty"),
+        "delta-zero.cfg": Z2_CFG.replace("delta = 60", "delta = 1/0"),
+        "no-section.cfg": "name = Z\n" + IRR_CFG,
+    }
+    capsys.readouterr()
+    for name, text in bad.items():
+        assert main(["build", "--config", cfg(name, text), "--out", str(tmp_path / "x")]) == 2, name
+        assert len(capsys.readouterr().err.splitlines()) == 1, name
+
+
+def test_bad_flags_exit_two(tmp_path, cfg, capsys):
+    path = cfg("w.cfg", IRR_CFG)
+    assert main(["build", "--config", path, "--out", str(tmp_path / "x"), "--cap", "0"]) == 2
+    assert main(["build", "--config", path, "--out", str(tmp_path / "w")]) == 0
+    win = str(tmp_path / "w" / "window.txt")
+    capsys.readouterr()
+    for argv in (
+        ["stats", win, "--seed", "1", "--levels", "x"],
+        ["fiber", win, "--critical", "--patch-level", "9"],
+        ["fiber", win, "--critical", "--patch-level", "-1"],
+        ["emit", win, "--patch-level", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        assert len(capsys.readouterr().err.splitlines()) == 1, argv
 
 
 def test_malformed_window_exits_two(tmp_path, malformed_windows):

@@ -217,3 +217,21 @@ def test_coverage_full_at_cap_patch(w_k):
     frac, reports = coverage_fraction(win, win.ds.domain_list(win.cap), range(25))
     assert frac == 1
     assert all(r.full_coverage() for r in reports)
+
+
+def test_fiber_classifies_the_patch_once(w_kt, monkeypatch):
+    # the report and every candidate come from one shifted classification
+    from odowin.expansion import CarryAutomaton
+    from odowin.windows import CylinderTree
+
+    calls = []
+    for cls, name in ((CarryAutomaton, "batch_product"), (CylinderTree, "vec_classify")):
+        def counted(self, *args, _fn=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _fn(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    win = w_kt[3]
+    fib = enumerate_fiber(win, sample_point(win.ds, 23, win.cap), win.ds.domain_list(win.cap))
+    assert sorted(calls) == ["batch_product", "vec_classify"]
+    assert fib.distinct() == len(fib.candidates) == win.spec.k + 1 + len(fib.report.classes[-1])

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from odowin.groups import ConstructionError
@@ -168,3 +169,58 @@ def test_pgm_rejects_non_planar(w_irr):
     patch = emit_patch(w_irr, patch_level=1)
     with pytest.raises(ConstructionError):
         patch_pgm(w_irr, patch, 1)
+
+
+def _jsonl_oracle(win, patch):
+    """The record rule: json.dumps with sorted keys and compact separators, one line each."""
+    def plain(x):
+        return list(x) if isinstance(x, tuple) else x
+
+    lines = []
+    for g in patch.positions:
+        v = patch.values[g]
+        record = {
+            "element": plain(g),
+            "digits": [plain(t) for t in win.ds.digit_prefix(g, win.cap)],
+            "value": "?" if v is None else v,
+        }
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
+def test_jsonl_matches_json_dumps(w_irr, w_z2, w_heis):
+    from odowin.fibers import critical_point
+    from odowin.odometer import sample_point
+
+    explicit = {
+        "Z": [-3, -100, 5, 0, -1],
+        "Z2": [(-3, 2), (4, -7), (0, 0), (-1, -1)],
+        "Heisenberg": [(-3, 2, -1), (4, -7, 9), (0, 0, 0)],
+    }
+    for win in (w_irr, w_z2, w_heis):
+        shifts = (None, sample_point(win.ds, 5, win.cap), critical_point(win))
+        for xi in shifts:
+            for patch in (
+                emit_patch(win, xi),
+                emit_patch(win, xi, patch_level=1),
+                emit_patch(win, xi, patch=explicit[win.group.name]),
+            ):
+                assert patch_jsonl(win, patch) == _jsonl_oracle(win, patch)
+        assert patch_jsonl(win, emit_patch(win, patch=[])) == "\n"
+    crit = emit_patch(w_z2, critical_point(w_z2), patch_level=1)
+    assert '"value":"?"' in patch_jsonl(w_z2, crit)
+
+
+def test_default_and_explicit_patch_routes_agree(w_irr, w_z2, w_heis):
+    from odowin.odometer import sample_point
+
+    for win in (w_irr, w_z2, w_heis):
+        xi = sample_point(win.ds, 3, win.cap)
+        for m in range(win.cap + 1):
+            default = emit_patch(win, xi, patch_level=m)
+            explicit = emit_patch(win, xi, patch=win.ds.domain_list(m))
+            assert default.positions == explicit.positions
+            assert default.ranks.dtype == explicit.ranks.dtype == np.int64
+            assert np.array_equal(default.ranks, explicit.ranks)
+            assert np.array_equal(default.codes, explicit.codes)
+            assert default.values == explicit.values
