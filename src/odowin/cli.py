@@ -243,7 +243,7 @@ def cmd_fiber(args) -> int:
         raise ConfigError("fiber analysis needs --seed or --critical")
     xi = _shift_point(win, args)
     level = args.patch_level if args.patch_level is not None else win.cap
-    fib = enumerate_fiber(win, xi, win.ds.domain_list(level))
+    fib = enumerate_fiber(win, xi, patch_level=level)
     distinct = fib.distinct()
     rep = fib.report
     g = win.group

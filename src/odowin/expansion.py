@@ -30,7 +30,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import ConstructionError, Elem, GroupContext, SubgroupChain
+from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, row_keys
+
+# Transition rows the closure forms at once; a block holds whole source states,
+# at least one, so a level needs O(max(budget, #alphabet²)) scratch memory.
+_CLOSURE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ class DomainSequence:
 
     def size(self, n: int) -> int:
         """#D_n (n = 0 gives 1)."""
-        return len(self._dom[n])
+        return len(self.domain_array(n))
 
     def alphabet(self, n: int) -> tuple[Elem, ...]:
         return self.alphabets[n - 1]
@@ -275,6 +279,12 @@ class CarryAutomaton:
     The closure enumerates every reachable state exactly, so the carry value
     sets are the exact ranges of the per-level carry maps on pairs of
     expandable elements.
+
+    Each level is closed with int64 row arithmetic over blocks of whole source
+    states, at most ``_CLOSURE_ROWS`` transition rows (state, p, q) per block
+    unless one state alone has more.  New states are numbered in order of
+    first occurrence over the transitions in (state, p, q) order, and the
+    witness of a state is the transition where it first occurs.
     """
 
     def __init__(self, ds: DomainSequence, levels: int, prev: "CarryAutomaton | None"):
@@ -301,38 +311,11 @@ class CarryAutomaton:
             self.trans_digit = prev.trans_digit[:start]
             self.trans_state = prev.trans_state[:start]
 
+        cur = self.states[start]
+        carry = g.to_array([c for c, _ in cur])
+        ctx = np.array([() if x is None else x for _, x in cur], dtype=np.int64)
         for j in range(start + 1, levels + 1):
-            cur, cur_wit = self.states[j - 1], self.state_witnesses[j - 1]
-            alpha = ds.alphabet(j)
-            alpha_inv = [g.inv(t) for t in alpha]
-            na, place = len(alpha), ds.size(j - 1)
-            tdig = np.empty((len(cur), na, na), dtype=np.int64)
-            tstate = np.empty((len(cur), na, na), dtype=np.int64)
-            nxt_index: dict[tuple[Elem, object], int] = {}
-            nxt: list[tuple[Elem, object]] = []
-            nxt_wit: list[tuple] = []
-            for si, (carry, ctx) in enumerate(cur):
-                gw, hw = cur_wit[si]
-                for pi, p in enumerate(alpha):
-                    base = g.mul(carry, g.conj_in_context(ctx, p))
-                    for qi, q in enumerate(alpha):
-                        c = g.mul(base, q)
-                        # c lies in Γ_{j-1}, so its level-j head is the digit T_j[i]
-                        # at rank i·size(j-1), and the carry is T_j[i]^{-1}·c.
-                        i = ds.rank_of(c, j) // place
-                        tdig[si, pi, qi] = i
-                        key = (g.mul(alpha_inv[i], c), g.context_step(ctx, q))
-                        ni = nxt_index.get(key)
-                        if ni is None:
-                            ni = len(nxt)
-                            nxt_index[key] = ni
-                            nxt.append(key)
-                            nxt_wit.append((gw + (pi,), hw + (qi,)))
-                        tstate[si, pi, qi] = ni
-            self.trans_digit.append(tdig)
-            self.trans_state.append(tstate)
-            self.states.append(nxt)
-            self.state_witnesses.append(nxt_wit)
+            carry, ctx = self._close_level(j, carry, ctx)
 
         witnesses: list[dict[Elem, tuple[tuple[int, ...], tuple[int, ...]]]] = []
         for lvl, wits in zip(self.states, self.state_witnesses):
@@ -344,6 +327,62 @@ class CarryAutomaton:
             sets=[sorted({c for c, _ in lvl}, key=g.sort_key) for lvl in self.states],
             witnesses=witnesses,
         )
+
+    def _close_level(
+        self, j: int, carry: np.ndarray, ctx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Append level j's tables and states; return the new states' carry and context rows.
+
+        ``carry`` and ``ctx`` hold the rows of the states entering level j.
+        """
+        ds, g = self.ds, self.ds.group
+        place = ds.size(j - 1)
+        alpha = ds.domain_array(j)[::place]  # the digit T_j[i] has rank i·size(j-1)
+        alpha_inv = g.vec_inv(alpha)
+        na2 = len(alpha) ** 2
+        total = len(carry) * na2
+        tdig = np.empty(total, dtype=np.int64)
+        tstate = np.empty(total, dtype=np.int64)
+        block_rows, block_first = [], []  # per block: its distinct new states, first transitions
+        found = 0
+        step = max(1, _CLOSURE_ROWS // na2) * na2
+        for lo in range(0, total, step):
+            flat = np.arange(lo, min(lo + step, total))
+            s, pq = np.divmod(flat, na2)
+            p, q = np.divmod(pq, len(alpha))
+            c = g.vec_mul(g.vec_mul(carry[s], g.vec_conj_in_context(ctx[s], alpha[p])), alpha[q])
+            # c lies in Γ_{j-1}, so its level-j head is the digit T_j[i] at rank
+            # i·size(j-1), and the carry is T_j[i]^{-1}·c.
+            i = ds.vec_rank(c, j) // place
+            rows = np.hstack([g.vec_mul(alpha_inv[i], c), g.vec_context_step(ctx[s], alpha[q])])
+            first, number = _first_occurrence(rows)
+            tdig[flat] = i
+            tstate[flat] = number + found
+            found += len(first)
+            block_rows.append(rows[first])
+            block_first.append(flat[first])
+        # Blocks run in transition order, so numbering the blocks' distinct
+        # states by first occurrence numbers the level's states the same way.
+        rows = np.concatenate(block_rows)
+        first, number = _first_occurrence(rows)
+        rows, at = rows[first], np.concatenate(block_first)[first]
+        shape = (len(carry), len(alpha), len(alpha))
+        self.trans_digit.append(tdig.reshape(shape))
+        self.trans_state.append(number[tstate].reshape(shape))
+
+        carry, ctx = rows[:, : g.dim], rows[:, g.dim :]
+        ctxs = [None] * len(rows) if g.abelian else [tuple(x) for x in ctx.tolist()]
+        self.states.append(list(zip(g.from_array(carry), ctxs)))
+        wit = self.state_witnesses[j - 1]
+        s, pq = np.divmod(at, na2)
+        p, q = np.divmod(pq, len(alpha))
+        self.state_witnesses.append(
+            [
+                (wit[si][0] + (pi,), wit[si][1] + (qi,))
+                for si, pi, qi in zip(s.tolist(), p.tolist(), q.tolist())
+            ]
+        )
+        return carry, ctx
 
     # -- scalar evaluation ----------------------------------------------------
 
@@ -386,6 +425,15 @@ class CarryAutomaton:
     def carry_elements(self, n: int) -> list[Elem]:
         """Carry component of each level-(n+1) state, by state index."""
         return [c for c, _ in self.states[n]]
+
+
+def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the distinct rows in order of first occurrence, and each row's number among them."""
+    _, first, inverse = np.unique(row_keys(rows), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return first[order], number[inverse]
 
 
 # -- spec-facing operations ------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import ConstructionError, Elem, PrecisionError
-from .model_sets import SymbolicPatch, shifted_patch
+from .model_sets import SymbolicPatch, patch_cylinders, shifted_patch
 from .odometer import OdometerPoint, head_of_point, rank_of_point
 from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window
 
@@ -106,12 +106,11 @@ def boundary_hitters_exact(win: Window, xi: OdometerPoint) -> list[tuple[Elem, i
 
 
 def _classified(
-    win: Window, xi: OdometerPoint, patch: Sequence[Elem]
+    win: Window, xi: OdometerPoint, patch: Sequence[Elem] | None, patch_level: int
 ) -> tuple[SymbolicPatch, SimilarityReport]:
     """The shifted patch and its boundary hitters, split by the sector of their orbit point."""
     ds = win.ds
-    positions = tuple(patch)
-    ranks = ds.vec_rank(ds.group.to_array(list(positions)), win.cap)
+    positions, ranks = patch_cylinders(win, patch, patch_level)
     base, orbit = shifted_patch(win, xi, positions, ranks)
     pending = np.flatnonzero(base.codes == CLS_PENDING)
     sectors = win.sector_of(orbit[pending])
@@ -129,18 +128,23 @@ def similarity_classes(
     win: Window, xi: OdometerPoint, patch: Sequence[Elem]
 ) -> SimilarityReport:
     """Classes S_j ∩ patch, computed by exact classification of shifted orbits."""
-    return _classified(win, xi, patch)[1]
+    return _classified(win, xi, patch, win.cap)[1]
 
 
 def enumerate_fiber(
-    win: Window, xi: OdometerPoint, patch: Sequence[Elem]
+    win: Window,
+    xi: OdometerPoint,
+    patch: Sequence[Elem] | None = None,
+    patch_level: int | None = None,
 ) -> FiberSet:
     """Candidate fiber elements over ξ, restricted to the patch.
 
+    The default patch is the domain at ``patch_level`` (the cap when omitted).
     k+1 threshold candidates always; punctured windows add one candidate per
     top-class hitter in the patch (that hitter flipped to 0).
     """
-    base, report = _classified(win, xi, patch)
+    level = win.cap if patch_level is None else patch_level
+    base, report = _classified(win, xi, patch, level)
     k = report.k
     candidates, labels = [], []
     for j in range(1, k + 2):

@@ -15,6 +15,7 @@ overflow instead of wrapping.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,6 +27,8 @@ Elem = int | tuple[int, ...]
 # Guard for vectorized int64 paths: products of two in-range values plus sums
 # stay below 2**62.
 _VEC_BOUND = 1 << 30
+# Number of distinct values an int64 key (rank or packed row) can take.
+_KEY_LIMIT = 1 << 63
 
 
 class ConstructionError(ValueError):
@@ -135,6 +138,15 @@ class GroupContext(ABC):
         """s^{-1}·x·s for any s with the given context."""
         return x if self.abelian else self.conjugate(x, ctx)
 
+    # Row-wise forms: a context array has one row per context, with no
+    # columns for abelian groups.
+
+    def vec_conj_in_context(self, ctx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def vec_context_step(self, ctx: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return ctx
+
     # -- vectorized helpers (int64, overflow-checked) ------------------------
 
     def to_array(self, elems: Sequence[Elem]) -> np.ndarray:
@@ -159,6 +171,9 @@ class GroupContext(ABC):
     def vec_inv(self, a: np.ndarray) -> np.ndarray: ...
 
     def vec_residue_rank(self, a: np.ndarray, m: int) -> np.ndarray:
+        if m**self.dim >= _KEY_LIMIT:
+            raise OverflowError(f"vectorized path refused: {m}**{self.dim} residue ranks")
+        self._check_bounds(a)
         r = np.mod(a, m)
         rank = r[:, 0].copy()
         for i in range(1, self.dim):
@@ -194,6 +209,7 @@ class ZGroup(GroupContext):
         return a + b
 
     def vec_inv(self, a):
+        self._check_bounds(a)
         return -a
 
 
@@ -226,6 +242,7 @@ class Z2Group(GroupContext):
         return a + b
 
     def vec_inv(self, a):
+        self._check_bounds(a)
         return -a
 
 
@@ -277,6 +294,15 @@ class HeisenbergGroup(GroupContext):
         x, y = ctx
         return (p[0], p[1], p[2] + p[0] * y - p[1] * x)
 
+    def vec_conj_in_context(self, ctx, p):
+        self._check_bounds(ctx, p)
+        out = p.copy()
+        out[:, 2] += p[:, 0] * ctx[:, 1] - p[:, 1] * ctx[:, 0]
+        return out
+
+    def vec_context_step(self, ctx, q):
+        return ctx + q[:, :2]
+
     def vec_mul(self, a, b):
         self._check_bounds(a, b)
         out = a + b
@@ -288,6 +314,22 @@ class HeisenbergGroup(GroupContext):
         out = -a
         out[:, 2] += a[:, 0] * a[:, 1]
         return out
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row, ordered as the rows are lexicographically.
+
+    Each column is offset by its minimum and the first column is the most
+    significant digit; rows whose keys would not fit in int64 are refused.
+    """
+    low = rows.min(axis=0)
+    spans = (rows.max(axis=0) - low + 1).tolist()
+    if math.prod(spans) > _KEY_LIMIT:
+        raise OverflowError("vectorized path refused: packed row keys exceed int64")
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for col, lo, span in zip(rows.T, low.tolist(), spans):
+        keys = keys * span + (col - lo)
+    return keys
 
 
 _GROUPS = {g.name: g for g in (ZGroup(), Z2Group(), HeisenbergGroup())}

@@ -80,6 +80,23 @@ def shifted_orbit_ranks(win: Window, ranks: np.ndarray, xi: OdometerPoint) -> np
     return out
 
 
+def patch_cylinders(
+    win: Window, patch: Sequence[Elem] | None, patch_level: int
+) -> tuple[tuple[Elem, ...], np.ndarray]:
+    """Positions and level-cap ranks of a patch.
+
+    The default patch (``patch`` None) is the domain at ``patch_level``, whose
+    level-cap ranks are 0..size - 1; an explicit patch is ranked row by row.
+    """
+    ds = win.ds
+    if patch is None:
+        if not 0 <= patch_level <= win.cap:
+            raise ConstructionError(f"patch level must lie in 0..{win.cap}")
+        return tuple(ds.domain_list(patch_level)), np.arange(ds.size(patch_level), dtype=np.int64)
+    positions = tuple(patch)
+    return positions, ds.vec_rank(ds.group.to_array(list(positions)), win.cap)
+
+
 def shifted_patch(
     win: Window, xi: OdometerPoint, positions: tuple[Elem, ...], ranks: np.ndarray
 ) -> tuple[SymbolicPatch, np.ndarray]:
@@ -102,19 +119,10 @@ def emit_patch(
     so embedded points always resolve; its level-cap ranks are 0..size - 1).
     Values: 1 interior, 0 exterior, None when still on the boundary at cap.
     """
-    ds = win.ds
     if xi is None:
-        xi = embed(ds, ds.group.identity, win.cap)
-    if patch is None:
-        m = win.cap - 1 if patch_level is None else patch_level
-        if not 0 <= m <= win.cap:
-            raise ConstructionError(f"patch level must lie in 0..{win.cap}")
-        positions = tuple(ds.domain_list(m))
-        ranks = np.arange(ds.size(m), dtype=np.int64)
-    else:
-        positions = tuple(patch)
-        ranks = ds.vec_rank(ds.group.to_array(list(positions)), win.cap)
-    return shifted_patch(win, xi, positions, ranks)[0]
+        xi = embed(win.ds, win.ds.group.identity, win.cap)
+    m = win.cap - 1 if patch_level is None else patch_level
+    return shifted_patch(win, xi, *patch_cylinders(win, patch, m))[0]
 
 
 @dataclass

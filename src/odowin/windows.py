@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .expansion import CarryRange, DomainSequence, carry_ranges
-from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, group_by_name
+from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, group_by_name, row_keys
 
 CLS_IN, CLS_OUT, CLS_PENDING = 0, 1, 2
 _CLS_NAME = {CLS_IN: "in", CLS_OUT: "out", CLS_PENDING: "pending"}
@@ -327,8 +327,9 @@ def vanhove_boundary(ds: DomainSequence, probe: Sequence[Elem], n: int) -> list[
         """Every left row times every right row, left-major."""
         return g.vec_mul(np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1)))
 
-    # np.unique sorts the rows lexicographically, which is the canonical order.
-    candidates = np.unique(products(ks, dom), axis=0)
+    # Distinct rows in lexicographic order, which is the canonical order.
+    rows = products(ks, dom)
+    candidates = rows[np.unique(row_keys(rows), return_index=True)[1]]
     x = products(g.vec_inv(ks), candidates)
     hits = np.all(dom[ds.vec_rank(x, n)] == x, axis=1).reshape(len(ks), len(candidates))
     return g.from_array(candidates[hits.any(axis=0) & ~hits.all(axis=0)])
@@ -757,6 +758,13 @@ def _level_number(label: str) -> int:
     return int(words[1])
 
 
+def _entry(section: dict[str, str], key: str, where: str = "the header") -> str:
+    """The value of a required key of a window file section."""
+    if key not in section:
+        raise ConstructionError(f"window file has no {key!r} key in {where}")
+    return section[key]
+
+
 def _fmt_elems(group: GroupContext, elems: Sequence[Elem]) -> str:
     return ";".join(group.fmt(e) for e in elems)
 
@@ -832,9 +840,9 @@ def parse_window(text: str) -> Window:
             punctures.append((_level_number(key), tuple(int(r) for r in val.split(","))))
     if head.get("format") != "odowin-window 1":
         raise ConstructionError("unrecognized window file format")
-    group = group_by_name(head["group"])
-    cap = int(head["cap"])
-    moduli = tuple(int(m) for m in head["moduli"].split(","))
+    group = group_by_name(_entry(head, "group"))
+    cap = int(_entry(head, "cap"))
+    moduli = tuple(int(m) for m in _entry(head, "moduli").split(","))
     chain = SubgroupChain(group, moduli)
     ds = DomainSequence.build(chain, cap)
     partitions = []
@@ -843,32 +851,32 @@ def parse_window(text: str) -> Window:
         sec = levels.get(n)
         if sec is None:
             raise ConstructionError(f"window file missing level {n}")
-        alphabet = _parse_elems(group, sec["alphabet"])
+        alphabet = _parse_elems(group, _entry(sec, "alphabet", f"[level {n}]"))
         if alphabet != ds.alphabet(n):
             raise ConstructionError(f"level {n}: alphabet does not match the chain")
         part = LevelPartition(
-            _parse_elems(group, sec["interior"]),
-            _parse_elems(group, sec["exterior"]),
-            _parse_elems(group, sec["boundary"]),
+            _parse_elems(group, _entry(sec, "interior", f"[level {n}]")),
+            _parse_elems(group, _entry(sec, "exterior", f"[level {n}]")),
+            _parse_elems(group, _entry(sec, "boundary", f"[level {n}]")),
         )
         part.validate(alphabet, n)
         partitions.append(part)
         if "class" in sec:
             level_class.append(int(sec["class"]))
-    kind = head["kind"]
+    kind = _entry(head, "kind")
     spec = WindowSpec(
         kind=kind,
         group_name=group.name,
         moduli=moduli,
         cap=cap,
-        delta=_parse_fraction(head["delta"]),
-        epsilon=_parse_fraction(head["epsilon"]),
-        a_schedule=tuple(int(a) for a in head["a_schedule"].split(",")),
+        delta=_parse_fraction(_entry(head, "delta")),
+        epsilon=_parse_fraction(_entry(head, "epsilon")),
+        a_schedule=tuple(int(a) for a in _entry(head, "a_schedule").split(",")),
         partitions=tuple(partitions),
-        k=int(head["k"]),
-        sector_level=int(head["sector_level"]),
+        k=int(_entry(head, "k")),
+        sector_level=int(_entry(head, "sector_level")),
         sector_of_rank=(
-            tuple(int(s) for s in sectors["sector_of_rank"].split(","))
+            tuple(int(s) for s in _entry(sectors, "sector_of_rank", "[sectors]").split(","))
             if sectors
             else None
         ),

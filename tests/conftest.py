@@ -96,6 +96,7 @@ def malformed_windows(w_kt):
         "level-header-no-number": text.replace("[level 2]", "[level ]"),
         "puncture-no-level": re.sub(r"(\[punctures\]\n)level \d+ =", r"\g<1>level =", text),
         "delta-zero-denominator": re.sub(r"^delta = .*$", "delta = 1/0", text, flags=re.M),
+        "no-group-key": re.sub(r"^group = .*\n", "", text, flags=re.M),
     }
     assert text not in edits.values()
     return edits

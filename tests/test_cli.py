@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, round trips, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,19 @@ def test_malformed_window_exits_two(tmp_path, malformed_windows):
         path = tmp_path / f"{label}.txt"
         path.write_text(text)
         assert main(["verify", str(path)]) == 2, label
+
+
+@pytest.mark.parametrize(
+    "key, where",
+    [(key, "the header") for key in ("group", "cap", "moduli", "kind", "delta", "k")]
+    + [("alphabet", "[level 1]"), ("boundary", "[level 1]")],
+)
+def test_missing_window_key_is_named(tmp_path, capsys, w_kt, key, where):
+    path = tmp_path / "window.txt"
+    path.write_text(re.sub(rf"^{key} = .*\n", "", serialize_window(w_kt[3]), count=1, flags=re.M))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"window file has no {key!r} key in {where}" in err and len(err.splitlines()) == 1
 
 
 def test_emit_identity_no_undecided(tmp_path, cfg):

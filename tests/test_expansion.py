@@ -8,6 +8,8 @@ import pytest
 
 from odowin import presets
 from odowin.expansion import (
+    _CLOSURE_ROWS,
+    CarryRange,
     DomainSequence,
     build_domains,
     carry_mul,
@@ -38,6 +40,70 @@ def mixed_radix_digits(g, moduli):
         digits.append(euclid_head(g, m) - euclid_head(g, prev))
         prev = m
     return digits
+
+
+def reference_closure(ds, levels):
+    """Scalar closure of the carry automaton: one Python step per transition.
+
+    States are numbered in the order the (state, p, q) loop first reaches
+    them; each records the digit-index strings of its first transition.
+    Returns (states, state_witnesses, trans_digit, trans_state, carry_range).
+    """
+    g = ds.group
+    states = [[(g.identity, g.context_identity())]]
+    state_witnesses = [[((), ())]]
+    trans_digit, trans_state = [], []
+    for j in range(1, levels + 1):
+        cur, cur_wit = states[j - 1], state_witnesses[j - 1]
+        alpha = ds.alphabet(j)
+        alpha_inv = [g.inv(t) for t in alpha]
+        na, place = len(alpha), ds.size(j - 1)
+        tdig = np.empty((len(cur), na, na), dtype=np.int64)
+        tstate = np.empty((len(cur), na, na), dtype=np.int64)
+        nxt_index, nxt, nxt_wit = {}, [], []
+        for si, (carry, ctx) in enumerate(cur):
+            gw, hw = cur_wit[si]
+            for pi, p in enumerate(alpha):
+                base = g.mul(carry, g.conj_in_context(ctx, p))
+                for qi, q in enumerate(alpha):
+                    c = g.mul(base, q)
+                    i = ds.rank_of(c, j) // place
+                    tdig[si, pi, qi] = i
+                    key = (g.mul(alpha_inv[i], c), g.context_step(ctx, q))
+                    ni = nxt_index.get(key)
+                    if ni is None:
+                        ni = nxt_index[key] = len(nxt)
+                        nxt.append(key)
+                        nxt_wit.append((gw + (pi,), hw + (qi,)))
+                    tstate[si, pi, qi] = ni
+        trans_digit.append(tdig)
+        trans_state.append(tstate)
+        states.append(nxt)
+        state_witnesses.append(nxt_wit)
+    witnesses = []
+    for lvl, wits in zip(states, state_witnesses):
+        wit_j = {}
+        for (carry, _ctx), w in zip(lvl, wits):
+            wit_j.setdefault(carry, w)
+        witnesses.append(wit_j)
+    sets = [sorted({c for c, _ in lvl}, key=g.sort_key) for lvl in states]
+    return states, state_witnesses, trans_digit, trans_state, CarryRange(sets, witnesses)
+
+
+def assert_matches_reference(auto, ref):
+    states, state_witnesses, trans_digit, trans_state, carry_range = ref
+    # Compared as flags, so a failure does not make pytest diff huge values.
+    # repr also tells element types apart (np.int64 prints as np.int64(...)).
+    for name, got, want in (
+        ("states", auto.states, states),
+        ("witnesses", auto.state_witnesses, state_witnesses),
+        ("carry range", auto.carry_range, carry_range),
+    ):
+        same = got == want and repr(got) == repr(want)
+        assert same, f"{name} differ from the reference closure"
+    for got, want in zip(auto.trans_digit + auto.trans_state, trans_digit + trans_state):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(auto.trans_digit) == len(trans_digit) == auto.levels
 
 
 # -- domains ---------------------------------------------------------------------
@@ -133,8 +199,9 @@ def test_level_zero_is_the_whole_group(ds_z_dec):
     assert ds_z_dec.vec_rank(np.array([[5], [-7], [999]]), 0).tolist() == [0, 0, 0]
     assert DomainSequence(Z).modulus(0) == 1
     for n in (-1, ds_z_dec.levels + 1):
-        with pytest.raises(ConstructionError):
-            ds_z_dec.modulus(n)
+        for query in (ds_z_dec.modulus, ds_z_dec.size):
+            with pytest.raises(ConstructionError):
+                query(n)
 
 
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
@@ -366,6 +433,30 @@ def test_automaton_extends_and_cuts_back():
         assert grown.carry_range == fresh.carry_range
         for a, b in zip(grown.trans_digit + grown.trans_state, fresh.trans_digit + fresh.trans_state):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
+def test_closure_matches_reference(name):
+    ds = presets.domains(name, 4)
+    assert_matches_reference(ds.automaton(4), reference_closure(ds, 4))
+
+
+def test_closure_matches_reference_across_row_blocks():
+    ds = DomainSequence.build(SubgroupChain(H, [2, 8]))
+    ref = reference_closure(ds, 2)
+    assert len(ref[0][1]) * len(ds.alphabet(2)) ** 2 > 2 * _CLOSURE_ROWS  # level 2 spans blocks
+    assert_matches_reference(ds.automaton(2), ref)
+
+
+def test_closure_extended_and_cut_back_matches_reference():
+    for name in ("z-carry", "heis-pow2"):
+        ds = presets.domains(name, 4)
+        ds.automaton(4)
+        ds.pop_level()
+        ds.pop_level()
+        assert_matches_reference(ds.automaton(2), reference_closure(ds, 2))
+        ds.append_level(presets.chain(name).modulus(3))
+        assert_matches_reference(ds.automaton(3), reference_closure(ds, 3))
 
 
 def test_two_route_identity_small(ds_z_carry):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from odowin.fibers import (
@@ -235,3 +236,33 @@ def test_fiber_classifies_the_patch_once(w_kt, monkeypatch):
     fib = enumerate_fiber(win, sample_point(win.ds, 23, win.cap), win.ds.domain_list(win.cap))
     assert sorted(calls) == ["batch_product", "vec_classify"]
     assert fib.distinct() == len(fib.candidates) == win.spec.k + 1 + len(fib.report.classes[-1])
+
+
+def test_default_and_explicit_fiber_routes_agree(w_kt, w_heis_kt2, monkeypatch):
+    # the default patch D_m is ranked 0..size(m)-1 with no element round trip
+    from odowin.expansion import DomainSequence
+    from odowin.groups import GroupContext
+
+    for win in (w_kt[3], w_heis_kt2):
+        win.ds.automaton(win.cap)  # its closure ranks rows itself
+    calls = []
+    for cls, name in ((GroupContext, "to_array"), (DomainSequence, "vec_rank")):
+        def counted(self, *args, _fn=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _fn(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    for win in (w_kt[3], w_heis_kt2):
+        xi = sample_point(win.ds, 5, win.cap)
+        for m in (0, 1, win.cap):
+            calls.clear()
+            default = enumerate_fiber(win, xi, patch_level=m)
+            assert calls == []
+            explicit = enumerate_fiber(win, xi, win.ds.domain_list(m))
+            assert default.labels == explicit.labels
+            assert default.report.index == explicit.report.index
+            assert default.report.classes == explicit.report.classes
+            for a, b in zip(default.candidates, explicit.candidates, strict=True):
+                assert a.positions == b.positions
+                assert np.array_equal(a.ranks, b.ranks) and np.array_equal(a.codes, b.codes)
+    assert enumerate_fiber(win, xi).report.index == explicit.report.index  # default level: the cap

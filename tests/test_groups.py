@@ -1,11 +1,14 @@
 """Group arithmetic, congruence chains, and coset labels."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odowin.groups import (
+    _VEC_BOUND,
     ConstructionError,
     HeisenbergGroup,
     SubgroupChain,
@@ -13,6 +16,7 @@ from odowin.groups import (
     ZGroup,
     geometric_moduli,
     group_by_name,
+    row_keys,
 )
 
 Z = ZGroup()
@@ -170,6 +174,57 @@ def test_vectorized_matches_scalar():
         ranks = ctx.vec_residue_rank(arr, m)
         for i, e in enumerate(elems):
             assert int(ranks[i]) == ctx.residue_rank(e, m)
+        # contexts of the elements as right-hand heads, one row each
+        ctxs = [ctx.context_step(ctx.context_identity(), e) for e in elems]
+        ctx_arr = np.array([() if c is None else c for c in ctxs], dtype=np.int64)
+        conj = ctx.from_array(ctx.vec_conj_in_context(ctx_arr, arr[::-1].copy()))
+        step = ctx.vec_context_step(ctx_arr, arr[::-1].copy())
+        for i, c in enumerate(ctxs):
+            e = elems[len(elems) - 1 - i]
+            assert conj[i] == ctx.conj_in_context(c, e)
+            want = ctx.context_step(c, e)
+            assert tuple(step[i].tolist()) == (() if want is None else want)
+
+
+@pytest.mark.parametrize("ctx", [Z, Z2, H], ids=lambda c: c.name)
+def test_vectorized_guard_edge(ctx):
+    # Every coordinate below _VEC_BOUND: the int64 paths equal the scalar
+    # route; one coordinate at _VEC_BOUND: each of them refuses.
+    for top in (_VEC_BOUND - 1, _VEC_BOUND):
+        coords = [top, -top, 1, 0]
+        elems = [e[0] if ctx.dim == 1 else e for e in itertools.product(coords, repeat=ctx.dim)]
+        a = ctx.to_array(elems)
+        b = a[::-1].copy()
+        ops = (
+            (lambda: ctx.from_array(ctx.vec_mul(a, b)), [ctx.mul(x, y) for x, y in zip(elems, elems[::-1])]),
+            (lambda: ctx.from_array(ctx.vec_inv(a)), [ctx.inv(x) for x in elems]),
+            (lambda: ctx.vec_residue_rank(a, 8).tolist(), [ctx.residue_rank(x, 8) for x in elems]),
+        )
+        for vec, scalar in ops:
+            if top < _VEC_BOUND:
+                assert vec() == scalar
+            else:
+                with pytest.raises(OverflowError):
+                    vec()
+    # Residue ranks are refused once m**dim reaches 2**63.
+    m = {1: (1 << 63) - 1, 2: 3037000499, 3: (1 << 21) - 1}[ctx.dim]
+    assert m**ctx.dim < 1 << 63 <= (m + 1) ** ctx.dim
+    a = ctx.to_array([ctx.identity, ctx.inv(ctx.identity)])
+    assert ctx.vec_residue_rank(a - 1, m).tolist() == [m**ctx.dim - 1] * 2
+    with pytest.raises(OverflowError):
+        ctx.vec_residue_rank(a, m + 1)
+
+
+def test_row_keys_keep_lexicographic_order():
+    rng = np.random.default_rng(1)
+    rows = rng.integers(-5, 5, size=(500, 3))
+    keys = row_keys(rows)
+    assert (np.argsort(keys, kind="stable") == np.lexsort(rows.T[::-1])).all()
+    assert len(np.unique(keys)) == len(np.unique(rows, axis=0))
+    edge = np.array([[0, 0, 0], [(1 << 21) - 1] * 3])  # spans 2**21 each: keys fill int64
+    assert row_keys(edge).tolist() == [0, (1 << 63) - 1]
+    with pytest.raises(OverflowError):
+        row_keys(edge + [[0, 0, 0], [0, 0, 1]])
 
 
 def test_vectorized_overflow_guard():

@@ -116,6 +116,26 @@ def test_vanhove_interval_oracle(ds_z_pow2):
         assert len(inside) == len(outside) == half
 
 
+@pytest.mark.parametrize("name", ["z2-pow2", "heis-pow2"])
+def test_vanhove_matches_brute_force(name):
+    # several signed columns: the boundary and its canonical (sorted) order
+    from odowin import presets
+
+    n = 3
+    ds = presets.domains(name, n)
+    g = ds.group
+    rng = np.random.default_rng(7)
+    probe = [g.inv(k) for k in ds.automaton(n).carry_range.level(n)]
+    probe += g.from_array(rng.integers(-5, 6, size=(3, g.dim)))
+    dom = set(ds.domain_list(n))
+
+    def straddles(x):
+        return len({g.mul(g.inv(k), x) in dom for k in probe}) == 2
+
+    cands = {g.mul(k, d) for k in probe for d in dom}
+    assert vanhove_boundary(ds, probe, n) == sorted(filter(straddles, cands), key=g.sort_key)
+
+
 def test_carry_safe_equals_vanhove_complement(w_irr):
     # the builder's eligibility test matches the inverted-probe boundary
     from odowin.windows import carry_safe_digits
