@@ -166,6 +166,9 @@ class DomainSequence:
         return len(self.domain_array(n))
 
     def alphabet(self, n: int) -> tuple[Elem, ...]:
+        """T_n, the level-n digit alphabet (n in 1..levels)."""
+        if not 1 <= n <= self.levels:
+            raise ConstructionError(f"level {n} outside the alphabet levels 1..{self.levels}")
         return self.alphabets[n - 1]
 
     def alphabet_index(self, n: int, t: Elem) -> int:
@@ -502,19 +505,27 @@ def verify_carry_identity(
 ) -> dict:
     """Exhaustive two-route check of the carry recursion on D_level × D_level.
 
-    Route A computes the product's rank through the carry automaton; route B
-    multiplies directly and looks up the head's rank and the tail.  Returns a
-    summary with the mismatch count (must be zero), the number of pairs, a
-    nonabelian conjugation witness when one exists, and spot-check results
-    comparing the vectorized and scalar paths.
+    A level-n rank is r + size(n-1)·p with r a D_{n-1} rank and p a level-n
+    digit index, so the pairs are taken in blocks of left factors against all
+    of D_n, about ``chunk`` pairs per block (at least one left factor).
+    Route A reads the product's rank and final state off the carry automaton:
+    ``batch_product`` runs once over the D_{n-1} × D_{n-1} prefix pairs, and
+    each block takes one level-n table step from the prefix states.  Route B
+    multiplies each block's factors directly, as one broadcast product, and
+    looks up the head's rank and the tail.  Returns a summary with the
+    mismatch count (must be zero), the number of pairs, a nonabelian
+    conjugation witness when one exists, and spot-check results comparing the
+    vectorized and scalar paths.
     """
     import random
 
     g = ds.group
     n = level
-    size = ds.size(n)
+    size, low = ds.size(n), ds.size(n - 1)
+    na = size // low
     auto = ds.automaton(n)
     dom = ds.domain_array(n)
+    dom_inv = g.vec_inv(dom)
     carry_elems = g.to_array(auto.carry_elements(n))
 
     mismatches = 0
@@ -532,17 +543,25 @@ def verify_carry_identity(
         None,
     )
 
-    for start in range(0, size * size, chunk):
-        stop = min(start + chunk, size * size)
-        pair = np.arange(start, stop, dtype=np.int64)
-        gi, hi = pair // size, pair % size
-        out_rank, state = auto.batch_product(gi, hi, n)
-        prod = g.vec_mul(dom[gi], dom[hi])
+    prefix = np.arange(low)
+    pre_rank, pre_state = auto.batch_product(np.repeat(prefix, low), np.tile(prefix, low), n - 1)
+    pre_rank, pre_state = pre_rank.reshape(low, low), pre_state.reshape(low, low)
+    step_digit = auto.trans_digit[n - 1].reshape(-1)
+    step_state = auto.trans_state[n - 1].reshape(-1)
+    q = np.repeat(np.arange(na), low)  # top digit index of each right factor
+    rows = max(1, chunk // size)
+    for start in range(0, size, rows):
+        gi = np.arange(start, min(start + rows, size))
+        p, g_low = np.divmod(gi, low)
+        flat = ((np.tile(pre_state[g_low], na) * na + p[:, None]) * na + q).reshape(-1)
+        out_rank = np.tile(pre_rank[g_low], na).reshape(-1) + low * step_digit[flat]
+        state = step_state[flat]
+        prod = g.vec_mul(dom[gi][:, None, :], dom[None, :, :]).reshape(-1, g.dim)
         prod_rank = ds.vec_rank(prod, n)
-        tails = g.vec_mul(g.vec_inv(dom[prod_rank]), prod)
+        tails = g.vec_mul(dom_inv[prod_rank], prod)
         ok = (out_rank == prod_rank) & np.all(carry_elems[state] == tails, axis=1)
         mismatches += int((~ok).sum())
-        total += stop - start
+        total += len(gi) * size
 
     rng = random.Random(seed)
     spot_bad = 0

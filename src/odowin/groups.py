@@ -161,11 +161,12 @@ class GroupContext(ABC):
 
     def _check_bounds(self, *arrays: np.ndarray) -> None:
         for a in arrays:
-            if a.size and np.abs(a).max() >= _VEC_BOUND:
+            if a.size and (a.max() >= _VEC_BOUND or a.min() <= -_VEC_BOUND):
                 raise OverflowError("vectorized path refused: values too large")
 
     @abstractmethod
-    def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray: ...
+    def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-wise products; coordinates are the last axis, the leading axes broadcast."""
 
     @abstractmethod
     def vec_inv(self, a: np.ndarray) -> np.ndarray: ...
@@ -306,7 +307,7 @@ class HeisenbergGroup(GroupContext):
     def vec_mul(self, a, b):
         self._check_bounds(a, b)
         out = a + b
-        out[:, 2] += a[:, 0] * b[:, 1]
+        out[..., 2] += a[..., 0] * b[..., 1]
         return out
 
     def vec_inv(self, a):

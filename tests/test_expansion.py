@@ -204,6 +204,14 @@ def test_level_zero_is_the_whole_group(ds_z_dec):
                 query(n)
 
 
+def test_alphabets_exist_at_levels_one_to_top():
+    ds = presets.domains("z-carry", 3)
+    assert ds.alphabet(3) == (0, 8, 16, 24)
+    for n in (-1, 0, 4):
+        with pytest.raises(ConstructionError):
+            ds.alphabet(n)
+
+
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
 def test_rank_lookups_match_digit_strings(name):
     # oracle: D_n as the set of products of all level-1..n digit strings
@@ -462,3 +470,47 @@ def test_closure_extended_and_cut_back_matches_reference():
 def test_two_route_identity_small(ds_z_carry):
     rep = verify_carry_identity(ds_z_carry, 3, rng_spot_checks=50)
     assert rep["mismatches"] == 0 and rep["spot_check_failures"] == 0
+
+
+@pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
+def test_two_route_report_is_independent_of_blocks(name):
+    # chunk=1 is one left factor per block; 3·size(n)+5 is three, which does
+    # not divide size(n); level 1 has a 1×1 prefix table
+    ds = presets.domains(name, 3)
+    for n in (1, 2, 3):
+        want = verify_carry_identity(ds, n)
+        assert want["pairs"] == ds.size(n) ** 2 and want["mismatches"] == 0
+        for chunk in (1, 3 * ds.size(n) + 5):
+            assert verify_carry_identity(ds, n, chunk=chunk) == want
+
+
+@pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
+def test_two_route_counts_corrupted_tables_exactly(name):
+    # One wrong transition at a prefix level or at the last level: the
+    # oracle's mismatch count equals a scalar count over every pair of D_3.
+    n = 3
+    ds = presets.domains(name, n)
+    grp, auto = ds.group, ds.automaton(n)
+    dom = ds.domain_list(n)
+    idx = [ds.digit_index_prefix(x, n) for x in dom]
+    truth = {}
+    for a, ia in zip(dom, idx):
+        for b, ib in zip(dom, idx):
+            prod = grp.mul(a, b)
+            truth[ia, ib] = (ds.digit_index_prefix(prod, n), ds.tail(prod, n))
+    entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
+    for tables, choices in (
+        (auto.trans_digit, lambda j: len(ds.alphabet(j))),
+        (auto.trans_state, lambda j: len(auto.states[j])),
+    ):
+        for j in (2, n):
+            old = tables[j - 1][entry]
+            tables[j - 1][entry] = (old + 1) % choices(j)
+            try:
+                want = sum(
+                    auto.product_digit_indices(ia, ib, n) != got for (ia, ib), got in truth.items()
+                )
+                assert want > 0
+                assert verify_carry_identity(ds, n, rng_spot_checks=0)["mismatches"] == want
+            finally:
+                tables[j - 1][entry] = old

@@ -213,6 +213,29 @@ def test_vectorized_guard_edge(ctx):
     assert ctx.vec_residue_rank(a - 1, m).tolist() == [m**ctx.dim - 1] * 2
     with pytest.raises(OverflowError):
         ctx.vec_residue_rank(a, m + 1)
+    # int64's minimum has no int64 absolute value; it is refused like the rest.
+    zero = ctx.to_array([ctx.identity])
+    low = zero.copy()
+    low[0, 0] = np.iinfo(np.int64).min
+    for op in (
+        lambda: ctx.vec_mul(low, zero),
+        lambda: ctx.vec_mul(zero, low),
+        lambda: ctx.vec_inv(low),
+        lambda: ctx.vec_residue_rank(low, 8),
+    ):
+        with pytest.raises(OverflowError):
+            op()
+
+
+@pytest.mark.parametrize("ctx", [Z, Z2, H], ids=lambda c: c.name)
+def test_vec_mul_broadcasts_over_leading_axes(ctx):
+    rng = np.random.default_rng(2)
+    left = rng.integers(-50, 50, size=(4, ctx.dim))
+    right = rng.integers(-50, 50, size=(7, ctx.dim))
+    grid = ctx.vec_mul(left[:, None, :], right[None, :, :])
+    assert grid.shape == (4, 7, ctx.dim)
+    rows = ctx.vec_mul(np.repeat(left, 7, axis=0), np.tile(right, (4, 1)))
+    assert np.array_equal(grid.reshape(-1, ctx.dim), rows)
 
 
 def test_row_keys_keep_lexicographic_order():
