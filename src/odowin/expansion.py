@@ -247,6 +247,9 @@ class DomainSequence:
         return out
 
     def element_of_rank(self, rank: int, n: int) -> Elem:
+        size = self.size(n)
+        if not 0 <= rank < size:
+            raise ConstructionError(f"rank {rank} outside 0..{size - 1} at level {n}")
         return self.group.from_array(self._dom[n][[rank]])[0]
 
     def rank_of(self, g: Elem, n: int) -> int:
@@ -387,14 +390,17 @@ class CarryAutomaton:
         )
         return carry, ctx
 
+    def _check_level(self, n: int) -> None:
+        if not 0 <= n <= self.levels:
+            raise ConstructionError(f"automaton built to levels 0..{self.levels}, need {n}")
+
     # -- scalar evaluation ----------------------------------------------------
 
     def product_digit_indices(
         self, g_idx: Sequence[int], h_idx: Sequence[int], n: int
     ) -> tuple[tuple[int, ...], Elem]:
         """Digit indices of the product prefix and the carry entering level n+1."""
-        if n > self.levels:
-            raise ConstructionError(f"automaton built to level {self.levels}, need {n}")
+        self._check_level(n)
         state = 0
         out = []
         for j in range(1, n + 1):
@@ -414,6 +420,7 @@ class CarryAutomaton:
         Returns (product rank vector, final state index vector); each level's
         digits are read off the ranks by the radix decode.
         """
+        self._check_level(n)
         state = np.zeros(len(g_rank), dtype=np.int64)
         out = np.zeros(len(g_rank), dtype=np.int64)
         for j in range(1, n + 1):
@@ -499,7 +506,7 @@ def carry_ranges(ds: DomainSequence, up_to: int) -> CarryRange:
 def verify_carry_identity(
     ds: DomainSequence,
     level: int,
-    chunk: int = 1 << 20,
+    chunk: int = 1 << 15,
     rng_spot_checks: int = 200,
     seed: int = 20_240_601,
 ) -> dict:
@@ -508,25 +515,32 @@ def verify_carry_identity(
     A level-n rank is r + size(n-1)·p with r a D_{n-1} rank and p a level-n
     digit index, so the pairs are taken in blocks of left factors against all
     of D_n, about ``chunk`` pairs per block (at least one left factor).
-    Route A reads the product's rank and final state off the carry automaton:
-    ``batch_product`` runs once over the D_{n-1} × D_{n-1} prefix pairs, and
-    each block takes one level-n table step from the prefix states.  Route B
-    multiplies each block's factors directly, as one broadcast product, and
-    looks up the head's rank and the tail.  Returns a summary with the
-    mismatch count (must be zero), the number of pairs, a nonabelian
+    Route A reads the product's rank r and final state off the carry
+    automaton: ``batch_product`` runs once over the D_{n-1} × D_{n-1} prefix
+    pairs, and each block takes one level-n table step from the prefix states.
+    Route B multiplies each block's factors directly, as one broadcast
+    product g·h.  A pair passes iff D_n[r]·c = g·h for the state's carry c
+    and c lies in Γ_n.  That is the same as r being the head rank of g·h and
+    c its tail, because D_n is a transversal of G/Γ_n: D_n[r] = g·h·c^{-1}
+    lies in the coset g·h·Γ_n exactly when c ∈ Γ_n.  Returns a summary with
+    the mismatch count (must be zero), the number of pairs, a nonabelian
     conjugation witness when one exists, and spot-check results comparing the
     vectorized and scalar paths.
     """
     import random
 
+    if not 1 <= level <= ds.levels:
+        raise ConstructionError(
+            f"carry identity asked for level {level}, built levels are 1..{ds.levels}"
+        )
     g = ds.group
     n = level
     size, low = ds.size(n), ds.size(n - 1)
     na = size // low
     auto = ds.automaton(n)
     dom = ds.domain_array(n)
-    dom_inv = g.vec_inv(dom)
     carry_elems = g.to_array(auto.carry_elements(n))
+    in_gamma = g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0
 
     mismatches = 0
     total = 0
@@ -554,13 +568,14 @@ def verify_carry_identity(
         gi = np.arange(start, min(start + rows, size))
         p, g_low = np.divmod(gi, low)
         flat = ((np.tile(pre_state[g_low], na) * na + p[:, None]) * na + q).reshape(-1)
-        out_rank = np.tile(pre_rank[g_low], na).reshape(-1) + low * step_digit[flat]
-        state = step_state[flat]
+        out_rank = np.tile(pre_rank[g_low], na).reshape(-1) + low * step_digit.take(flat)
+        state = step_state.take(flat)
         prod = g.vec_mul(dom[gi][:, None, :], dom[None, :, :]).reshape(-1, g.dim)
-        prod_rank = ds.vec_rank(prod, n)
-        tails = g.vec_mul(dom_inv[prod_rank], prod)
-        ok = (out_rank == prod_rank) & np.all(carry_elems[state] == tails, axis=1)
-        mismatches += int((~ok).sum())
+        eq = g.vec_mul(dom.take(out_rank, axis=0), carry_elems.take(state, axis=0)) == prod
+        ok = in_gamma.take(state)
+        for k in range(g.dim):  # column ANDs beat np.all(axis=1) here
+            ok &= eq[:, k]
+        mismatches += len(ok) - int(np.count_nonzero(ok))
         total += len(gi) * size
 
     rng = random.Random(seed)

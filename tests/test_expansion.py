@@ -212,6 +212,17 @@ def test_alphabets_exist_at_levels_one_to_top():
             ds.alphabet(n)
 
 
+def test_element_of_rank_rejects_ranks_outside_the_level():
+    ds = presets.domains("z-carry", 3)
+    assert ds.element_of_rank(ds.size(2) - 1, 2) == 7
+    for rank in (-1, ds.size(2)):
+        with pytest.raises(ConstructionError) as exc:
+            ds.element_of_rank(rank, 2)
+        assert str(exc.value) == f"rank {rank} outside 0..7 at level 2"
+    with pytest.raises(ConstructionError):
+        ds.element_of_rank(0, 4)
+
+
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
 def test_rank_lookups_match_digit_strings(name):
     # oracle: D_n as the set of products of all level-1..n digit strings
@@ -449,6 +460,20 @@ def test_closure_matches_reference(name):
     assert_matches_reference(ds.automaton(4), reference_closure(ds, 4))
 
 
+def test_automaton_rejects_levels_outside_its_tables():
+    ds = presets.domains("z-carry", 3)
+    auto = ds.automaton(2)
+    ranks = np.zeros(2, dtype=np.int64)
+    for n in (-1, 3):
+        message = f"automaton built to levels 0..2, need {n}"
+        with pytest.raises(ConstructionError, match=message):
+            auto.batch_product(ranks, ranks, n)
+        with pytest.raises(ConstructionError, match=message):
+            auto.product_digit_indices((0, 0), (0, 0), n)
+    assert auto.product_digit_indices((), (), 0) == ((), 0)
+    assert [a.tolist() for a in auto.batch_product(ranks, ranks, 0)] == [[0, 0], [0, 0]]
+
+
 def test_closure_matches_reference_across_row_blocks():
     ds = DomainSequence.build(SubgroupChain(H, [2, 8]))
     ref = reference_closure(ds, 2)
@@ -470,6 +495,14 @@ def test_closure_extended_and_cut_back_matches_reference():
 def test_two_route_identity_small(ds_z_carry):
     rep = verify_carry_identity(ds_z_carry, 3, rng_spot_checks=50)
     assert rep["mismatches"] == 0 and rep["spot_check_failures"] == 0
+
+
+def test_two_route_rejects_levels_outside_the_domains():
+    ds = presets.domains("z-carry", 3)
+    for n in (0, 4):
+        with pytest.raises(ConstructionError) as exc:
+            verify_carry_identity(ds, n)
+        assert str(exc.value) == f"carry identity asked for level {n}, built levels are 1..3"
 
 
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
@@ -514,3 +547,58 @@ def test_two_route_counts_corrupted_tables_exactly(name):
                 assert verify_carry_identity(ds, n, rng_spot_checks=0)["mismatches"] == want
             finally:
                 tables[j - 1][entry] = old
+
+
+@pytest.mark.parametrize("name", ["z2-pow2", "heis-pow2"])
+def test_two_route_counts_carries_outside_the_subgroup(name):
+    # A pair passes the oracle iff D_n[rank]·carry = g·h with the carry in Γ_n.
+    # Each case changes the carry reached through one level-n transition; the
+    # oracle's mismatch count must equal a scalar count over every pair of D_3.
+    n = 3
+    ds = presets.domains(name, n)
+    grp, auto = ds.group, ds.automaton(n)
+    dom = ds.domain_list(n)
+    idx = [ds.digit_index_prefix(x, n) for x in dom]
+    prods = {(ia, ib): grp.mul(a, b) for a, ia in zip(dom, idx) for b, ib in zip(dom, idx)}
+    truth = {k: (ds.digit_index_prefix(x, n), ds.tail(x, n)) for k, x in prods.items()}
+    entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
+    digits, states = auto.trans_digit[n - 1], auto.trans_state[n - 1]
+    target = states[entry]
+    carry, ctx = auto.states[n][target]
+    gamma = grp.from_array(np.full((1, grp.dim), ds.modulus(n), dtype=np.int64))[0]
+    outside = ds.alphabet(n)[1]
+
+    def oracle_equals_scalar_count():
+        bad = [k for k, want in truth.items() if auto.product_digit_indices(*k, n) != want]
+        assert bad
+        assert verify_carry_identity(ds, n, rng_spot_checks=0)["mismatches"] == len(bad)
+        return bad
+
+    # Compensating corruption: a wrong top digit gives a wrong head rank r',
+    # and the transition moves to a new state whose carry is D_n[r']^{-1}·(g·h),
+    # so head·carry still reproduces every product.  Only Γ_n membership of
+    # the carry tells these pairs apart.
+    old_digit = int(digits[entry])
+    digits[entry] = (old_digit + 1) % len(ds.alphabet(n))
+    gw, hw = auto.state_witnesses[n - 1][-1]  # a pair of prefixes reaching the last state
+    ia, ib = gw + (1,), hw + (len(ds.alphabet(n)) - 1,)
+    wrong, _ = auto.product_digit_indices(ia, ib, n)
+    head = reconstruct(ds, [ds.alphabet(j + 1)[i] for j, i in enumerate(wrong)])
+    auto.states[n].append((grp.mul(grp.inv(head), prods[ia, ib]), ctx))
+    states[entry] = len(auto.states[n]) - 1
+    try:
+        for k in oracle_equals_scalar_count():
+            out, c = auto.product_digit_indices(*k, n)
+            assert reconstruct(ds, [ds.alphabet(j + 1)[i] for j, i in enumerate(out)], c) == prods[k]
+            assert ds.head(c, n) != grp.identity  # the carry lies outside Γ_n
+    finally:
+        auto.states[n].pop()
+        states[entry], digits[entry] = target, old_digit
+
+    # One state's carry moved by an element of Γ_n, then by one outside it.
+    for delta in (gamma, outside):
+        auto.states[n][target] = (grp.mul(carry, delta), ctx)
+        try:
+            oracle_equals_scalar_count()
+        finally:
+            auto.states[n][target] = (carry, ctx)
