@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -65,10 +66,6 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    import numpy as np
-
-    if isinstance(x, np.integer):
-        return int(x)
     return x
 
 
@@ -265,7 +262,8 @@ def cmd_fiber(args) -> int:
             for label, cand in zip(fib.labels, fib.candidates)
         },
     }
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    # The report holds only str, int, bool, None, lists and str-keyed dicts.
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         _write(Path(args.out), text)
         print(f"fiber report written to {args.out} "
@@ -291,7 +289,9 @@ def cmd_stats(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; ``main`` dispatches on the command name."""
     ap = argparse.ArgumentParser(
         prog="odowin",
         description="Build and analyze cylinder-tree windows and their symbolic arrays.",
@@ -305,14 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int)
     b.add_argument("--mode", choices=["perf", "k", "ktilde"])
     b.add_argument("--strict-e-rule", action="store_true")
-    b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="verify a window file")
     v.add_argument("window")
-    v.set_defaults(func=cmd_verify)
 
-    for name, fn in (("emit", cmd_emit), ("render", cmd_render),
-                     ("fiber", cmd_fiber), ("stats", cmd_stats)):
+    for name in ("emit", "render", "fiber", "stats"):
         p = sub.add_parser(name)
         p.add_argument("window")
         p.add_argument("--out")
@@ -322,15 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--patch-level", type=int)
         if name == "stats":
             p.add_argument("--levels")
-        p.set_defaults(func=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so a wrapper installed on a command is the one called.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,8 @@ order, rank = d_rank + size(n-1)·t_index, plus a residue→rank table.  So D_m
 sits at ranks 0..size(m)-1 of every deeper level, and membership, heads,
 depths and digit indices are all rank lookups.
 
-Products are computed digit-by-digit through the carry recursion
+Products of digit strings are computed digit-by-digit through the carry
+recursion
 
     c_j = d_j · (s^{-1}·p_j·s) · q_j,      d_{j+1} = tail_j(c_j),
 
@@ -240,6 +241,7 @@ class DomainSequence:
 
     def radix_digits(self, rank, n: int) -> list:
         """Digit indices 1..n of level-n ranks (an int or an int64 array)."""
+        self.modulus(n)  # rejects a level outside 0..levels
         out = []
         for alphabet in self.alphabets[:n]:
             rank, i = divmod(rank, len(alphabet))
@@ -261,6 +263,16 @@ class DomainSequence:
         """Domain ranks of the heads of the rows of ``arr`` at level n."""
         rr = self.group.vec_residue_rank(arr, self.modulus(n))
         return self._rep_rank[n][rr]
+
+    def product_ranks(self, a, b, n: int) -> np.ndarray:
+        """Level-n ranks of the heads of D_n[a]·D_n[b]; either side may be a scalar rank.
+
+        Exact because Γ_n is normal: head_n(g·h) = head_n(head_n(g)·head_n(h)),
+        which the two-route oracle checks on every pair of D_n.
+        """
+        dom = self.domain_array(n)
+        _check_ranks(len(dom), n, a, b)
+        return self.vec_rank(self.group.vec_mul(dom[a], dom[b]).reshape(-1, self.group.dim), n)
 
     def vec_digit_indices(self, arr: np.ndarray, n: int) -> np.ndarray:
         """Digit-index matrix (rows, n) of the level-n heads of ``arr``."""
@@ -415,12 +427,14 @@ class CarryAutomaton:
     def batch_product(
         self, g_rank: np.ndarray, h_rank: np.ndarray, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Level-n ranks of the product cylinders of level-n rank vectors.
+        """Level-n ranks of the product cylinders of level-n rank vectors, by the carry recursion.
 
         Returns (product rank vector, final state index vector); each level's
-        digits are read off the ranks by the radix decode.
+        digits are read off the ranks by the radix decode.  Route A of the
+        two-route oracle; shifts use ``DomainSequence.product_ranks``.
         """
         self._check_level(n)
+        _check_ranks(self.ds.size(n), n, g_rank, h_rank)
         state = np.zeros(len(g_rank), dtype=np.int64)
         out = np.zeros(len(g_rank), dtype=np.int64)
         for j in range(1, n + 1):
@@ -432,9 +446,12 @@ class CarryAutomaton:
             state = self.trans_state[j - 1].reshape(-1)[flat]
         return out, state
 
-    def carry_elements(self, n: int) -> list[Elem]:
-        """Carry component of each level-(n+1) state, by state index."""
-        return [c for c, _ in self.states[n]]
+
+def _check_ranks(size: int, n: int, *ranks) -> None:
+    """Reject level-n ranks (ints or int64 arrays) outside 0..size-1."""
+    for r in map(np.asarray, ranks):
+        if r.size and (r.min() < 0 or r.max() >= size):
+            raise ConstructionError(f"ranks {r.min()}..{r.max()} outside 0..{size - 1} at level {n}")
 
 
 def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -539,7 +556,7 @@ def verify_carry_identity(
     na = size // low
     auto = ds.automaton(n)
     dom = ds.domain_array(n)
-    carry_elems = g.to_array(auto.carry_elements(n))
+    carry_elems = g.to_array([c for c, _ctx in auto.states[n]])  # by state index
     in_gamma = g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0
 
     mismatches = 0

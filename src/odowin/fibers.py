@@ -90,19 +90,14 @@ def boundary_hitters_exact(win: Window, xi: OdometerPoint) -> list[tuple[Elem, i
     """All g in the cap-level domain whose shifted orbit point is unresolved.
 
     Exact and O(#boundary cylinders): shifting by ξ permutes level-cap
-    cylinders, so each boundary cylinder is hit by exactly one domain element.
+    cylinders, so each boundary cylinder r is hit by exactly one domain
+    element, the head of D_cap[r]·ξ^{-1}.
     """
-    ds = win.ds
-    n = win.cap
-    g = ds.group
-    inv_head = g.inv(head_of_point(ds, xi, n))
+    ds, n = win.ds, win.cap
     pend = win.tree.pending_ranks[n - 1]
-    out = []
-    for r, sector in zip(pend, win.sector_of(pend)):
-        hitter = ds.head(g.mul(ds.element_of_rank(int(r), n), inv_head), n)
-        out.append((hitter, int(sector)))
-    out.sort(key=lambda pair: g.sort_key(pair[0]))
-    return out
+    inv_rank = ds.rank_of(ds.group.inv(head_of_point(ds, xi, n)), n)
+    hitters = ds.group.from_array(ds.domain_array(n)[ds.product_ranks(pend, inv_rank, n)])
+    return sorted(zip(hitters, win.sector_of(pend).tolist()), key=lambda p: ds.group.sort_key(p[0]))
 
 
 def _classified(
@@ -191,7 +186,8 @@ def t_region(
     and whose reject-translates all avoid it.  A level-cap cylinder certifies
     nonempty interior when every accept-translate classifies interior and
     every reject-translate exterior; it is excluded when some translate lands
-    on the wrong decided side.
+    on the wrong decided side.  A translate's cylinder is the head of the
+    product of the level-cap heads of l and ζ (exact: Γ_cap is normal).
     """
     ds = win.ds
     n = win.cap
@@ -200,11 +196,9 @@ def t_region(
     # The ball is the level-cap cylinders whose level-eps_level prefix is ξ's.
     size_eps = ds.size(eps_level)
     zetas = rank_of_point(ds, xi, eps_level) + size_eps * np.arange(ds.size(n) // size_eps)
-    auto = ds.automaton(n)
 
     def translate_codes(l: Elem) -> np.ndarray:
-        out, _ = auto.batch_product(np.full_like(zetas, ds.rank_of(l, n)), zetas, n)
-        codes, _levels = win.tree.vec_classify(out)
+        codes, _levels = win.tree.vec_classify(ds.product_ranks(ds.rank_of(l, n), zetas, n))
         return codes
 
     acc = [translate_codes(l) for l in accept]
@@ -234,8 +228,9 @@ def t_region(
 def birkhoff_stats(win: Window, xi: OdometerPoint, levels: Sequence[int]) -> dict:
     """Empirical orbit frequencies over D_n against exact cylinder censuses.
 
-    For each requested level n, every element of D_n is shifted by ξ and
-    classified at depth n.  Because shifting permutes level-n cylinders, the
+    For each requested level n, every element of D_n is shifted by ξ (one
+    product of level-n heads, exact because Γ_n is normal) and classified at
+    depth n.  Because shifting permutes level-n cylinders, the
     counts must equal the census of the tree itself - the report carries both
     and their (required) equality, plus the per-candidate value-1 densities
     d_1 > ... > d_{k+1} with their exact sector gaps.
@@ -247,9 +242,7 @@ def birkhoff_stats(win: Window, xi: OdometerPoint, levels: Sequence[int]) -> dic
         if not 1 <= n <= win.cap:
             raise ConstructionError(f"level {n} outside 1..{win.cap}")
         size = ds.size(n)
-        dom_rank = np.arange(size, dtype=np.int64)
-        xi_rank = np.full_like(dom_rank, rank_of_point(ds, xi, n))
-        rank, _ = ds.automaton(n).batch_product(dom_rank, xi_rank, n)
+        rank = ds.product_ranks(np.arange(size), rank_of_point(ds, xi, n), n)
         cls = win.tree.class_by_rank[n - 1][rank]
         freq_in = Fraction(int((cls == CLS_IN).sum()), size)
         freq_pending = Fraction(int((cls == CLS_PENDING).sum()), size)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -404,10 +404,6 @@ class SubgroupChain:
                 return n
         return None
 
-    def telescope(self, selected_levels: Iterable[int]) -> "SubgroupChain":
-        """Subchain on a strictly increasing selection of raw levels."""
-        return SubgroupChain(self.group, [self.modulus(n) for n in selected_levels])
-
 
 def geometric_moduli(base: int, ratio: int, length: int) -> list[int]:
     """m_n = base * ratio**(n-1); the common growth rule of shipped presets."""
@@ -419,18 +415,3 @@ def geometric_moduli(base: int, ratio: int, length: int) -> list[int]:
         m *= ratio
     return out
 
-
-# Spec-facing operation aliases -------------------------------------------
-
-
-def mul(ctx: GroupContext, a: Elem, b: Elem) -> Elem:
-    return ctx.mul(a, b)
-
-
-def conj(ctx: GroupContext, h: Elem, g: Elem) -> Elem:
-    """g^{-1}·h·g."""
-    return ctx.conjugate(h, g)
-
-
-def project(chain: SubgroupChain, g: Elem, n: int) -> CosetLabel:
-    return chain.project(g, n)

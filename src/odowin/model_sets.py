@@ -70,14 +70,15 @@ def classify(win: Window, x: OdometerPoint) -> tuple[int, int]:
 
 
 def shifted_orbit_ranks(win: Window, ranks: np.ndarray, xi: OdometerPoint) -> np.ndarray:
-    """Level-cap ranks of embed(g)·ξ, one per level-cap rank of a position g."""
-    ds = win.ds
+    """Level-cap ranks of embed(g)·ξ, one per level-cap rank of a position g.
+
+    Each is the head of the product of the level-cap heads of g and ξ, which
+    is exact because Γ_cap is normal.
+    """
     n = win.cap
     if xi.precision < n:
         raise PrecisionError(f"shift point needs precision >= {n}")
-    xi_rank = np.full_like(ranks, rank_of_point(ds, xi, n))
-    out, _state = ds.automaton(n).batch_product(ranks, xi_rank, n)
-    return out
+    return win.ds.product_ranks(ranks, rank_of_point(win.ds, xi, n), n)
 
 
 def patch_cylinders(

@@ -53,6 +53,21 @@ cap = 3
 delta = 60
 """
 
+HEIS_CFG = """
+[group]
+name = Heisenberg
+
+[chain]
+moduli = 2,8
+
+[window]
+kind = ktilde
+k = 2
+sector_level = 1
+cap = 2
+delta = 40
+"""
+
 
 @pytest.fixture()
 def cfg(tmp_path):
@@ -241,3 +256,32 @@ def test_mode_and_cap_overrides(tmp_path, cfg):
           "--mode", "perf", "--cap", "4"])
     win = parse_window((tmp_path / "w" / "window.txt").read_text())
     assert win.spec.kind == "perf" and win.cap == 4
+
+
+@pytest.mark.parametrize("text", [HEIS_CFG, FIBER_CFG], ids=["heis-ktilde2", "z-fiber"])
+def test_shifting_commands_close_no_cap_level(tmp_path, cfg, monkeypatch, text):
+    # parse_window closes the carry automaton to cap - 1 for the carry sets;
+    # shifting a patch multiplies level-cap heads and closes nothing deeper
+    from odowin.expansion import CarryAutomaton
+
+    main(["build", "--config", cfg("w.cfg", text), "--out", str(tmp_path / "w")])
+    win = str(tmp_path / "w" / "window.txt")
+    cap = parse_window(Path(win).read_text()).cap
+    closed = []
+    init = CarryAutomaton.__init__
+
+    def counted(self, ds, levels, prev):
+        closed.append(levels)
+        init(self, ds, levels, prev)
+
+    monkeypatch.setattr(CarryAutomaton, "__init__", counted)
+    out = str(tmp_path / "out")
+    for argv, code in (
+        (["emit", win, "--seed", "5"], 0),
+        (["fiber", win, "--critical"], 0),
+        (["stats", win, "--seed", "5"], 0),
+        (["render", win], 2),  # only the plane group renders, after the shift
+    ):
+        closed.clear()
+        assert main(argv + ["--out", out]) == code
+        assert closed and max(closed) == cap - 1

@@ -223,6 +223,46 @@ def test_element_of_rank_rejects_ranks_outside_the_level():
         ds.element_of_rank(0, 4)
 
 
+def test_radix_digits_reject_levels_outside_the_domains():
+    ds = presets.domains("z-carry", 3)
+    assert ds.radix_digits(5, 3) == [1, 2, 0] and ds.radix_digits(0, 0) == []
+    for n in (-1, 4, 10):
+        with pytest.raises(ConstructionError, match=f"level {n} outside the built levels 0..3"):
+            ds.radix_digits(5, n)
+
+
+def test_products_reject_ranks_outside_the_level():
+    # a rank >= size(n) or < 0 must not wrap into another cylinder
+    ds = presets.domains("z-carry", 3)
+    auto = ds.automaton(3)
+    ok = np.array([0, 31])
+    for bad in ([33, 0], [-1, 0], [0, 32]):
+        bad = np.array(bad)
+        for a, b in ((bad, ok), (ok, bad)):
+            with pytest.raises(ConstructionError, match="outside 0..31 at level 3"):
+                auto.batch_product(a, b, 3)
+            with pytest.raises(ConstructionError, match="outside 0..31 at level 3"):
+                ds.product_ranks(a, b, 3)
+    for a, b in ((-1, ok), (ok, 32)):
+        with pytest.raises(ConstructionError, match="outside 0..31 at level 3"):
+            ds.product_ranks(a, b, 3)
+    assert auto.batch_product(ok, ok, 3)[0].tolist() == ds.product_ranks(ok, ok, 3).tolist()
+
+
+@pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
+def test_product_ranks_match_the_carry_automaton(name):
+    # exhaustive on D_3 × D_3: every scalar left factor against all of D_3,
+    # then every scalar right factor, against batch_product's carry recursion
+    n = 3
+    ds = presets.domains(name, n)
+    auto = ds.automaton(n)
+    ranks = np.arange(ds.size(n))
+    for r in ranks.tolist():
+        same = np.full_like(ranks, r)
+        assert np.array_equal(ds.product_ranks(r, ranks, n), auto.batch_product(same, ranks, n)[0])
+        assert np.array_equal(ds.product_ranks(ranks, r, n), auto.batch_product(ranks, same, n)[0])
+
+
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
 def test_rank_lookups_match_digit_strings(name):
     # oracle: D_n as the set of products of all level-1..n digit strings
@@ -517,20 +557,29 @@ def test_two_route_report_is_independent_of_blocks(name):
             assert verify_carry_identity(ds, n, chunk=chunk) == want
 
 
-@pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
-def test_two_route_counts_corrupted_tables_exactly(name):
+@pytest.fixture(scope="module")
+def d3_truth(request):
+    """Scalar truth over D_3 × D_3 of one preset, computed once per module.
+
+    Returns (domains, products, truth): products maps each pair of digit-index
+    strings to g·h, truth maps it to the product's digit indices and tail.
+    """
+    n = 3
+    ds = presets.domains(request.param, n)
+    grp, dom = ds.group, ds.domain_list(n)
+    idx = [ds.digit_index_prefix(x, n) for x in dom]
+    prods = {(ia, ib): grp.mul(a, b) for a, ia in zip(dom, idx) for b, ib in zip(dom, idx)}
+    truth = {k: (ds.digit_index_prefix(x, n), ds.tail(x, n)) for k, x in prods.items()}
+    return ds, prods, truth
+
+
+@pytest.mark.parametrize("d3_truth", ["z-carry", "z2-pow2", "heis-pow2"], indirect=True)
+def test_two_route_counts_corrupted_tables_exactly(d3_truth):
     # One wrong transition at a prefix level or at the last level: the
     # oracle's mismatch count equals a scalar count over every pair of D_3.
     n = 3
-    ds = presets.domains(name, n)
-    grp, auto = ds.group, ds.automaton(n)
-    dom = ds.domain_list(n)
-    idx = [ds.digit_index_prefix(x, n) for x in dom]
-    truth = {}
-    for a, ia in zip(dom, idx):
-        for b, ib in zip(dom, idx):
-            prod = grp.mul(a, b)
-            truth[ia, ib] = (ds.digit_index_prefix(prod, n), ds.tail(prod, n))
+    ds, _prods, truth = d3_truth
+    auto = ds.automaton(n)
     entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
     for tables, choices in (
         (auto.trans_digit, lambda j: len(ds.alphabet(j))),
@@ -549,18 +598,14 @@ def test_two_route_counts_corrupted_tables_exactly(name):
                 tables[j - 1][entry] = old
 
 
-@pytest.mark.parametrize("name", ["z2-pow2", "heis-pow2"])
-def test_two_route_counts_carries_outside_the_subgroup(name):
+@pytest.mark.parametrize("d3_truth", ["z2-pow2", "heis-pow2"], indirect=True)
+def test_two_route_counts_carries_outside_the_subgroup(d3_truth):
     # A pair passes the oracle iff D_n[rank]·carry = g·h with the carry in Γ_n.
     # Each case changes the carry reached through one level-n transition; the
     # oracle's mismatch count must equal a scalar count over every pair of D_3.
     n = 3
-    ds = presets.domains(name, n)
+    ds, prods, truth = d3_truth
     grp, auto = ds.group, ds.automaton(n)
-    dom = ds.domain_list(n)
-    idx = [ds.digit_index_prefix(x, n) for x in dom]
-    prods = {(ia, ib): grp.mul(a, b) for a, ia in zip(dom, idx) for b, ib in zip(dom, idx)}
-    truth = {k: (ds.digit_index_prefix(x, n), ds.tail(x, n)) for k, x in prods.items()}
     entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
     digits, states = auto.trans_digit[n - 1], auto.trans_state[n - 1]
     target = states[entry]

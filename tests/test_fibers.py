@@ -221,12 +221,12 @@ def test_coverage_full_at_cap_patch(w_k):
 
 
 def test_fiber_classifies_the_patch_once(w_kt, monkeypatch):
-    # the report and every candidate come from one shifted classification
-    from odowin.expansion import CarryAutomaton
+    # the report and every candidate come from one shift and one classification
+    from odowin.expansion import DomainSequence
     from odowin.windows import CylinderTree
 
     calls = []
-    for cls, name in ((CarryAutomaton, "batch_product"), (CylinderTree, "vec_classify")):
+    for cls, name in ((DomainSequence, "product_ranks"), (CylinderTree, "vec_classify")):
         def counted(self, *args, _fn=getattr(cls, name), _name=name):
             calls.append(_name)
             return _fn(self, *args)
@@ -234,19 +234,19 @@ def test_fiber_classifies_the_patch_once(w_kt, monkeypatch):
         monkeypatch.setattr(cls, name, counted)
     win = w_kt[3]
     fib = enumerate_fiber(win, sample_point(win.ds, 23, win.cap), win.ds.domain_list(win.cap))
-    assert sorted(calls) == ["batch_product", "vec_classify"]
+    assert sorted(calls) == ["product_ranks", "vec_classify"]
     assert fib.distinct() == len(fib.candidates) == win.spec.k + 1 + len(fib.report.classes[-1])
 
 
 def test_default_and_explicit_fiber_routes_agree(w_kt, w_heis_kt2, monkeypatch):
-    # the default patch D_m is ranked 0..size(m)-1 with no element round trip
+    # the default patch D_m is ranked 0..size(m)-1 with no element round trip:
+    # the one ranking is the shift's, inside product_ranks
     from odowin.expansion import DomainSequence
     from odowin.groups import GroupContext
 
-    for win in (w_kt[3], w_heis_kt2):
-        win.ds.automaton(win.cap)  # its closure ranks rows itself
     calls = []
-    for cls, name in ((GroupContext, "to_array"), (DomainSequence, "vec_rank")):
+    for cls, name in ((GroupContext, "to_array"), (DomainSequence, "vec_rank"),
+                      (DomainSequence, "product_ranks")):
         def counted(self, *args, _fn=getattr(cls, name), _name=name):
             calls.append(_name)
             return _fn(self, *args)
@@ -257,7 +257,7 @@ def test_default_and_explicit_fiber_routes_agree(w_kt, w_heis_kt2, monkeypatch):
         for m in (0, 1, win.cap):
             calls.clear()
             default = enumerate_fiber(win, xi, patch_level=m)
-            assert calls == []
+            assert calls == ["product_ranks", "vec_rank"]
             explicit = enumerate_fiber(win, xi, win.ds.domain_list(m))
             assert default.labels == explicit.labels
             assert default.report.index == explicit.report.index
