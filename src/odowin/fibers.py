@@ -97,7 +97,8 @@ def boundary_hitters_exact(win: Window, xi: OdometerPoint) -> list[tuple[Elem, i
     pend = win.tree.pending_ranks[n - 1]
     inv_rank = ds.rank_of(ds.group.inv(head_of_point(ds, xi, n)), n)
     hitters = ds.group.from_array(ds.domain_array(n)[ds.product_ranks(pend, inv_rank, n)])
-    return sorted(zip(hitters, win.sector_of(pend).tolist()), key=lambda p: ds.group.sort_key(p[0]))
+    sectors = win.spec.sector_of(pend).tolist()
+    return sorted(zip(hitters, sectors), key=lambda p: ds.group.sort_key(p[0]))
 
 
 def _classified(
@@ -108,7 +109,7 @@ def _classified(
     positions, ranks = patch_cylinders(win, patch, patch_level)
     base, orbit = shifted_patch(win, xi, positions, ranks)
     pending = np.flatnonzero(base.codes == CLS_PENDING)
-    sectors = win.sector_of(orbit[pending])
+    sectors = win.spec.sector_of(orbit[pending])
     key = ds.group.sort_key
     index = [
         sorted(pending[sectors == j].tolist(), key=lambda i: key(positions[i]))
@@ -198,8 +199,7 @@ def t_region(
     zetas = rank_of_point(ds, xi, eps_level) + size_eps * np.arange(ds.size(n) // size_eps)
 
     def translate_codes(l: Elem) -> np.ndarray:
-        codes, _levels = win.tree.vec_classify(ds.product_ranks(ds.rank_of(l, n), zetas, n))
-        return codes
+        return win.tree.vec_classify(ds.product_ranks(ds.rank_of(l, n), zetas, n))
 
     acc = [translate_codes(l) for l in accept]
     rej = [translate_codes(l) for l in reject]
@@ -252,7 +252,7 @@ def birkhoff_stats(win: Window, xi: OdometerPoint, levels: Sequence[int]) -> dic
         sector_census: dict[int, Fraction] = {}
         if n >= win.spec.sector_level:
             pend_mask = cls == CLS_PENDING
-            sec_of_rank = win.sector_of(rank)
+            sec_of_rank = win.spec.sector_of(rank)
             for j in range(1, k + 1):
                 sector_freq[j] = Fraction(int((pend_mask & (sec_of_rank == j)).sum()), size)
                 sector_census[j] = win.boundary_sector_measure(n, j)

@@ -103,7 +103,7 @@ def shifted_patch(
 ) -> tuple[SymbolicPatch, np.ndarray]:
     """The patch on these positions and the level-cap ranks of its shifted orbit points."""
     orbit = shifted_orbit_ranks(win, ranks, xi)
-    codes, _levels = win.tree.vec_classify(orbit)
+    codes = win.tree.vec_classify(orbit)
     patch = SymbolicPatch(positions, ranks, codes, win.window_id, tuple(xi.digits), win.cap)
     return patch, orbit
 

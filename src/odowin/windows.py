@@ -38,7 +38,6 @@ from .expansion import CarryRange, DomainSequence, carry_ranges
 from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, group_by_name, row_keys
 
 CLS_IN, CLS_OUT, CLS_PENDING = 0, 1, 2
-_CLS_NAME = {CLS_IN: "in", CLS_OUT: "out", CLS_PENDING: "pending"}
 
 
 # -- exact threshold arithmetic ---------------------------------------------
@@ -150,15 +149,40 @@ class WindowSpec:
         classes = self.level_class or ()
         if len(classes) != self.cap or not all(1 <= c <= self.k for c in classes):
             raise ConstructionError(f"need a class in 1..{self.k} for each of the {self.cap} levels")
+        for n, c in enumerate(classes[: self.sector_level], start=1):
+            if c != 1:
+                # the parents at these levels lie above the sector level, so have no sector
+                raise ConstructionError(
+                    f"level {n}: class {c}, but levels 1..{self.sector_level} (up to the "
+                    "sector level) must have class 1"
+                )
         if self.punctures and self.kind != "ktilde":
             raise ConstructionError("only ktilde windows carry punctures")
         for lvl, ranks in self.punctures:
             if not 1 <= lvl <= self.cap or not all(0 <= r < ds.size(lvl) for r in ranks):
                 raise ConstructionError(f"puncture at level {lvl} outside the built cylinders")
 
+    def sector_of(self, ranks: np.ndarray) -> np.ndarray:
+        """Sectors of cylinders given by their ranks at a level >= L; 1 for perf.
+
+        The level-L prefix of a rank, rank % size(L), decides the sector.
+        """
+        if self.kind == "perf":
+            return np.ones(len(ranks), dtype=np.int64)
+        sectors = np.asarray(self.sector_of_rank, dtype=np.int64)
+        return sectors[ranks % len(sectors)]
+
 
 class CylinderTree:
-    """Per-level ternary classification of every cylinder, as rank arrays."""
+    """Per-level ternary classification of every cylinder, as rank arrays.
+
+    Level n comes from level n-1 in one step.  A child of a boundary cylinder
+    takes its digit's class, except that an interior digit is exterior in a
+    sector below the level's class; every other child keeps its parent's
+    class.  A puncture may only flip a child of a boundary cylinder from
+    interior to exterior.  So ``class_by_rank[n - 1][r]`` holds every
+    ancestor's decision, and the cap level alone classifies any cylinder.
+    """
 
     def __init__(self, ds: DomainSequence, spec: WindowSpec):
         spec.validate(ds)
@@ -168,52 +192,28 @@ class CylinderTree:
         self._build(ds, spec)
 
     def _build(self, ds: DomainSequence, spec: WindowSpec) -> None:
-        size_l = ds.size(spec.sector_level)
-        sectors = np.asarray(spec.sector_of_rank or (), dtype=np.int64)
-        punctures = {lvl: np.asarray(ranks, dtype=np.int64) for lvl, ranks in spec.punctures}
-        prev: np.ndarray | None = None
+        # A level-n rank is r + size(n-1)·i for the parent rank r and digit index i,
+        # so the children of the level-(n-1) array are its tiles, one per digit.
+        punctures = dict(spec.punctures)
+        prev = np.array([CLS_PENDING], dtype=np.int8)  # the root
         for n in range(1, spec.cap + 1):
             part = spec.partitions[n - 1]
-            alpha = ds.alphabet(n)
-            digit_code = np.empty(len(alpha), dtype=np.int8)
-            interior = set(part.interior)
-            exterior = set(part.exterior)
-            for i, t in enumerate(alpha):
-                digit_code[i] = (
-                    CLS_IN if t in interior else CLS_OUT if t in exterior else CLS_PENDING
-                )
-            if prev is None:
-                arr = digit_code.copy()
-            else:
-                base = len(prev)
-                arr = np.empty(base * len(alpha), dtype=np.int8)
-                pend = prev == CLS_PENDING
-                need = spec.level_class[n - 1] if spec.level_class is not None else 1
-                if need > 1:
-                    # interior children survive only in sectors of class >= need
-                    reps = base // size_l
-                    psec = np.tile(sectors, reps)
-                    keep = pend & (psec >= need)
-                    drop = pend & (psec < need)
-                else:
-                    keep, drop = pend, None
-                for i in range(len(alpha)):
-                    block = prev.copy()
-                    code = int(digit_code[i])
-                    if code == CLS_IN:
-                        block[keep] = CLS_IN
-                        if drop is not None:
-                            block[drop] = CLS_OUT
-                    else:
-                        block[pend] = code
-                    arr[i * base : (i + 1) * base] = block
-            if n in punctures:
-                for r in punctures[n]:
-                    if arr[r] != CLS_IN:
-                        raise ConstructionError(
-                            f"puncture at level {n}, rank {int(r)} is not an interior cylinder"
-                        )
-                arr[punctures[n]] = CLS_OUT
+            digit_class = {t: CLS_IN for t in part.interior} | {t: CLS_OUT for t in part.exterior}
+            code = np.array([digit_class.get(t, CLS_PENDING) for t in ds.alphabet(n)], np.int8)
+            fresh = np.tile(prev == CLS_PENDING, len(code))  # children of boundary cylinders
+            arr = np.where(fresh, np.repeat(code, len(prev)), np.tile(prev, len(code)))
+            need = spec.level_class[n - 1] if spec.level_class is not None else 1
+            if need > 1:
+                # interior children survive only in sectors of class >= need
+                interior = np.flatnonzero(fresh & (arr == CLS_IN))
+                arr[interior[spec.sector_of(interior) < need]] = CLS_OUT
+            for r in punctures.get(n, ()):
+                if not (fresh[r] and arr[r] == CLS_IN):
+                    raise ConstructionError(
+                        f"puncture at level {n}, rank {r} is not an interior cylinder "
+                        "with a boundary parent"
+                    )
+                arr[r] = CLS_OUT
             self.class_by_rank.append(arr)
             pending = np.nonzero(arr == CLS_PENDING)[0]
             if len(pending) != spec.boundary_count(n):
@@ -238,20 +238,13 @@ class CylinderTree:
                 return code, j
         return CLS_PENDING, self.cap
 
-    def vec_classify(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`classify_indices` over a vector of level-cap ranks."""
-        rows = len(ranks)
-        code = np.full(rows, CLS_PENDING, dtype=np.int8)
-        level = np.full(rows, self.cap, dtype=np.int64)
-        undecided = np.ones(rows, dtype=bool)
-        for j in range(1, self.cap + 1):
-            by_rank = self.class_by_rank[j - 1]
-            cls = by_rank[ranks % len(by_rank)]
-            newly = undecided & (cls != CLS_PENDING)
-            code[newly] = cls[newly]
-            level[newly] = j
-            undecided &= ~newly
-        return code, level
+    def vec_classify(self, ranks: np.ndarray) -> np.ndarray:
+        """Classes of the level-cap cylinders with these ranks, one gather.
+
+        The cap level holds every ancestor's decision, so each code equals the
+        class of :meth:`classify_indices`; the deciding level is not returned.
+        """
+        return self.class_by_rank[-1][ranks]
 
     def children_classes(self, parent_rank: int, n: int) -> np.ndarray:
         """Classes of the level-(n+1) children of a level-n cylinder."""
@@ -269,13 +262,20 @@ class CylinderTree:
 
 @dataclass
 class Window:
-    """A built window: spec, its domain sequence, the cylinder tree, carries."""
+    """A built window: spec and domain sequence, with the tree and carries they determine.
+
+    The cylinder tree is built from ``(spec, ds)`` on construction; the carry
+    sets K_1..K_cap are read from the domain sequence's automaton only when
+    asked for (the verification and build reports need them, shifts do not).
+    """
 
     spec: WindowSpec
     ds: DomainSequence
-    tree: CylinderTree
-    carries: CarryRange
     build_log: list[str] = field(default_factory=list)
+    tree: CylinderTree = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.tree = CylinderTree(self.ds, self.spec)
 
     @property
     def group(self) -> GroupContext:
@@ -286,24 +286,18 @@ class Window:
         return self.spec.cap
 
     @property
+    def carries(self) -> CarryRange:
+        return carry_ranges(self.ds, self.cap)
+
+    @property
     def window_id(self) -> str:
         digest = hashlib.sha256(serialize_window(self).encode()).hexdigest()
         return f"{self.spec.kind}-{digest[:12]}"
 
-    def sector_of(self, ranks: np.ndarray) -> np.ndarray:
-        """Sectors of cylinders given by their ranks at a level >= L; 1 for perf.
-
-        The level-L prefix of a rank, rank % size(L), decides the sector.
-        """
-        if self.spec.kind == "perf":
-            return np.ones(len(ranks), dtype=np.int64)
-        sectors = np.asarray(self.spec.sector_of_rank, dtype=np.int64)
-        return sectors[ranks % len(sectors)]
-
     def boundary_sector_measure(self, n: int, sector: int) -> Fraction:
         """Exact measure of the level-n boundary layer inside one sector."""
         pend = self.tree.pending_ranks[n - 1]
-        return Fraction(int((self.sector_of(pend) == sector).sum()), self.ds.size(n))
+        return Fraction(int((self.spec.sector_of(pend) == sector).sum()), self.ds.size(n))
 
 
 @dataclass
@@ -440,8 +434,7 @@ def build_perf(
         a_schedule=tuple(a_list[:cap]),
         partitions=tuple(partitions),
     )
-    tree = CylinderTree(ds, spec)
-    return Window(spec, ds, tree, carry_ranges(ds, cap), build_log=log)
+    return Window(spec, ds, build_log=log)
 
 
 def build_k(base: Window, k: int, sector_level: int) -> Window:
@@ -475,8 +468,7 @@ def build_k(base: Window, k: int, sector_level: int) -> Window:
         sector_of_rank=tuple(int(s) for s in sectors),
         level_class=tuple(level_class),
     )
-    tree = CylinderTree(base.ds, spec)
-    return Window(spec, base.ds, tree, base.carries, build_log=list(base.build_log))
+    return Window(spec, base.ds, build_log=list(base.build_log))
 
 
 def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
@@ -498,7 +490,7 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
 
     def top_pendings(n: int) -> np.ndarray:
         pend = tree.pending_ranks[n - 1]
-        return pend[base.sector_of(pend) == spec.k]
+        return pend[spec.sector_of(pend) == spec.k]
 
     hk_l = [int(r) for r in top_pendings(lvl_l)]
     if len(hk_l) < 2:
@@ -526,15 +518,14 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
             ranks = (chosen + base_size * a_idx,)
         punctures.append((n, ranks))
     spec2 = replace(spec, kind="ktilde", e_rule=e_rule, punctures=tuple(punctures))
-    tree2 = CylinderTree(ds, spec2)
-    return Window(spec2, ds, tree2, base.carries, build_log=list(base.build_log))
+    return Window(spec2, ds, build_log=list(base.build_log))
 
 
 def base_window(win: Window) -> Window:
     """The perf window a sector or punctured window was carved from."""
     spec = replace(win.spec, kind="perf", k=1, sector_level=0, sector_of_rank=None,
                    level_class=None, e_rule="", punctures=())
-    return Window(spec, win.ds, CylinderTree(win.ds, spec), win.carries)
+    return Window(spec, win.ds)
 
 
 # -- measures -----------------------------------------------------------------
@@ -649,7 +640,7 @@ def check_irredundancy(win: Window) -> Report:
             continue
         pool = tree.pending_ranks[n - 1]
         if n >= spec.sector_level:
-            pool = pool[win.sector_of(pool) == spec.k]
+            pool = pool[spec.sector_of(pool) == spec.k]
         found = None
         for r in pool:
             kids = tree.children_classes(int(r), n)
@@ -671,13 +662,13 @@ def check_irredundancy(win: Window) -> Report:
 
 def check_self_similarity(win: Window) -> Report:
     """Carry translates of every boundary digit stay inside the domain."""
-    ds, spec = win.ds, win.spec
+    ds, spec, carries = win.ds, win.spec, win.carries
     g = ds.group
     lines = []
     witness = None
     for n in range(1, spec.cap + 1):
         for c in spec.partitions[n - 1].boundary:
-            for k in win.carries.level(n):
+            for k in carries.level(n):
                 if not ds.in_domain(g.mul(k, c), n):
                     witness = {"level": n, "carry": k, "digit": c}
                     break
@@ -884,5 +875,4 @@ def parse_window(text: str) -> Window:
         e_rule="" if head.get("e_rule") in (None, "none") else head["e_rule"],
         punctures=tuple(punctures),
     )
-    tree = CylinderTree(ds, spec)
-    return Window(spec, ds, tree, carry_ranges(ds, cap))
+    return Window(spec, ds)

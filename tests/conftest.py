@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from odowin import presets
@@ -82,9 +83,12 @@ def w_heis_kt2(w_heis_k2):
 @pytest.fixture(scope="session")
 def malformed_windows(w_kt):
     """Edits of the z-fiber ktilde k=3 window file that describe no valid window."""
-    from odowin.windows import serialize_window
+    from odowin.windows import CLS_IN, serialize_window
 
     text = serialize_window(w_kt[3])
+    # The level-4 child with digit index 0 of an interior level-3 cylinder has
+    # that cylinder's rank, and inherits its class.
+    inherited = int(np.flatnonzero(w_kt[3].tree.class_by_rank[2] == CLS_IN)[0])
     edits = {
         "no-sectors": re.sub(r"\[sectors\]\n[^\[]*", "", text),
         "puncture-out-of-range": re.sub(
@@ -97,6 +101,11 @@ def malformed_windows(w_kt):
         "puncture-no-level": re.sub(r"(\[punctures\]\n)level \d+ =", r"\g<1>level =", text),
         "delta-zero-denominator": re.sub(r"^delta = .*$", "delta = 1/0", text, flags=re.M),
         "no-group-key": re.sub(r"^group = .*\n", "", text, flags=re.M),
+        # level 1 lies at the sector level, which leaves no sector to compare with
+        "class-at-sector-level": re.sub(r"^class = 1$", "class = 2", text, count=1, flags=re.M),
+        "puncture-inherited-interior": re.sub(
+            r"^level 4 = \d+$", f"level 4 = {inherited}", text, flags=re.M
+        ),
     }
     assert text not in edits.values()
     return edits

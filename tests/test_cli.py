@@ -2,11 +2,14 @@
 
 import json
 import re
-from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odowin.cli import main
+from odowin.groups import ConstructionError
 from odowin.windows import parse_window, serialize_window
 
 FIBER_CFG = """
@@ -260,13 +263,12 @@ def test_mode_and_cap_overrides(tmp_path, cfg):
 
 @pytest.mark.parametrize("text", [HEIS_CFG, FIBER_CFG], ids=["heis-ktilde2", "z-fiber"])
 def test_shifting_commands_close_no_cap_level(tmp_path, cfg, monkeypatch, text):
-    # parse_window closes the carry automaton to cap - 1 for the carry sets;
-    # shifting a patch multiplies level-cap heads and closes nothing deeper
+    # a parsed window reads its carry sets only when asked, and shifting a
+    # patch multiplies level-cap heads, so these commands close no automaton
     from odowin.expansion import CarryAutomaton
 
     main(["build", "--config", cfg("w.cfg", text), "--out", str(tmp_path / "w")])
     win = str(tmp_path / "w" / "window.txt")
-    cap = parse_window(Path(win).read_text()).cap
     closed = []
     init = CarryAutomaton.__init__
 
@@ -282,6 +284,39 @@ def test_shifting_commands_close_no_cap_level(tmp_path, cfg, monkeypatch, text):
         (["stats", win, "--seed", "5"], 0),
         (["render", win], 2),  # only the plane group renders, after the shift
     ):
-        closed.clear()
         assert main(argv + ["--out", out]) == code
-        assert closed and max(closed) == cap - 1
+        assert closed == []
+
+
+def _mutable_integers(text: str) -> list[tuple[int, int]]:
+    """Spans of the classes, k, the sector level, the sector entries and the puncture ranks."""
+    spans = [m.span(1) for m in re.finditer(r"^(?:class|k|sector_level) = (\d+)$", text, re.M)]
+    for m in re.finditer(r"^(?:sector_of_rank|level \d+) = (.*)$", text, re.M):
+        spans += [(m.start(1) + d.start(), m.start(1) + d.end()) for d in re.finditer(r"\d+", m[1])]
+    return spans
+
+
+@pytest.fixture(scope="module")
+def mutation_sources(w_kt, w_heis_kt2):
+    return [serialize_window(w_kt[3]), serialize_window(w_heis_kt2)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_window_file_verifies_or_exits_two(tmp_path_factory, mutation_sources, data):
+    # one integer of a serialized window changed: verify ends in an exit code,
+    # and a file that still parses classifies alike by both routes
+    text = data.draw(st.sampled_from(mutation_sources))
+    start, end = data.draw(st.sampled_from(_mutable_integers(text)))
+    value = data.draw(st.integers(min_value=-1, max_value=max(8, 2 * int(text[start:end]))))
+    mutant = text[:start] + str(value) + text[end:]
+    path = tmp_path_factory.mktemp("mutant") / "window.txt"
+    path.write_text(mutant)
+    assert main(["verify", str(path)]) in (0, 1, 2)
+    try:
+        win = parse_window(mutant)
+    except ConstructionError:
+        return
+    size = win.ds.size(win.cap)
+    walk = [win.tree.classify_indices(r)[0] for r in range(size)]
+    assert win.tree.vec_classify(np.arange(size)).tolist() == walk

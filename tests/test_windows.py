@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odowin.expansion import build_domains, carry_ranges
+from odowin.expansion import build_domains
 from odowin.groups import ConstructionError, SubgroupChain, geometric_moduli, group_by_name
 from odowin.windows import (
     CLS_IN,
@@ -48,7 +48,7 @@ def manual_window(moduli, parts, cap=None, **kwargs):
         partitions=tuple(LevelPartition(*p) for p in parts),
         **kwargs,
     )
-    return Window(spec, ds, CylinderTree(ds, spec), carry_ranges(ds, cap))
+    return Window(spec, ds)
 
 
 # -- builder -----------------------------------------------------------------------
@@ -191,8 +191,7 @@ def test_irredundancy_per_parent_fails(w_k):
 
 def test_irredundancy_corrupt_sectors_fails(w_k):
     spec = replace(w_k[2].spec, sector_of_rank=tuple(1 for _ in w_k[2].spec.sector_of_rank))
-    tree = CylinderTree(w_k[2].ds, spec)
-    win = Window(spec, w_k[2].ds, tree, w_k[2].carries)
+    win = Window(spec, w_k[2].ds)
     assert not check_irredundancy(win).passed
 
 
@@ -211,7 +210,7 @@ def test_self_similarity_pass_and_fail(w_irr):
         w_irr.spec.partitions[2],
     )
     spec = replace(w_irr.spec, partitions=new_parts)
-    win = Window(spec, ds, CylinderTree(ds, spec), w_irr.carries)
+    win = Window(spec, ds)
     rep = check_self_similarity(win)
     assert not rep.passed and rep.data["witness"]["level"] == 2
 
@@ -304,6 +303,30 @@ def test_ktilde_bad_puncture_rejected(w_k):
     spec = replace(win.spec, kind="ktilde", punctures=((3, (out_rank,)),))
     with pytest.raises(ConstructionError, match="not an interior cylinder"):
         CylinderTree(win.ds, spec)
+
+
+def test_class_below_the_sector_level_rejected(w_fiber):
+    # levels 2 and 3 lie above the sector level 3, so their parents have no sector
+    win = build_k(w_fiber, 2, 3)
+    classes = list(win.spec.level_class)
+    classes[1] = 2
+    with pytest.raises(ConstructionError, match="level 2: class 2"):
+        Window(replace(win.spec, level_class=tuple(classes)), win.ds)
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, None) for name in ("w_irr", "w_fiber", "w_z2", "w_heis", "w_heis_k2", "w_heis_kt2")]
+    + [(name, k) for name in ("w_k", "w_kt") for k in (1, 2, 3)],
+)
+def test_cap_level_gather_equals_first_decision(request, name, key):
+    # every level holds its ancestors' decisions, so the cap level alone
+    # classifies: the one gather agrees with the scalar walk at every rank
+    win = request.getfixturevalue(name)
+    win = win if key is None else win[key]
+    codes = win.tree.vec_classify(np.arange(win.ds.size(win.cap)))
+    walk = [win.tree.classify_indices(r)[0] for r in range(win.ds.size(win.cap))]
+    assert codes.tolist() == walk
 
 
 def test_dovetail_covers_coarse_boundary(w_kt):
