@@ -529,20 +529,29 @@ def verify_carry_identity(
 ) -> dict:
     """Exhaustive two-route check of the carry recursion on D_level × D_level.
 
-    A level-n rank is r + size(n-1)·p with r a D_{n-1} rank and p a level-n
-    digit index, so the pairs are taken in blocks of left factors against all
-    of D_n, about ``chunk`` pairs per block (at least one left factor).
-    Route A reads the product's rank r and final state off the carry
-    automaton: ``batch_product`` runs once over the D_{n-1} × D_{n-1} prefix
-    pairs, and each block takes one level-n table step from the prefix states.
+    A level-n rank is r + size(n-1)·d with r a D_{n-1} rank and d a level-n
+    digit index, and ``append_level`` builds D_n so that
+    D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d].  Route A reads each pair's
+    product off the carry automaton: ``batch_product`` runs once over the
+    D_{n-1} × D_{n-1} prefix pairs, giving the prefix rank r and state s, and
+    one step table, built once per call over the level-n transitions
+    (s, p, q), holds T_n[d]·c for the digit d and next state's carry c, with a
+    flag for c ∈ Γ_n.  So route A's D_n[rank]·c is D_{n-1}[r]·step[s, p, q].
     Route B multiplies each block's factors directly, as one broadcast
-    product g·h.  A pair passes iff D_n[r]·c = g·h for the state's carry c
-    and c lies in Γ_n.  That is the same as r being the head rank of g·h and
-    c its tail, because D_n is a transversal of G/Γ_n: D_n[r] = g·h·c^{-1}
-    lies in the coset g·h·Γ_n exactly when c ∈ Γ_n.  Returns a summary with
-    the mismatch count (must be zero), the number of pairs, a nonabelian
-    conjugation witness when one exists, and spot-check results comparing the
-    vectorized and scalar paths.
+    product g·h.  A pair passes iff D_n[rank]·c = g·h and c lies in Γ_n.
+    That is the same as rank being the head rank of g·h and c its tail,
+    because D_n is a transversal of G/Γ_n: D_n[rank] = g·h·c^{-1} lies in the
+    coset g·h·Γ_n exactly when c ∈ Γ_n.
+
+    The pairs are taken in rank order, in blocks of left factors against all
+    of D_n, about ``chunk`` pairs per block (at least one left factor).  A
+    block is laid out (left, q, h_low) for the right factor
+    D_n[h_low + size(n-1)·q], and every operand is stored coordinate-major,
+    as C-contiguous ``(dim, ...)`` columns, so the products and comparisons
+    run on contiguous memory.  Returns a summary with the mismatch count
+    (must be zero), the number of pairs, a nonabelian conjugation witness
+    when one exists, and spot-check results comparing the vectorized and
+    scalar paths.
     """
     import random
 
@@ -555,9 +564,6 @@ def verify_carry_identity(
     size, low = ds.size(n), ds.size(n - 1)
     na = size // low
     auto = ds.automaton(n)
-    dom = ds.domain_array(n)
-    carry_elems = g.to_array([c for c, _ctx in auto.states[n]])  # by state index
-    in_gamma = g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0
 
     mismatches = 0
     total = 0
@@ -574,26 +580,41 @@ def verify_carry_identity(
         None,
     )
 
+    def columns(arr: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(arr.T)
+
+    def as_rows(cols: np.ndarray) -> np.ndarray:
+        return cols.transpose(1, 2, 3, 0)  # a (dim, left, q, h_low) view as rows
+
     prefix = np.arange(low)
-    pre_rank, pre_state = auto.batch_product(np.repeat(prefix, low), np.tile(prefix, low), n - 1)
-    pre_rank, pre_state = pre_rank.reshape(low, low), pre_state.reshape(low, low)
-    step_digit = auto.trans_digit[n - 1].reshape(-1)
+    pre_rank, pre_flat = auto.batch_product(np.repeat(prefix, low), np.tile(prefix, low), n - 1)
+    pre_rank = pre_rank.reshape(low, low)
+    pre_flat = pre_flat.reshape(low, low)
+    pre_flat *= na * na  # flat index of the transition (s, 0, 0) from the prefix state s
+
+    # The step table over the level-n transitions (s, p, q) in flat order.
+    carry_elems = g.to_array([c for c, _ctx in auto.states[n]])  # by state index
     step_state = auto.trans_state[n - 1].reshape(-1)
-    q = np.repeat(np.arange(na), low)  # top digit index of each right factor
+    step_digit = auto.trans_digit[n - 1].reshape(-1)
+    step = columns(g.vec_mul(g.to_array(ds.alphabet(n))[step_digit], carry_elems[step_state]))
+    step_ok = (g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0)[step_state]
+    low_cols = columns(ds.domain_array(n - 1))
+    dom_cols = columns(ds.domain_array(n))
+    right = as_rows(dom_cols.reshape(g.dim, 1, na, low))  # D_n[h_low + low·q] at (q, h_low)
+    q = np.arange(na)[:, None]
     rows = max(1, chunk // size)
     for start in range(0, size, rows):
-        gi = np.arange(start, min(start + rows, size))
-        p, g_low = np.divmod(gi, low)
-        flat = ((np.tile(pre_state[g_low], na) * na + p[:, None]) * na + q).reshape(-1)
-        out_rank = np.tile(pre_rank[g_low], na).reshape(-1) + low * step_digit.take(flat)
-        state = step_state.take(flat)
-        prod = g.vec_mul(dom[gi][:, None, :], dom[None, :, :]).reshape(-1, g.dim)
-        eq = g.vec_mul(dom.take(out_rank, axis=0), carry_elems.take(state, axis=0)) == prod
-        ok = in_gamma.take(state)
-        for k in range(g.dim):  # column ANDs beat np.all(axis=1) here
-            ok &= eq[:, k]
-        mismatches += len(ok) - int(np.count_nonzero(ok))
-        total += len(gi) * size
+        stop = min(start + rows, size)
+        p, g_low = np.divmod(np.arange(start, stop), low)
+        flat = (pre_flat[g_low] + (p * na)[:, None])[:, None, :] + q  # (left, q, h_low)
+        head = low_cols.take(pre_rank[g_low], axis=1)[:, :, None, :]  # D_{n-1}[r], shared by q
+        route_a = g.vec_mul(as_rows(head), as_rows(step.take(flat, axis=1)))
+        route_b = g.vec_mul(as_rows(dom_cols[:, start:stop, None, None]), right)
+        ok = step_ok.take(flat)
+        for k in range(g.dim):  # each coordinate is one contiguous column
+            ok &= route_a[..., k] == route_b[..., k]
+        mismatches += ok.size - int(np.count_nonzero(ok))
+        total += ok.size
 
     rng = random.Random(seed)
     spot_bad = 0

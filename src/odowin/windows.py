@@ -146,6 +146,8 @@ class WindowSpec:
                 f"need a sector in 1..{self.k} for each of the {size_l} level-"
                 f"{self.sector_level} cylinders"
             )
+        if max(sectors) < self.k:
+            raise ConstructionError(f"k = {self.k}, but no cylinder lies in sector {self.k}")
         classes = self.level_class or ()
         if len(classes) != self.cap or not all(1 <= c <= self.k for c in classes):
             raise ConstructionError(f"need a class in 1..{self.k} for each of the {self.cap} levels")
@@ -158,9 +160,22 @@ class WindowSpec:
                 )
         if self.punctures and self.kind != "ktilde":
             raise ConstructionError("only ktilde windows carry punctures")
+        if self.kind == "ktilde":
+            designated = self.designated_levels()
+            if [lvl for lvl, _ranks in self.punctures] != designated:
+                raise ConstructionError(
+                    f"punctures must lie at the designated levels {designated} (levels above "
+                    f"the sector level with class {self.k}), one entry each in level order"
+                )
         for lvl, ranks in self.punctures:
             if not 1 <= lvl <= self.cap or not all(0 <= r < ds.size(lvl) for r in ranks):
                 raise ConstructionError(f"puncture at level {lvl} outside the built cylinders")
+
+    def designated_levels(self) -> list[int]:
+        """Levels above the sector level with class k: the levels a ktilde window punctures."""
+        return [
+            n for n in range(self.sector_level + 1, self.cap + 1) if self.level_class[n - 1] == self.k
+        ]
 
     def sector_of(self, ranks: np.ndarray) -> np.ndarray:
         """Sectors of cylinders given by their ranks at a level >= L; 1 for perf.
@@ -496,12 +511,7 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
     if len(hk_l) < 2:
         raise ConstructionError("top sector must contain at least two boundary cylinders")
     punctures: list[tuple[int, tuple[int, ...]]] = []
-    designated = [
-        n
-        for n in range(lvl_l + 1, spec.cap + 1)
-        if spec.level_class[n - 1] == spec.k
-    ]
-    for i, n in enumerate(designated):
+    for i, n in enumerate(spec.designated_levels()):
         parents = top_pendings(n - 1)
         a_digit = spec.partitions[n - 1].interior[0]
         a_idx = ds.alphabet_index(n, a_digit)

@@ -106,6 +106,12 @@ def malformed_windows(w_kt):
         "puncture-inherited-interior": re.sub(
             r"^level 4 = \d+$", f"level 4 = {inherited}", text, flags=re.M
         ),
+        # no level-1 cylinder lies in sector 4
+        "k-above-every-sector": re.sub(r"^k = 3$", "k = 4", text, flags=re.M),
+        # level 6 becomes a designated (class-k) level with no puncture
+        "designated-level-unpunctured": re.sub(
+            r"(\[level 6\]\n(?:[^\[\n]*\n)*?)class = 2$", r"\g<1>class = 3", text, flags=re.M
+        ),
     }
     assert text not in edits.values()
     return edits

@@ -557,6 +557,77 @@ def test_two_route_report_is_independent_of_blocks(name):
             assert verify_carry_identity(ds, n, chunk=chunk) == want
 
 
+@pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
+def test_domain_rank_order_is_prefix_times_digit(name):
+    # D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d], exhaustively, by scalar products
+    ds = presets.domains(name, 4)
+    grp = ds.group
+    for n in range(1, 5):
+        low, dom = ds.domain_list(n - 1), ds.domain_list(n)
+        for d, t in enumerate(ds.alphabet(n)):
+            for r, head in enumerate(low):
+                assert dom[r + len(low) * d] == grp.mul(head, t)
+
+
+def reference_two_route_mismatches(ds, n, chunk=1 << 15):
+    """Mismatch count of the two-route oracle, row-major with per-pair level-n ranks.
+
+    Route A gathers D_n at each pair's rank r + size(n-1)·d and its state's
+    carry, route B forms g·h, and a pair passes iff D_n[rank]·c = g·h with c
+    in Γ_n; blocks of left factors against all of D_n, ``chunk`` pairs each.
+    """
+    g, auto = ds.group, ds.automaton(n)
+    size, low = ds.size(n), ds.size(n - 1)
+    na = size // low
+    dom = ds.domain_array(n)
+    carry_elems = g.to_array([c for c, _ctx in auto.states[n]])
+    in_gamma = g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0
+    prefix = np.arange(low)
+    pre_rank, pre_state = auto.batch_product(np.repeat(prefix, low), np.tile(prefix, low), n - 1)
+    pre_rank, pre_state = pre_rank.reshape(low, low), pre_state.reshape(low, low)
+    step_digit = auto.trans_digit[n - 1].reshape(-1)
+    step_state = auto.trans_state[n - 1].reshape(-1)
+    q = np.repeat(np.arange(na), low)
+    rows = max(1, chunk // size)
+    mismatches = 0
+    for start in range(0, size, rows):
+        gi = np.arange(start, min(start + rows, size))
+        p, g_low = np.divmod(gi, low)
+        flat = ((np.tile(pre_state[g_low], na) * na + p[:, None]) * na + q).reshape(-1)
+        out_rank = np.tile(pre_rank[g_low], na).reshape(-1) + low * step_digit.take(flat)
+        state = step_state.take(flat)
+        prod = g.vec_mul(dom[gi][:, None, :], dom[None, :, :]).reshape(-1, g.dim)
+        eq = g.vec_mul(dom.take(out_rank, axis=0), carry_elems.take(state, axis=0)) == prod
+        mismatches += int(np.count_nonzero(~(eq.all(axis=1) & in_gamma.take(state))))
+    return mismatches
+
+
+@pytest.mark.parametrize("name, n", [("z-carry", 4), ("z2-pow2", 4), ("heis-pow2", 3)])
+def test_two_route_matches_reference_loop(name, n):
+    # Step table and coordinate-major blocks against the row-major loop that
+    # gathers D_n at each pair's rank: equal counts with no corruption, with
+    # one wrong top-level digit and with one wrong top-level state.
+    ds = presets.domains(name, n)
+    auto = ds.automaton(n)
+    entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
+    assert verify_carry_identity(ds, n, rng_spot_checks=0)["mismatches"] == 0
+    assert reference_two_route_mismatches(ds, n) == 0
+    for table, choices in (
+        (auto.trans_digit[n - 1], len(ds.alphabet(n))),
+        (auto.trans_state[n - 1], len(auto.states[n])),
+    ):
+        old = table[entry]
+        table[entry] = (old + 1) % choices
+        try:
+            want = reference_two_route_mismatches(ds, n)
+            assert want > 0
+            for chunk in (1, 1 << 15):
+                got = verify_carry_identity(ds, n, chunk=chunk, rng_spot_checks=0)
+                assert got["mismatches"] == want
+        finally:
+            table[entry] = old
+
+
 @pytest.fixture(scope="module")
 def d3_truth(request):
     """Scalar truth over D_3 × D_3 of one preset, computed once per module.

@@ -190,8 +190,12 @@ def test_irredundancy_per_parent_fails(w_k):
 
 
 def test_irredundancy_corrupt_sectors_fails(w_k):
-    spec = replace(w_k[2].spec, sector_of_rank=tuple(1 for _ in w_k[2].spec.sector_of_rank))
-    win = Window(spec, w_k[2].ds)
+    # the top sector keeps one level-1 cylinder, but not a boundary one
+    base = w_k[2]
+    off_boundary = np.setdiff1d(np.arange(base.ds.size(1)), base.tree.pending_ranks[0])[0]
+    sectors = [1] * base.ds.size(1)
+    sectors[off_boundary] = 2
+    win = Window(replace(base.spec, sector_of_rank=tuple(sectors)), base.ds)
     assert not check_irredundancy(win).passed
 
 
@@ -290,19 +294,38 @@ def test_ktilde_punctures(w_k, w_kt):
                 assert n_in >= 1
 
 
-def test_ktilde_empty_rule_is_identity(w_k):
-    spec = replace(w_k[2].spec, kind="ktilde", e_rule="dovetail", punctures=())
-    tree = CylinderTree(w_k[2].ds, spec)
-    for n in range(w_k[2].cap):
-        assert np.array_equal(tree.class_by_rank[n], w_k[2].tree.class_by_rank[n])
+def test_ktilde_empty_rule_is_identity(w_heis_k2):
+    # with no designated level a ktilde window has no punctures and the k tree
+    assert w_heis_k2.spec.designated_levels() == []
+    spec = replace(w_heis_k2.spec, kind="ktilde", e_rule="dovetail", punctures=())
+    tree = CylinderTree(w_heis_k2.ds, spec)
+    for n in range(w_heis_k2.cap):
+        assert np.array_equal(tree.class_by_rank[n], w_heis_k2.tree.class_by_rank[n])
 
 
-def test_ktilde_bad_puncture_rejected(w_k):
+def test_ktilde_bad_puncture_rejected(w_k, w_kt):
     win = w_k[2]
     out_rank = int(np.nonzero(win.tree.class_by_rank[2] == CLS_OUT)[0][0])
-    spec = replace(win.spec, kind="ktilde", punctures=((3, (out_rank,)),))
+    (lvl, _ranks), *rest = w_kt[2].spec.punctures
+    assert lvl == 3
+    spec = replace(w_kt[2].spec, punctures=((3, (out_rank,)), *rest))
     with pytest.raises(ConstructionError, match="not an interior cylinder"):
         CylinderTree(win.ds, spec)
+
+
+def test_k_above_every_sector_rejected(w_k):
+    # classes and sectors stay in 1..k, but no cylinder lies in sector k
+    with pytest.raises(ConstructionError, match="no cylinder lies in sector 4"):
+        Window(replace(w_k[3].spec, k=4), w_k[3].ds)
+
+
+def test_ktilde_punctures_only_at_designated_levels(w_kt):
+    spec = w_kt[3].spec
+    assert [lvl for lvl, _ in spec.punctures] == spec.designated_levels() == [4]
+    (lvl, ranks), = spec.punctures
+    for punctures in ((), ((lvl, ranks), (lvl, ranks)), ((lvl, ranks), (6, ranks))):
+        with pytest.raises(ConstructionError, match=r"designated levels \[4\]"):
+            CylinderTree(w_kt[3].ds, replace(spec, punctures=punctures))
 
 
 def test_class_below_the_sector_level_rejected(w_fiber):
