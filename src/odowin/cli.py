@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--config", required=True)
     b.add_argument("--out")
     b.add_argument("--cap", type=int)
-    b.add_argument("--seed", type=int)
     b.add_argument("--mode", choices=["perf", "k", "ktilde"])
     b.add_argument("--strict-e-rule", action="store_true")
 

@@ -33,6 +33,9 @@ import numpy as np
 
 from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, row_keys
 
+# Bytes one level's domain D_n may take: modulus**dim rows of dim int64 coordinates.
+_DOMAIN_BYTES = 1 << 30
+
 # Transition rows the closure forms at once; a block holds whole source states,
 # at least one, so a level needs O(max(budget, #alphabet²)) scratch memory.
 _CLOSURE_ROWS = 1 << 14
@@ -113,13 +116,23 @@ class DomainSequence:
         return self.modulus(n) ** self.group.dim
 
     def append_level(self, modulus: int) -> None:
-        """Extend by one level with the canonical transversal mod ``modulus``."""
+        """Extend by one level with the canonical transversal mod ``modulus``.
+
+        D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d] is one broadcast product.  A
+        level over ``_DOMAIN_BYTES`` is refused before its transversal is listed.
+        """
         g = self.group
         n = self.levels + 1
         m_prev = self.modulus(n - 1)
         if modulus <= m_prev or modulus % m_prev:
             raise ConstructionError(
                 f"level {n}: modulus {modulus} must be a proper multiple of {m_prev}"
+            )
+        index = modulus ** g.dim
+        if index * g.dim * 8 > _DOMAIN_BYTES:
+            raise ConstructionError(
+                f"level {n}: modulus {modulus} gives a domain of {index} elements "
+                f"({index * g.dim * 8} bytes), over the {_DOMAIN_BYTES}-byte budget for one level"
             )
         alphabet = g.canonical_transversal(m_prev, modulus)
         if alphabet[0] != g.identity:
@@ -132,7 +145,7 @@ class DomainSequence:
                 "not in the previous subgroup"
             )
         prev = self._dom[-1]
-        dom = g.vec_mul(np.tile(prev, (len(alphabet), 1)), np.repeat(t_arr, len(prev), axis=0))
+        dom = g.vec_mul(prev[None], t_arr[:, None]).reshape(-1, g.dim)
         rr = g.vec_residue_rank(dom, modulus)
         residues, first = np.unique(rr, return_index=True)
         owner = first[np.searchsorted(residues, rr)]  # first rank with the same residue
@@ -142,7 +155,6 @@ class DomainSequence:
             raise ConstructionError(
                 f"level {n}: duplicate coset for {g.fmt(later)} and {g.fmt(earlier)}"
             )
-        index = modulus ** g.dim
         if len(dom) != index:
             raise ConstructionError(
                 f"level {n}: domain has {len(dom)} elements, index is {index}"
@@ -510,12 +522,12 @@ def carry_mul(
 def carry_ranges(ds: DomainSequence, up_to: int) -> CarryRange:
     """Exact carry value sets K_1..K_{up_to} with witnesses.
 
-    K_j only involves transitions through level j-1, so ``up_to`` may exceed
-    the built levels by one.
+    K_j only involves transitions through level j-1, so the automaton is
+    closed to level ``up_to - 1`` and ``up_to`` may exceed the built levels by one.
     """
     if up_to < 1 or up_to > ds.levels + 1:
         raise ConstructionError(f"carry ranges available for 1..{ds.levels + 1}")
-    auto = ds.automaton(min(ds.levels, max(up_to - 1, 1)))
+    auto = ds.automaton(up_to - 1)
     rng = auto.carry_range
     return CarryRange(sets=rng.sets[:up_to], witnesses=rng.witnesses[:up_to])
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expansion import DomainSequence
+from .expansion import DomainSequence, carry_mul
 from .groups import Elem, PrecisionError, SubgroupChain
 
 
@@ -136,11 +136,7 @@ def odo_mul(ds: DomainSequence, x: OdometerPoint, y: OdometerPoint, n: int) -> O
             f"product to level {n} needs both factors at precision >= {n} "
             f"(have {x.precision} and {y.precision})"
         )
-    auto = ds.automaton(n)
-    g_idx = [ds.alphabet_index(j, x.digits[j - 1]) for j in range(1, n + 1)]
-    h_idx = [ds.alphabet_index(j, y.digits[j - 1]) for j in range(1, n + 1)]
-    out_idx, _carry = auto.product_digit_indices(g_idx, h_idx, n)
-    digits = tuple(ds.alphabet(j + 1)[i] for j, i in enumerate(out_idx))
+    digits, _carry = carry_mul(ds, x.digits, y.digits, n)
     rat = None
     if x.rational_for is not None and y.rational_for is not None:
         rat = ds.group.mul(x.rational_for, y.rational_for)

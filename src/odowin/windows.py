@@ -326,28 +326,30 @@ class Report:
 # -- van Hove boundaries ------------------------------------------------------
 
 
+def translate_mask(ds: DomainSequence, left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    """Mask of left[i]·right[j] ∈ D_n for element rows; a product in D_n is its own head."""
+    g = ds.group
+    prod = g.vec_mul(left[:, None], right[None]).reshape(-1, g.dim)
+    inside = np.all(ds.domain_array(n)[ds.vec_rank(prod, n)] == prod, axis=1)
+    return inside.reshape(len(left), len(right))
+
+
 def vanhove_boundary(ds: DomainSequence, probe: Sequence[Elem], n: int) -> list[Elem]:
     """Exact probe-boundary of D_n: elements g whose probe^{-1}·g set straddles D_n."""
     g = ds.group
-    dom = ds.domain_array(n)
     ks = g.to_array(probe)
-
-    def products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Every left row times every right row, left-major."""
-        return g.vec_mul(np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1)))
-
     # Distinct rows in lexicographic order, which is the canonical order.
-    rows = products(ks, dom)
+    rows = g.vec_mul(ks[:, None], ds.domain_array(n)[None]).reshape(-1, g.dim)
     candidates = rows[np.unique(row_keys(rows), return_index=True)[1]]
-    x = products(g.vec_inv(ks), candidates)
-    hits = np.all(dom[ds.vec_rank(x, n)] == x, axis=1).reshape(len(ks), len(candidates))
+    hits = translate_mask(ds, g.vec_inv(ks), candidates, n)
     return g.from_array(candidates[hits.any(axis=0) & ~hits.all(axis=0)])
 
 
 def carry_safe_digits(ds: DomainSequence, carries: Sequence[Elem], n: int) -> list[Elem]:
     """Alphabet digits t with carries·t fully inside D_n (eligible boundary digits)."""
-    g = ds.group
-    return [t for t in ds.alphabet(n) if all(ds.in_domain(g.mul(k, t), n) for k in carries)]
+    g, alphabet = ds.group, ds.alphabet(n)
+    safe = translate_mask(ds, g.to_array(carries), g.to_array(alphabet), n).all(axis=0)
+    return [t for t, ok in zip(alphabet, safe.tolist()) if ok]
 
 
 def folner_ratio(ds: DomainSequence, carries: Sequence[Elem], n: int) -> Fraction:
@@ -589,23 +591,17 @@ def check_genericity(win: Window) -> Report:
         return Report("genericity", False, lines, {"bad_levels": bad_levels, "witness": digits})
 
     size = ds.size(spec.cap)
-    dig = ds.vec_digit_indices(ds.domain_array(spec.cap), spec.cap)
-    boundary_mask = []
-    for n in range(1, spec.cap + 1):
-        bset = {ds.alphabet_index(n, t) for t in spec.partitions[n - 1].boundary}
-        mask = np.zeros(len(ds.alphabet(n)), dtype=bool)
-        mask[list(bset)] = True
-        boundary_mask.append(mask)
     escape = np.full(size, spec.cap + 1, dtype=np.int64)
     alive = np.ones(size, dtype=bool)
-    for n in range(1, spec.cap + 1):
-        onb = boundary_mask[n - 1][dig[:, n - 1]]
-        escaped = alive & ~onb
-        escape[escaped] = n
+    depth = np.zeros(size, dtype=np.int64)  # last level with a non-identity digit
+    # D_cap[r] has rank r, so its digit indices are the radix digits of r.
+    for n, idx in enumerate(ds.radix_digits(np.arange(size), spec.cap), start=1):
+        boundary_mask = np.zeros(len(ds.alphabet(n)), dtype=bool)
+        boundary_mask[[ds.alphabet_index(n, t) for t in spec.partitions[n - 1].boundary]] = True
+        onb = boundary_mask[idx]
+        escape[alive & ~onb] = n
         alive &= onb
-    # Depth of each element: last level with a non-identity digit.
-    nz = dig != 0
-    depth = np.where(nz.any(axis=1), spec.cap - np.argmax(nz[:, ::-1], axis=1), 0)
+        depth[idx != 0] = n
     late = escape > np.minimum(depth + 2, spec.cap + 1)
     tail_certified = int(alive.sum())
     ok = not late.any()
@@ -671,30 +667,23 @@ def check_irredundancy(win: Window) -> Report:
 
 
 def check_self_similarity(win: Window) -> Report:
-    """Carry translates of every boundary digit stay inside the domain."""
+    """Carry translates of every boundary digit stay inside the domain.
+
+    A failure's witness is the first level, boundary digit and carry, in that order.
+    """
     ds, spec, carries = win.ds, win.spec, win.carries
     g = ds.group
-    lines = []
-    witness = None
     for n in range(1, spec.cap + 1):
-        for c in spec.partitions[n - 1].boundary:
-            for k in carries.level(n):
-                if not ds.in_domain(g.mul(k, c), n):
-                    witness = {"level": n, "carry": k, "digit": c}
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    if witness:
-        lines.append(
-            f"FAIL at level {witness['level']}: carry {g.fmt(witness['carry'])} "
-            f"pushes boundary digit {g.fmt(witness['digit'])} outside the domain"
-        )
-        return Report("self_similarity", False, lines, {"witness": witness})
-    lines.append(
-        f"carry·digit stays inside the domain for all boundary digits, levels 1..{spec.cap}"
-    )
+        level_carries, boundary = carries.level(n), spec.partitions[n - 1].boundary
+        inside = translate_mask(ds, g.to_array(level_carries), g.to_array(boundary), n)
+        bad = np.flatnonzero(~inside.all(axis=0))
+        if bad.size:  # the first failing digit's first failing carry: argmin finds a False
+            k, c = level_carries[np.argmin(inside[:, bad[0]])], boundary[bad[0]]
+            witness = {"level": n, "carry": k, "digit": c}
+            lines = [f"FAIL at level {n}: carry {g.fmt(k)} pushes boundary digit {g.fmt(c)} "
+                     "outside the domain"]
+            return Report("self_similarity", False, lines, {"witness": witness})
+    lines = [f"carry·digit stays inside the domain for all boundary digits, levels 1..{spec.cap}"]
     return Report("self_similarity", True, lines, {})
 
 

@@ -183,6 +183,24 @@ def test_bad_flags_exit_two(tmp_path, cfg, capsys):
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
 
 
+def test_oversized_level_exits_two(tmp_path, cfg, capsys, w_heis):
+    # a level whose domain would exceed the byte budget is refused before it is built;
+    # the build telescopes past 64 and does not skip 512
+    deep = HEIS_CFG.replace("moduli = 2,8", "moduli = 2,8,64,512").replace(
+        "kind = ktilde", "kind = perf").replace("cap = 2", "cap = 3")
+    wfile = tmp_path / "heis.txt"
+    wfile.write_text(serialize_window(w_heis).replace("moduli = 2,8\n", "moduli = 2,512\n"))
+    capsys.readouterr()
+    for argv, level in (
+        (["build", "--config", cfg("deep.cfg", deep), "--out", str(tmp_path / "x")], 3),
+        (["verify", str(wfile)], 2),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, argv
+        assert f"level {level}: modulus 512 gives a domain of 134217728 elements (3221225472 bytes)" in err[0]
+
+
 def test_malformed_window_exits_two(tmp_path, malformed_windows):
     for label, text in malformed_windows.items():
         path = tmp_path / f"{label}.txt"

@@ -180,6 +180,8 @@ def _broken_z(reps):
         ([2, 4], {(2, 4): [0, 1]}, "level 2: transversal element 1 not in the previous subgroup"),
         ([2, 4], {(2, 4): [0, 4]}, "level 2: duplicate coset for 4 and 0"),
         ([2], {(1, 2): [0]}, "level 1: domain has 1 elements, index is 2"),
+        ([2, 1 << 28], {}, "level 2: modulus 268435456 gives a domain of 268435456 elements "
+         "(2147483648 bytes), over the 1073741824-byte budget for one level"),
     ],
 )
 def test_append_level_rejections(moduli, reps, message):
@@ -559,10 +561,12 @@ def test_two_route_report_is_independent_of_blocks(name):
 
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
 def test_domain_rank_order_is_prefix_times_digit(name):
-    # D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d], exhaustively, by scalar products
+    # D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d], exhaustively, by scalar products;
+    # and D_n[r] has rank r
     ds = presets.domains(name, 4)
     grp = ds.group
     for n in range(1, 5):
+        assert np.array_equal(ds.vec_rank(ds.domain_array(n), n), np.arange(ds.size(n)))
         low, dom = ds.domain_list(n - 1), ds.domain_list(n)
         for d, t in enumerate(ds.alphabet(n)):
             for r, head in enumerate(low):

@@ -26,6 +26,7 @@ from odowin.windows import (
     folner_ratio,
     parse_window,
     serialize_window,
+    translate_mask,
     vanhove_boundary,
     verify_window,
 )
@@ -149,6 +150,20 @@ def test_carry_safe_equals_vanhove_complement(w_irr):
         assert safe == {t for t in ds.alphabet(n) if t not in bnd}
 
 
+@pytest.mark.parametrize("name", ["w_irr", "w_fiber", "w_z2", "w_heis"])
+def test_translate_mask_matches_scalar_membership(request, name):
+    # every (carry, digit) pair of every level, against the scalar membership test
+    win = request.getfixturevalue(name)
+    ds, g = win.ds, win.group
+    outside = 0
+    for n in range(1, win.cap + 1):
+        carries, alphabet = win.carries.level(n), ds.alphabet(n)
+        mask = translate_mask(ds, g.to_array(carries), g.to_array(alphabet), n)
+        assert mask.tolist() == [[ds.in_domain(g.mul(k, t), n) for t in alphabet] for k in carries]
+        outside += int((~mask).sum())
+    assert outside  # some carry pushes some digit out of D_n
+
+
 def test_folner_ratios_decrease(w_irr):
     ratios = [folner_ratio(w_irr.ds, w_irr.carries.level(n), n) for n in range(1, w_irr.cap + 1)]
     assert ratios[0] == 0  # level-1 carries are only the identity
@@ -217,6 +232,70 @@ def test_self_similarity_pass_and_fail(w_irr):
     win = Window(spec, ds)
     rep = check_self_similarity(win)
     assert not rep.passed and rep.data["witness"]["level"] == 2
+
+
+def reference_self_similarity_witness(win):
+    """The scalar loop behind the self-similarity check: first level, boundary digit, carry."""
+    ds, g = win.ds, win.group
+    for n in range(1, win.cap + 1):
+        for c in win.spec.partitions[n - 1].boundary:
+            for k in win.carries.level(n):
+                if not ds.in_domain(g.mul(k, c), n):
+                    return {"level": n, "carry": k, "digit": c}
+    return None
+
+
+def reference_genericity(win):
+    """(passed, tail_certified, escape histogram) from the digit-index matrix of D_cap's rows."""
+    ds, cap = win.ds, win.cap
+    dig = ds.vec_digit_indices(ds.domain_array(cap), cap)
+    escape = np.full(len(dig), cap + 1)
+    alive = np.ones(len(dig), dtype=bool)
+    for n in range(1, cap + 1):
+        onb = np.isin(dig[:, n - 1], [ds.alphabet_index(n, t) for t in win.spec.partitions[n - 1].boundary])
+        escape[alive & ~onb] = n
+        alive &= onb
+    nz = dig != 0
+    depth = np.where(nz.any(axis=1), cap - np.argmax(nz[:, ::-1], axis=1), 0)
+    late = escape > np.minimum(depth + 2, cap + 1)
+    histogram = {int(lv): int((escape == lv).sum()) for lv in sorted(set(escape.tolist()))}
+    return not late.any(), int(alive.sum()), histogram
+
+
+def corrupted_windows(win):
+    """Per level, copies whose boundary trades its first 1, 2 or 3 digits for the last interior ones.
+
+    The identity is never moved, so genericity reaches its escape histogram.
+    """
+    for n, part in enumerate(win.spec.partitions, start=1):
+        pool = [t for t in part.interior if t != win.group.identity]
+        for s in (1, 2, 3):
+            m = min(s, len(part.boundary), len(pool))
+            out, into = part.boundary[:m], tuple(pool[-m:])
+            parts = list(win.spec.partitions)
+            parts[n - 1] = LevelPartition(
+                tuple(t for t in part.interior if t not in into) + out,
+                part.exterior,
+                part.boundary[m:] + into,
+            )
+            yield Window(replace(win.spec, partitions=tuple(parts)), win.ds)
+
+
+@pytest.mark.parametrize("name", ["w_irr", "w_fiber", "w_z2", "w_heis"])
+def test_checks_match_reference_loops_on_corrupted_partitions(request, name):
+    win = request.getfixturevalue(name)
+    failing_levels = set()
+    for bad in corrupted_windows(win):
+        want = reference_self_similarity_witness(bad)
+        rep = check_self_similarity(bad)
+        assert rep.passed == (want is None) and rep.data.get("witness") == want
+        if want is not None:
+            failing_levels.add(want["level"])
+        rep = check_genericity(bad)
+        assert (rep.passed, rep.data["tail_certified"], rep.data["escape_histogram"]) == (
+            reference_genericity(bad)
+        )
+    assert failing_levels  # the swaps put carry-unsafe digits on the boundary
 
 
 def test_interval_containment_oracle(w_irr):
