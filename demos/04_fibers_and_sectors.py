@@ -35,7 +35,8 @@ fib = enumerate_fiber(win, xi, patch)
 print(f"\n== fiber candidates over the shift: {len(fib.candidates)} "
       f"(pairwise distinct: {fib.distinct()}) ==")
 hitters = rep.hitters()
-for label, cand in zip(fib.labels, fib.candidates):
+for c, label in enumerate(fib.labels):
+    cand = fib.candidate(c)
     bits = "".join(str(cand.values[g]) for g in hitters)
     print(f"  {label}: values on hitters {bits}")
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .fibers import birkhoff_stats, critical_point, enumerate_fiber
 from .groups import ConstructionError, group_by_name, geometric_moduli
-from .model_sets import emit_patch, patch_jsonl, patch_pgm
+from .model_sets import VALUE_OF_CODE, emit_patch, patch_jsonl, patch_pgm
 from .odometer import embed, sample_point
 from .presets import CHAINS
 from .windows import (
@@ -155,8 +155,6 @@ def cmd_build(args) -> int:
         win = window_from_config(load_config(args.config), args)
     except configparser.Error as exc:
         raise ConfigError(f"config file {args.config}: {' '.join(str(exc).split())}")
-    out = Path(args.out or "window-out")
-    _write(out / "window.txt", serialize_window(win))
     report = {
         "kind": win.spec.kind,
         "group": win.spec.group_name,
@@ -174,6 +172,9 @@ def cmd_build(args) -> int:
         },
         "telescoping": win.build_log,
     }
+    # The report is complete before either file is written: a refused level writes nothing.
+    out = Path(args.out or "window-out")
+    _write(out / "window.txt", serialize_window(win))
     _write(out / "build_report.json", json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
     print(f"window written to {out / 'window.txt'}")
     for n in range(1, win.cap + 1):
@@ -215,7 +216,7 @@ def cmd_emit(args) -> int:
     text = patch_jsonl(win, patch)
     if args.out:
         _write(Path(args.out), text)
-        print(f"patch written to {args.out} ({len(patch.positions)} positions, "
+        print(f"patch written to {args.out} ({len(patch.ranks)} positions, "
               f"{len(patch.undecided())} undecided)")
     else:
         sys.stdout.write(text)
@@ -245,7 +246,6 @@ def cmd_fiber(args) -> int:
     rep = fib.report
     g = win.group
     hitters = [g.fmt(h) for h in rep.hitters()]
-    hitter_index = [i for idx in rep.index for i in idx]
     report = {
         "window": win.window_id,
         "shift_digits": [g.fmt(d) for d in xi.digits],
@@ -258,8 +258,8 @@ def cmd_fiber(args) -> int:
         "distinct": distinct,
         "labels": fib.labels,
         "values_on_hitters": {
-            label: dict(zip(hitters, cand.values_at(hitter_index)))
-            for label, cand in zip(fib.labels, fib.candidates)
+            label: dict(zip(hitters, (VALUE_OF_CODE[c] for c in row)))
+            for label, row in zip(fib.labels, fib.candidates.tolist())
         },
     }
     # The report holds only str, int, bool, None, lists and str-keyed dicts.

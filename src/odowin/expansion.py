@@ -33,8 +33,9 @@ import numpy as np
 
 from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, row_keys
 
-# Bytes one level's domain D_n may take: modulus**dim rows of dim int64 coordinates.
-_DOMAIN_BYTES = 1 << 30
+# Bytes one int64 row array may take: a level's domain D_n (modulus**dim rows
+# of dim coordinates), or a product of element rows formed in one step.
+ARRAY_BUDGET = 1 << 30
 
 # Transition rows the closure forms at once; a block holds whole source states,
 # at least one, so a level needs O(max(budget, #alphabet²)) scratch memory.
@@ -119,7 +120,7 @@ class DomainSequence:
         """Extend by one level with the canonical transversal mod ``modulus``.
 
         D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d] is one broadcast product.  A
-        level over ``_DOMAIN_BYTES`` is refused before its transversal is listed.
+        level over ``ARRAY_BUDGET`` is refused before its transversal is listed.
         """
         g = self.group
         n = self.levels + 1
@@ -129,10 +130,10 @@ class DomainSequence:
                 f"level {n}: modulus {modulus} must be a proper multiple of {m_prev}"
             )
         index = modulus ** g.dim
-        if index * g.dim * 8 > _DOMAIN_BYTES:
+        if index * g.dim * 8 > ARRAY_BUDGET:
             raise ConstructionError(
                 f"level {n}: modulus {modulus} gives a domain of {index} elements "
-                f"({index * g.dim * 8} bytes), over the {_DOMAIN_BYTES}-byte budget for one level"
+                f"({index * g.dim * 8} bytes), over the {ARRAY_BUDGET}-byte budget for one level"
             )
         alphabet = g.canonical_transversal(m_prev, modulus)
         if alphabet[0] != g.identity:
@@ -457,6 +458,13 @@ class CarryAutomaton:
             out += self.trans_digit[j - 1].reshape(-1)[flat] * self.ds.size(j - 1)
             state = self.trans_state[j - 1].reshape(-1)[flat]
         return out, state
+
+
+def check_rows(n: int, rows: int, dim: int) -> None:
+    """Refuse, before it is formed, a level-n product of ``rows`` rows over ``ARRAY_BUDGET``."""
+    if rows * dim * 8 > ARRAY_BUDGET:
+        raise ConstructionError(f"level {n}: a product of {rows} rows ({rows * dim * 8} bytes) "
+                                f"is over the {ARRAY_BUDGET}-byte budget")
 
 
 def _check_ranks(size: int, n: int, *ranks) -> None:

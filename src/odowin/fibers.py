@@ -9,6 +9,10 @@ a hitter exactly when its class index reaches the candidate's threshold, and
 a punctured window additionally contributes one candidate per top-class hitter
 with that single position flipped to 0.
 
+Every candidate equals the shifted base patch off the hitters, so a fiber is
+stored as that one patch plus a (candidates, hitters) code matrix; a full
+candidate patch is materialized only on request.
+
 Everything here is certified at the tree cap on the given patch: region tests
 are exact cylinder enumerations, and empirical frequencies over the level-n
 domain equal exact cylinder censuses (shifting by ξ permutes the level-n
@@ -26,7 +30,7 @@ import numpy as np
 
 from .groups import ConstructionError, Elem, PrecisionError
 from .model_sets import SymbolicPatch, patch_cylinders, shifted_patch
-from .odometer import OdometerPoint, head_of_point, rank_of_point
+from .odometer import OdometerPoint, head_of_point, rank_of_point, sample_point
 from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window
 
 
@@ -53,14 +57,29 @@ class SimilarityReport:
 
 @dataclass
 class FiberSet:
-    """Candidate fiber elements restricted to a patch."""
+    """Candidate fiber elements restricted to a patch.
 
-    candidates: list[SymbolicPatch]
+    ``patch`` is the shifted base patch; ``hitters`` are its boundary hitters'
+    patch indices in report order, and row c of the int8 ``candidates`` matrix
+    is candidate c's codes on them.  Off the hitters every candidate equals
+    the base patch.
+    """
+
+    patch: SymbolicPatch
+    hitters: np.ndarray
+    candidates: np.ndarray
     labels: list[str]
     report: SimilarityReport
 
+    def candidate(self, c: int) -> SymbolicPatch:
+        """Candidate c as a full patch."""
+        codes = self.patch.codes.copy()
+        codes[self.hitters] = self.candidates[c]
+        return replace(self.patch, codes=codes)
+
     def distinct(self) -> int:
-        return len({c.codes.tobytes() for c in self.candidates})
+        # Exact: candidates differ only on the hitters.
+        return len({row.tobytes() for row in self.candidates})
 
 
 def critical_point(
@@ -103,21 +122,24 @@ def boundary_hitters_exact(win: Window, xi: OdometerPoint) -> list[tuple[Elem, i
 
 def _classified(
     win: Window, xi: OdometerPoint, patch: Sequence[Elem] | None, patch_level: int
-) -> tuple[SymbolicPatch, SimilarityReport]:
-    """The shifted patch and its boundary hitters, split by the sector of their orbit point."""
-    ds = win.ds
-    positions, ranks = patch_cylinders(win, patch, patch_level)
-    base, orbit = shifted_patch(win, xi, positions, ranks)
+) -> tuple[SymbolicPatch, SimilarityReport, np.ndarray, np.ndarray]:
+    """The shifted patch and its boundary hitters, split by the sector of their orbit point.
+
+    Also returns the hitters' patch indices and class indices in report order.
+    """
+    base, orbit = shifted_patch(win, xi, *patch_cylinders(win, patch, patch_level))
     pending = np.flatnonzero(base.codes == CLS_PENDING)
     sectors = win.spec.sector_of(orbit[pending])
-    key = ds.group.sort_key
-    index = [
-        sorted(pending[sectors == j].tolist(), key=lambda i: key(positions[i]))
-        for j in range(1, win.spec.k + 1)
-    ]
-    classes = [[positions[i] for i in idx] for idx in index]
+    # By sector, then canonical element order (lexicographic on rows); lexsort is stable.
+    order = np.lexsort([*base.rows[pending].T[::-1], sectors])
+    hitters, sectors = pending[order], sectors[order]
+    bounds = np.searchsorted(sectors, np.arange(1, win.spec.k + 2)).tolist()
+    elems = win.group.from_array(base.rows[hitters])
+    index = [hitters[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+    classes = [elems[a:b] for a, b in zip(bounds, bounds[1:])]
     atoms = list(classes[-1]) if win.spec.kind == "ktilde" else None
-    return base, SimilarityReport(tuple(xi.digits), win.cap, classes, atoms, index)
+    report = SimilarityReport(tuple(xi.digits), win.cap, classes, atoms, index)
+    return base, report, hitters, sectors
 
 
 def similarity_classes(
@@ -140,23 +162,19 @@ def enumerate_fiber(
     top-class hitter in the patch (that hitter flipped to 0).
     """
     level = win.cap if patch_level is None else patch_level
-    base, report = _classified(win, xi, patch, level)
+    base, report, hitters, cls = _classified(win, xi, patch, level)
     k = report.k
-    candidates, labels = [], []
-    for j in range(1, k + 2):
-        codes = base.codes.copy()
-        for cj, idx in enumerate(report.index, start=1):
-            codes[idx] = CLS_IN if cj >= j else CLS_OUT
-        candidates.append(replace(base, codes=codes))
-        labels.append(f"x{j}")
+    # x_j sets a hitter to IN iff its class index is at least j.
+    codes = np.where(cls >= np.arange(1, k + 2)[:, None], CLS_IN, CLS_OUT).astype(np.int8)
+    labels = [f"x{j}" for j in range(1, k + 2)]
     if win.spec.kind == "ktilde":
-        top = candidates[k - 1]  # x_k: assigns 1 to the whole top class
-        for i in report.index[-1]:
-            codes = top.codes.copy()
-            codes[i] = CLS_OUT
-            candidates.append(replace(base, codes=codes))
-            labels.append(f"x{k}-drop-{win.ds.group.fmt(base.positions[i])}")
-    return FiberSet(candidates, labels, report)
+        # x_k (all of the top class IN) with one top-class hitter set OUT.
+        top = np.flatnonzero(cls == k)
+        drops = np.repeat(codes[k - 1 : k], len(top), axis=0)
+        drops[np.arange(len(top)), top] = CLS_OUT
+        codes = np.concatenate([codes, drops])
+        labels += [f"x{k}-drop-{win.group.fmt(g)}" for g in report.classes[-1]]
+    return FiberSet(base, hitters, codes, labels, report)
 
 
 @dataclass
@@ -201,20 +219,17 @@ def t_region(
     def translate_codes(l: Elem) -> np.ndarray:
         return win.tree.vec_classify(ds.product_ranks(ds.rank_of(l, n), zetas, n))
 
-    acc = [translate_codes(l) for l in accept]
-    rej = [translate_codes(l) for l in reject]
+    checks = [(translate_codes(l), CLS_IN, CLS_OUT) for l in accept]
+    checks += [(translate_codes(l), CLS_OUT, CLS_IN) for l in reject]
     cert = np.ones(len(zetas), dtype=bool)
     excl = np.zeros(len(zetas), dtype=bool)
-    for codes in acc:
-        cert &= codes == CLS_IN
-        excl |= codes == CLS_OUT
-    for codes in rej:
-        cert &= codes == CLS_OUT
-        excl |= codes == CLS_IN
+    for codes, inside, outside in checks:  # the class a translate needs, and the one it must avoid
+        cert &= codes == inside
+        excl |= codes == outside
     undecided = ~cert & ~excl
     mismatched = 0
-    if len(acc) == 1 and len(rej) == 1:
-        mismatched = int((undecided & (acc[0] != rej[0])).sum())
+    if len(accept) == 1 and len(reject) == 1:
+        mismatched = int((undecided & (checks[0][0] != checks[1][0])).sum())
     certified = zip(*(d.tolist() for d in ds.radix_digits(zetas[cert], n)))
     return TRegionResult(
         eps_level,
@@ -259,9 +274,8 @@ def birkhoff_stats(win: Window, xi: OdometerPoint, levels: Sequence[int]) -> dic
         else:
             sector_freq[1] = freq_pending
             sector_census[1] = census_pending
-        densities = []
-        for j in range(1, k + 2):
-            densities.append(freq_in + sum(sector_freq.get(i, Fraction(0)) for i in range(j, k + 1)))
+        densities = [freq_in + sum(sector_freq.get(i, Fraction(0)) for i in range(j, k + 1))
+                     for j in range(1, k + 2)]
         out[n] = {
             "freq_interior": freq_in,
             "freq_boundary": freq_pending,
@@ -270,11 +284,9 @@ def birkhoff_stats(win: Window, xi: OdometerPoint, levels: Sequence[int]) -> dic
             "sector_freq": sector_freq,
             "sector_census": sector_census,
             "candidate_density": densities,
-            "census_match": freq_in == census_in
-            and freq_pending == census_pending
-            and all(
-                sector_freq[j] == sector_census[j] for j in sector_freq
-            ),
+            # Both sector dicts have the same keys, so dict equality is entrywise.
+            "census_match": (freq_in, freq_pending, sector_freq)
+            == (census_in, census_pending, sector_census),
         }
     return out
 
@@ -283,14 +295,5 @@ def coverage_fraction(
     win: Window, patch: Sequence[Elem], seeds: Sequence[int]
 ) -> tuple[Fraction, list[SimilarityReport]]:
     """Fraction of sampled shifts whose patch hits every class."""
-    from .odometer import sample_point
-
-    reports = []
-    covered = 0
-    for s in seeds:
-        xi = sample_point(win.ds, s, win.cap)
-        rep = similarity_classes(win, xi, patch)
-        reports.append(rep)
-        if rep.full_coverage():
-            covered += 1
-    return Fraction(covered, len(seeds)), reports
+    reports = [similarity_classes(win, sample_point(win.ds, s, win.cap), patch) for s in seeds]
+    return Fraction(sum(r.full_coverage() for r in reports), len(seeds)), reports

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import ConstructionError, Elem, PrecisionError
+from .groups import ConstructionError, Elem, GroupContext, PrecisionError
 from .odometer import OdometerPoint, embed, rank_of_point
 from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window, boundary_measure
 
@@ -29,31 +29,34 @@ VALUE_OF_CODE = {CLS_IN: 1, CLS_OUT: 0, CLS_PENDING: None}
 class SymbolicPatch:
     """Finite piece of a (possibly shifted) window array.
 
-    Fields: ``positions`` (the group elements, in patch order), ``ranks``
-    (int64 level-cap ranks of the positions), ``codes`` (int8 class
+    Fields: ``group`` and ``rows`` (the positions as int64 element rows, in
+    patch order; the default patch's rows are D_m itself, not a copy),
+    ``ranks`` (int64 level-cap ranks of the positions), ``codes`` (int8 class
     CLS_IN / CLS_OUT / CLS_PENDING of each position's shifted orbit point),
     and the provenance ``window_id``, ``shift_digits`` and ``level_used``
-    (the classification depth).  ``values[g]`` is the derived view: 1, 0, or
-    None (undecided at the tree cap).
+    (the classification depth).  ``positions`` (the group elements) and
+    ``values[g]`` (1, 0, or None when undecided at the tree cap) are derived
+    views, converted from the rows on first use.
     """
 
-    positions: tuple[Elem, ...]
+    group: GroupContext
+    rows: np.ndarray
     ranks: np.ndarray
     codes: np.ndarray
     window_id: str
     shift_digits: tuple[Elem, ...]
     level_used: int
 
-    def values_at(self, index) -> list[int | None]:
-        """Values (1, 0, None) at the given indices into the patch."""
-        return [VALUE_OF_CODE[c] for c in self.codes[index].tolist()]
+    @cached_property
+    def positions(self) -> list[Elem]:
+        return self.group.from_array(self.rows)
 
     @cached_property
     def values(self) -> dict[Elem, int | None]:
-        return dict(zip(self.positions, self.values_at(slice(None))))
+        return dict(zip(self.positions, (VALUE_OF_CODE[c] for c in self.codes.tolist())))
 
     def undecided(self) -> list[Elem]:
-        return [self.positions[i] for i in np.flatnonzero(self.codes == CLS_PENDING)]
+        return self.group.from_array(self.rows[self.codes == CLS_PENDING])
 
 
 def classify(win: Window, x: OdometerPoint) -> tuple[int, int]:
@@ -83,28 +86,29 @@ def shifted_orbit_ranks(win: Window, ranks: np.ndarray, xi: OdometerPoint) -> np
 
 def patch_cylinders(
     win: Window, patch: Sequence[Elem] | None, patch_level: int
-) -> tuple[tuple[Elem, ...], np.ndarray]:
-    """Positions and level-cap ranks of a patch.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Element rows and level-cap ranks of a patch.
 
-    The default patch (``patch`` None) is the domain at ``patch_level``, whose
-    level-cap ranks are 0..size - 1; an explicit patch is ranked row by row.
+    The default patch (``patch`` None) is the domain at ``patch_level``: its
+    rows are D_m itself and its level-cap ranks are 0..size - 1.  An explicit
+    patch is converted to rows once and ranked row by row.
     """
     ds = win.ds
     if patch is None:
         if not 0 <= patch_level <= win.cap:
             raise ConstructionError(f"patch level must lie in 0..{win.cap}")
-        return tuple(ds.domain_list(patch_level)), np.arange(ds.size(patch_level), dtype=np.int64)
-    positions = tuple(patch)
-    return positions, ds.vec_rank(ds.group.to_array(list(positions)), win.cap)
+        return ds.domain_array(patch_level), np.arange(ds.size(patch_level), dtype=np.int64)
+    rows = ds.group.to_array(list(patch))
+    return rows, ds.vec_rank(rows, win.cap)
 
 
 def shifted_patch(
-    win: Window, xi: OdometerPoint, positions: tuple[Elem, ...], ranks: np.ndarray
+    win: Window, xi: OdometerPoint, rows: np.ndarray, ranks: np.ndarray
 ) -> tuple[SymbolicPatch, np.ndarray]:
-    """The patch on these positions and the level-cap ranks of its shifted orbit points."""
+    """The patch on these rows and the level-cap ranks of its shifted orbit points."""
     orbit = shifted_orbit_ranks(win, ranks, xi)
     codes = win.tree.vec_classify(orbit)
-    patch = SymbolicPatch(positions, ranks, codes, win.window_id, tuple(xi.digits), win.cap)
+    patch = SymbolicPatch(win.group, rows, ranks, codes, win.window_id, tuple(xi.digits), win.cap)
     return patch, orbit
 
 
@@ -182,22 +186,21 @@ def patch_jsonl(win: Window, patch: SymbolicPatch) -> str:
 def patch_pgm(win: Window, patch: SymbolicPatch, level: int) -> bytes:
     """Grayscale image of a planar patch over the level box (0 black, 1 white, ? gray).
 
-    Only the plane group renders; positions are the level box in row-major
-    order (row = second coordinate).
+    Only the plane group renders; the image is the level box in row-major
+    order (row = second coordinate), and every box cell must be a position.
     """
-    ds = win.ds
-    if ds.group.name != "Z2":
+    if win.group.name != "Z2":
         raise ConstructionError("image rendering targets the plane group only")
-    m = ds.modulus(level)
-    shade = {CLS_IN: 255, CLS_OUT: 0, CLS_PENDING: 127}
-    grid = np.zeros((m, m), dtype=np.uint8)
-    seen = 0
-    for (x, y), code in zip(patch.positions, patch.codes.tolist()):
-        if 0 <= x < m and 0 <= y < m:
-            grid[y, x] = shade[code]
-            seen += 1
-    if seen != m * m:
+    m = win.ds.modulus(level)
+    shade = np.empty(3, dtype=np.uint8)
+    shade[[CLS_IN, CLS_OUT, CLS_PENDING]] = 255, 0, 127
+    x, y = patch.rows.T
+    inside = (0 <= x) & (x < m) & (0 <= y) & (y < m)
+    cells = y[inside] * m + x[inside]
+    if len(np.unique(cells)) != m * m:
         raise ConstructionError(f"patch does not cover the {m}x{m} box")
+    grid = np.zeros((m, m), dtype=np.uint8)
+    grid.flat[cells] = shade[patch.codes[inside]]
     header = f"P2\n{m} {m}\n255\n"
     body = "\n".join(" ".join(str(v) for v in row) for row in grid)
     return (header + body + "\n").encode()

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expansion import CarryRange, DomainSequence, carry_ranges
+from .expansion import CarryRange, DomainSequence, carry_ranges, check_rows
 from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, group_by_name, row_keys
 
 CLS_IN, CLS_OUT, CLS_PENDING = 0, 1, 2
@@ -261,11 +261,6 @@ class CylinderTree:
         """
         return self.class_by_rank[-1][ranks]
 
-    def children_classes(self, parent_rank: int, n: int) -> np.ndarray:
-        """Classes of the level-(n+1) children of a level-n cylinder."""
-        size_n = len(self.class_by_rank[n - 1]) if n else 1
-        return self.class_by_rank[n][parent_rank::size_n]
-
     def pending_equal(self, other: "CylinderTree") -> bool:
         if self.cap != other.cap:
             return False
@@ -329,15 +324,20 @@ class Report:
 def translate_mask(ds: DomainSequence, left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
     """Mask of left[i]·right[j] ∈ D_n for element rows; a product in D_n is its own head."""
     g = ds.group
+    check_rows(n, len(left) * len(right), g.dim)
     prod = g.vec_mul(left[:, None], right[None]).reshape(-1, g.dim)
     inside = np.all(ds.domain_array(n)[ds.vec_rank(prod, n)] == prod, axis=1)
     return inside.reshape(len(left), len(right))
 
 
 def vanhove_boundary(ds: DomainSequence, probe: Sequence[Elem], n: int) -> list[Elem]:
-    """Exact probe-boundary of D_n: elements g whose probe^{-1}·g set straddles D_n."""
+    """Exact probe-boundary of D_n: elements g whose probe^{-1}·g set straddles D_n.
+
+    Its probe·D_n product and the translate mask are held to the array budget.
+    """
     g = ds.group
     ks = g.to_array(probe)
+    check_rows(n, len(ks) * ds.size(n), g.dim)
     # Distinct rows in lexicographic order, which is the canonical order.
     rows = g.vec_mul(ks[:, None], ds.domain_array(n)[None]).reshape(-1, g.dim)
     candidates = rows[np.unique(row_keys(rows), return_index=True)[1]]
@@ -521,10 +521,7 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
         if e_rule == "per-parent":
             ranks = tuple(int(p) + base_size * a_idx for p in parents)
         else:
-            if e_rule == "dovetail":
-                target = hk_l[i % len(hk_l)]
-            else:
-                target = hk_l[0]
+            target = hk_l[i % len(hk_l)] if e_rule == "dovetail" else hk_l[0]
             size_l = ds.size(lvl_l)
             chosen = next(int(p) for p in parents if p % size_l == target)
             ranks = (chosen + base_size * a_idx,)
@@ -632,32 +629,21 @@ def check_irredundancy(win: Window) -> Report:
     """
     spec, tree = win.spec, win.tree
     lines, witnesses = [], {}
-    passed = True
     for n in range(0, spec.cap):
-        if n == 0:
-            # The root is the unique level-0 cylinder; its children are all
-            # level-1 cylinders.
-            outs = int((tree.class_by_rank[0] == CLS_OUT).sum())
-            if outs == 1:
-                witnesses[0] = "root"
-            else:
-                passed = False
-                lines.append(f"level 0: FAIL, root has {outs} excluded children")
-            continue
-        pool = tree.pending_ranks[n - 1]
+        # The root is the pending level-0 cylinder, rank 0.
+        pool = tree.pending_ranks[n - 1] if n else np.zeros(1, dtype=np.int64)
         if n >= spec.sector_level:
             pool = pool[spec.sector_of(pool) == spec.k]
-        found = None
-        for r in pool:
-            kids = tree.children_classes(int(r), n)
-            if int((kids == CLS_OUT).sum()) == 1:
-                found = int(r)
-                break
-        if found is None:
-            passed = False
+        # The children of rank r are column r of the next level in rows of size(n).
+        outs = (tree.class_by_rank[n].reshape(-1, win.ds.size(n))[:, pool] == CLS_OUT).sum(0)
+        one = np.flatnonzero(outs == 1)
+        if one.size:
+            witnesses[n] = int(pool[one[0]]) if n else "root"
+        elif n:
             lines.append(f"level {n}: FAIL, no boundary cylinder with one excluded child")
         else:
-            witnesses[n] = found
+            lines.append(f"level 0: FAIL, root has {int(outs[0])} excluded children")
+    passed = len(witnesses) == spec.cap
     if passed:
         lines.append(
             f"levels 0..{spec.cap - 1}: boundary cylinder with exactly one excluded "

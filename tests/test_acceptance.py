@@ -197,7 +197,8 @@ def _check_monotone(fib, punctured: bool):
     classes are internally constant except the punctured top class."""
     classes = fib.report.classes
     k = len(classes)
-    for cand in fib.candidates:
+    for c in range(len(fib.candidates)):
+        cand = fib.candidate(c)
         vals = [{cand.values[g] for g in cls} for cls in classes]
         for i in range(1, k + 1):
             if 1 in vals[i - 1]:

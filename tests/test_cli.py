@@ -201,6 +201,21 @@ def test_oversized_level_exits_two(tmp_path, cfg, capsys, w_heis):
         assert f"level {level}: modulus 512 gives a domain of 134217728 elements (3221225472 bytes)" in err[0]
 
 
+def test_report_over_budget_writes_nothing(tmp_path, cfg, capsys, monkeypatch):
+    # the build report's van Hove product is held to the array budget, and the
+    # report is complete before either file is written
+    from odowin import expansion
+
+    monkeypatch.setattr(expansion, "ARRAY_BUDGET", 20000)
+    out = tmp_path / "w"
+    capsys.readouterr()
+    assert main(["build", "--config", cfg("z2.cfg", Z2_CFG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "level 3: a product of 4096 rows (65536 bytes) is over the 20000-byte budget" in err[0]
+    assert not out.exists()
+
+
 def test_malformed_window_exits_two(tmp_path, malformed_windows):
     for label, text in malformed_windows.items():
         path = tmp_path / f"{label}.txt"

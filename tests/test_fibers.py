@@ -1,5 +1,6 @@
 """Boundary hitters, fiber candidates, region certificates, exact densities."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,9 @@ from odowin.fibers import (
     similarity_classes,
     t_region,
 )
-from odowin.model_sets import classify
+from odowin.model_sets import classify, emit_patch, shifted_orbit_ranks
 from odowin.odometer import embed, odo_mul, sample_point
-from odowin.windows import CLS_PENDING, boundary_measure
+from odowin.windows import CLS_IN, CLS_OUT, CLS_PENDING, boundary_measure
 
 
 def close_pair(hitters_a, hitters_b, limit=8):
@@ -103,7 +104,7 @@ def test_perf_single_class_two_candidates(w_fiber):
     assert rep.k == 1 and len(rep.classes[0]) == 20
     fib = enumerate_fiber(w_fiber, xi, patch)
     assert len(fib.candidates) == 2 and fib.distinct() == 2
-    a, b = fib.candidates
+    a, b = fib.candidate(0), fib.candidate(1)
     differing = [g for g in patch if a.values[g] != b.values[g]]
     assert sorted(differing) == sorted(rep.classes[0])
 
@@ -119,10 +120,11 @@ def test_fiber_counts_and_chain(w_k):
         assert fib.distinct() == k + 1
         # candidates form a chain under coordinatewise comparison on hitters
         hitters = fib.report.hitters()
-        for a, b in zip(fib.candidates, fib.candidates[1:]):
+        cands = [fib.candidate(c) for c in range(len(fib.candidates))]
+        for a, b in zip(cands, cands[1:]):
             assert all(a.values[g] >= b.values[g] for g in hitters)
         # monotone determination: a one at some class forces ones above it
-        for cand in fib.candidates:
+        for cand in cands:
             for j, cls in enumerate(fib.report.classes, start=1):
                 for higher in fib.report.classes[j:]:
                     if any(cand.values[g] == 1 for g in cls):
@@ -151,8 +153,10 @@ def test_ktilde_atoms_and_pairwise_difference(w_kt):
     fib = enumerate_fiber(win, xi, patch)
     assert fib.report.atoms == fib.report.classes[-1]
     k = win.spec.k
-    base = fib.candidates[k - 1]  # the candidate keeping the whole top class
-    for cand, l in zip(fib.candidates[k + 1 :], fib.report.classes[-1]):
+    base = fib.candidate(k - 1)  # the candidate keeping the whole top class
+    drops = [fib.candidate(c) for c in range(k + 1, len(fib.candidates))]
+    assert len(drops) == len(fib.report.classes[-1])
+    for cand, l in zip(drops, fib.report.classes[-1]):
         diff = [g for g in patch if cand.values[g] != base.values[g]]
         assert diff == [l] and cand.values[l] == 0
 
@@ -244,7 +248,7 @@ def test_default_and_explicit_fiber_routes_agree(w_kt, w_heis_kt2, monkeypatch):
     from odowin.expansion import DomainSequence
     from odowin.groups import GroupContext
 
-    calls = []
+    calls, converted = [], []
     for cls, name in ((GroupContext, "to_array"), (DomainSequence, "vec_rank"),
                       (DomainSequence, "product_ranks")):
         def counted(self, *args, _fn=getattr(cls, name), _name=name):
@@ -252,17 +256,104 @@ def test_default_and_explicit_fiber_routes_agree(w_kt, w_heis_kt2, monkeypatch):
             return _fn(self, *args)
 
         monkeypatch.setattr(cls, name, counted)
+
+    def from_array(self, arr, _fn=GroupContext.from_array):
+        converted.append(len(arr))
+        return _fn(self, arr)
+
+    monkeypatch.setattr(GroupContext, "from_array", from_array)
     for win in (w_kt[3], w_heis_kt2):
         xi = sample_point(win.ds, 5, win.cap)
         for m in (0, 1, win.cap):
             calls.clear()
+            converted.clear()
             default = enumerate_fiber(win, xi, patch_level=m)
             assert calls == ["product_ranks", "vec_rank"]
+            # only the hitters' rows become elements; D_m is never converted
+            assert sum(converted) <= len(default.hitters)
             explicit = enumerate_fiber(win, xi, win.ds.domain_list(m))
             assert default.labels == explicit.labels
             assert default.report.index == explicit.report.index
             assert default.report.classes == explicit.report.classes
-            for a, b in zip(default.candidates, explicit.candidates, strict=True):
+            assert np.array_equal(default.candidates, explicit.candidates)
+            for c in range(len(default.candidates)):
+                a, b = default.candidate(c), explicit.candidate(c)
                 assert a.positions == b.positions
                 assert np.array_equal(a.ranks, b.ranks) and np.array_equal(a.codes, b.codes)
     assert enumerate_fiber(win, xi).report.index == explicit.report.index  # default level: the cap
+
+
+def _reference_fiber(win, xi, patch):
+    """The per-candidate loop the code matrix replaced: one full code copy per candidate.
+
+    Returns the class index lists, the candidates' full code arrays, and their
+    distinct count, all on the cap-level default patch when ``patch`` is None.
+    """
+    base = emit_patch(win, xi, patch, patch_level=win.cap)
+    orbit = shifted_orbit_ranks(win, base.ranks, xi)
+    pending = np.flatnonzero(base.codes == CLS_PENDING)
+    sectors = win.spec.sector_of(orbit[pending]).tolist()
+    key = win.group.sort_key
+    k = win.spec.k
+    index = [
+        sorted((int(i) for i, s in zip(pending, sectors) if s == j),
+               key=lambda i: key(base.positions[i]))
+        for j in range(1, k + 1)
+    ]
+    candidates = []
+    for j in range(1, k + 2):
+        codes = base.codes.copy()
+        for cj, idx in enumerate(index, start=1):
+            codes[idx] = CLS_IN if cj >= j else CLS_OUT
+        candidates.append(codes)
+    if win.spec.kind == "ktilde":
+        top = candidates[k - 1]
+        for i in index[-1]:
+            codes = top.copy()
+            codes[i] = CLS_OUT
+            candidates.append(codes)
+    return index, candidates, len({c.tobytes() for c in candidates})
+
+
+@pytest.mark.parametrize("name", ["fiber", "k2", "kt3", "z2", "heis_k2", "heis_kt2"])
+def test_code_matrix_matches_per_candidate_loop(request, name):
+    win = {
+        "fiber": lambda: request.getfixturevalue("w_fiber"),
+        "k2": lambda: request.getfixturevalue("w_k")[2],
+        "kt3": lambda: request.getfixturevalue("w_kt")[3],
+        "z2": lambda: request.getfixturevalue("w_z2"),
+        "heis_k2": lambda: request.getfixturevalue("w_heis_k2"),
+        "heis_kt2": lambda: request.getfixturevalue("w_heis_kt2"),
+    }[name]()
+    g = win.group
+    xi = sample_point(win.ds, 5, win.cap)
+    domain = win.ds.domain_list(win.cap)
+    shuffled = domain[:]
+    random.Random(0).shuffle(shuffled)
+    negated = [g.inv(x) for x in domain[: len(domain) // 2]]
+    first = enumerate_fiber(win, xi).report
+    hit = set(first.hitters())
+    outside = [x for x in domain if x not in hit][:20]
+    patches = {
+        "default": None,
+        "shuffled": shuffled,
+        "negated-duplicates": negated + negated[:40],
+        "empty-classes": first.classes[0] + outside,
+    }
+    for label, patch in patches.items():
+        fib = enumerate_fiber(win, xi, patch)
+        index, codes, distinct = _reference_fiber(win, xi, patch)
+        assert fib.report.index == index, label
+        hitters = [i for idx in index for i in idx]
+        assert fib.hitters.tolist() == hitters, label
+        assert fib.candidates.dtype == np.int8, label
+        assert fib.candidates.shape == (len(codes), len(hitters)), label
+        assert len(fib.labels) == len(codes), label
+        for c, want in enumerate(codes):
+            cand = fib.candidate(c)
+            assert np.array_equal(cand.codes, want), (label, c)
+            assert np.array_equal(cand.ranks, fib.patch.ranks), (label, c)
+            assert np.array_equal(fib.candidates[c], want[hitters]), (label, c)
+        assert fib.distinct() == distinct, label
+    if win.spec.k > 1:
+        assert not enumerate_fiber(win, xi, patches["empty-classes"]).report.full_coverage()

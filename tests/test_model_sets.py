@@ -165,6 +165,16 @@ def test_pgm_render(w_z2):
     assert gray.split("\n")[3].split()[0] == "127"
 
 
+def test_pgm_refuses_a_patch_missing_a_box_cell(w_z2):
+    # (0,0) twice and (1,1) missing: as many in-box positions as cells, one cell unevaluated
+    box = w_z2.ds.domain_list(1)
+    assert len(box) == w_z2.ds.modulus(1) ** 2 and (1, 1) in box
+    patch = emit_patch(w_z2, patch=[(0, 0) if g == (1, 1) else g for g in box])
+    with pytest.raises(ConstructionError, match="does not cover"):
+        patch_pgm(w_z2, patch, 1)
+    patch_pgm(w_z2, emit_patch(w_z2, patch=box[::-1] + [(-1, 0)]), 1)  # any order, extras ignored
+
+
 def test_pgm_rejects_non_planar(w_irr):
     patch = emit_patch(w_irr, patch_level=1)
     with pytest.raises(ConstructionError):

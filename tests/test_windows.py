@@ -86,13 +86,18 @@ def test_boundary_measure_identity(w_irr, w_fiber, w_z2, w_heis):
             assert values[n] == Fraction(len(win.tree.pending_ranks[n - 1]), win.ds.size(n))
 
 
+def _children(tree, r, n):
+    """Classes of the level-(n+1) children of the level-n cylinder of rank r."""
+    return tree.class_by_rank[n][int(r)::len(tree.class_by_rank[n - 1]) if n else 1]
+
+
 def test_tree_child_counts(w_fiber, w_k):
     # every boundary cylinder splits into (interior, one exterior, boundary) children
     for win in (w_fiber, w_k[3]):
         for n in range(1, win.cap):
             part = win.spec.partitions[n]
             for r in win.tree.pending_ranks[n - 1][:20]:
-                kids = win.tree.children_classes(int(r), n)
+                kids = _children(win.tree, r, n)
                 assert int((kids == CLS_OUT).sum()) >= 1
                 assert int((kids == CLS_PENDING).sum()) == len(part.boundary)
 
@@ -115,6 +120,15 @@ def test_vanhove_interval_oracle(ds_z_pow2):
         assert inside == list(range(0, half))
         assert outside == list(range(m, m + half))
         assert len(inside) == len(outside) == half
+
+
+def test_vanhove_refuses_a_product_over_the_budget():
+    # 200 probe rows times #D_3 = 64^3 Heisenberg rows is 1.26 GB: refused before it is formed
+    ds = build_domains(SubgroupChain(group_by_name("Heisenberg"), [2, 8, 64]))
+    probe = ds.group.from_array(ds.domain_array(3)[:200])
+    with pytest.raises(ConstructionError, match=r"^level 3: a product of 52428800 rows "
+                       r"\(1258291200 bytes\) is over the 1073741824-byte budget$"):
+        vanhove_boundary(ds, probe, 3)
 
 
 @pytest.mark.parametrize("name", ["z2-pow2", "heis-pow2"])
@@ -365,8 +379,8 @@ def test_ktilde_punctures(w_k, w_kt):
     size_l = win.ds.size(win.spec.sector_level)
     for n in range(1, win.cap):
         for r in win.tree.pending_ranks[n - 1]:
-            kids = win.tree.children_classes(int(r), n)
-            base_kids = w_k[3].tree.children_classes(int(r), n)
+            kids = _children(win.tree, r, n)
+            base_kids = _children(w_k[3].tree, r, n)
             n_in, base_in = int((kids == CLS_IN).sum()), int((base_kids == CLS_IN).sum())
             assert n_in >= base_in - 1
             if win.spec.sector_of_rank[int(r) % size_l] == win.spec.k:
