@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import expansion
 from .fibers import birkhoff_stats, critical_point, enumerate_fiber
 from .groups import ConstructionError, group_by_name, geometric_moduli
 from .model_sets import VALUE_OF_CODE, emit_patch, patch_jsonl, patch_pgm
@@ -24,7 +25,6 @@ from .odometer import embed, sample_point
 from .presets import CHAINS
 from .windows import (
     Window,
-    base_window,
     boundary_measure,
     build_k,
     build_ktilde,
@@ -86,8 +86,13 @@ def window_from_config(cfg: configparser.ConfigParser, args) -> Window:
         preset = cfg.get("chain", "preset")
         if preset not in CHAINS:
             raise ConfigError(f"unknown chain preset {preset!r}")
-        group = group_by_name(CHAINS[preset][0])
-        moduli = list(CHAINS[preset][1])
+        name, moduli = CHAINS[preset]
+        if cfg.has_option("group", "name") and group.name != name:
+            raise ConfigError(
+                f"chain preset {preset!r} is over {name}, but [group] name is {group.name}"
+            )
+        group = group_by_name(name)
+        moduli = list(moduli)
     elif cfg.has_option("chain", "moduli"):
         moduli = _numbers(cfg.get("chain", "moduli"))
     elif cfg.has_option("chain", "rule"):
@@ -182,28 +187,22 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _verify(win: Window) -> tuple[int, list[str]]:
-    base = None if win.spec.kind == "perf" else base_window(win)
-    reports = verify_window(win, base=base)
+def cmd_verify(args) -> int:
     lines, ok = [], True
-    for r in reports:
+    for r in verify_window(_load_window(args.window)):
         ok &= r.passed
         lines.append(f"{r.name}: {'PASS' if r.passed else 'FAIL'}")
         lines.extend(f"  {l}" for l in r.lines)
-    return (0 if ok else 1), lines
-
-
-def cmd_verify(args) -> int:
-    win = _load_window(args.window)
-    code, lines = _verify(win)
     print("\n".join(lines))
-    return code
+    return 0 if ok else 1
 
 
 def _shift_point(win: Window, args):
+    if args.seed is not None and args.critical:
+        raise ConfigError("--seed and --critical each choose the shift; give one")
     if args.seed is not None:
         return sample_point(win.ds, args.seed, win.cap)
-    if getattr(args, "critical", False):
+    if args.critical:
         return critical_point(win)
     return embed(win.ds, win.group.identity, win.cap)
 
@@ -242,6 +241,13 @@ def cmd_fiber(args) -> int:
     xi = _shift_point(win, args)
     level = args.patch_level if args.patch_level is not None else win.cap
     fib = enumerate_fiber(win, xi, patch_level=level)
+    entries = fib.candidates.size  # candidates x hitters values in the report
+    if entries * expansion.REPORT_ENTRY_BYTES > expansion.ARRAY_BUDGET:
+        raise ConstructionError(
+            f"a fiber report of {entries} candidate-hitter values takes about "
+            f"{entries * expansion.REPORT_ENTRY_BYTES} bytes to write, over the "
+            f"{expansion.ARRAY_BUDGET}-byte budget"
+        )
     distinct = fib.distinct()
     rep = fib.report
     g = win.group
@@ -315,9 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--critical", action="store_true",
                        help="use the canonical boundary point as the shift")
-        p.add_argument("--patch-level", type=int)
         if name == "stats":
             p.add_argument("--levels")
+        else:
+            p.add_argument("--patch-level", type=int)
     return ap
 
 

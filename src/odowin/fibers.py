@@ -21,7 +21,6 @@ cylinders).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -38,8 +37,6 @@ from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window
 class SimilarityReport:
     """Boundary hitters of a patch, split by sector and ordered by class index."""
 
-    xi_digits: tuple[Elem, ...]
-    cap: int
     classes: list[list[Elem]]  # classes[j-1] = S_j ∩ patch, canonical order
     atoms: list[Elem] | None   # punctured windows: S_k split into singletons
     index: list[list[int]]     # index[j-1][i]: patch index of classes[j-1][i]
@@ -82,27 +79,13 @@ class FiberSet:
         return len({row.tobytes() for row in self.candidates})
 
 
-def critical_point(
-    win: Window, rng_seed: int | None = None, rule: str = "first", cap: int | None = None
-) -> OdometerPoint:
-    """A point whose digits stay in the boundary parts through the cap.
+def critical_point(win: Window) -> OdometerPoint:
+    """The point whose level-j digit is the first boundary digit of level j, through the cap.
 
     The identity's shifted orbit point then sits on the boundary layer at
-    every built level.  ``rule="first"`` picks the canonically first boundary
-    digit per level; a seed picks uniformly among boundary digits.
+    every built level.
     """
-    n = win.cap if cap is None else cap
-    rng = random.Random(rng_seed) if rng_seed is not None else None
-    digits = []
-    for j in range(1, n + 1):
-        boundary = win.spec.partitions[j - 1].boundary
-        if rng is None:
-            if rule != "first":
-                raise ConstructionError(f"unknown digit rule {rule!r}")
-            digits.append(boundary[0])
-        else:
-            digits.append(boundary[rng.randrange(len(boundary))])
-    return OdometerPoint(tuple(digits))
+    return OdometerPoint(tuple(part.boundary[0] for part in win.spec.partitions[: win.cap]))
 
 
 def boundary_hitters_exact(win: Window, xi: OdometerPoint) -> list[tuple[Elem, int]]:
@@ -138,7 +121,7 @@ def _classified(
     index = [hitters[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
     classes = [elems[a:b] for a, b in zip(bounds, bounds[1:])]
     atoms = list(classes[-1]) if win.spec.kind == "ktilde" else None
-    report = SimilarityReport(tuple(xi.digits), win.cap, classes, atoms, index)
+    report = SimilarityReport(classes, atoms, index)
     return base, report, hitters, sectors
 
 

@@ -396,10 +396,9 @@ class SubgroupChain:
     def is_member(self, g: Elem, n: int) -> bool:
         return self.project(g, n).is_identity()
 
-    def separation_level(self, g: Elem, h: Elem, max_level: int | None = None) -> int | None:
+    def separation_level(self, g: Elem, h: Elem) -> int | None:
         """Smallest level whose projection distinguishes g from h, or None."""
-        top = len(self.moduli) if max_level is None else min(max_level, len(self.moduli))
-        for n in range(1, top + 1):
+        for n in range(1, len(self.moduli) + 1):
             if self.project(g, n) != self.project(h, n):
                 return n
         return None

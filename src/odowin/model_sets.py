@@ -31,21 +31,17 @@ class SymbolicPatch:
 
     Fields: ``group`` and ``rows`` (the positions as int64 element rows, in
     patch order; the default patch's rows are D_m itself, not a copy),
-    ``ranks`` (int64 level-cap ranks of the positions), ``codes`` (int8 class
-    CLS_IN / CLS_OUT / CLS_PENDING of each position's shifted orbit point),
-    and the provenance ``window_id``, ``shift_digits`` and ``level_used``
-    (the classification depth).  ``positions`` (the group elements) and
-    ``values[g]`` (1, 0, or None when undecided at the tree cap) are derived
-    views, converted from the rows on first use.
+    ``ranks`` (int64 level-cap ranks of the positions) and ``codes`` (int8
+    class CLS_IN / CLS_OUT / CLS_PENDING of each position's shifted orbit
+    point, classified at the tree cap).  ``positions`` (the group elements)
+    and ``values[g]`` (1, 0, or None when undecided at the tree cap) are
+    derived views, converted from the rows on first use.
     """
 
     group: GroupContext
     rows: np.ndarray
     ranks: np.ndarray
     codes: np.ndarray
-    window_id: str
-    shift_digits: tuple[Elem, ...]
-    level_used: int
 
     @cached_property
     def positions(self) -> list[Elem]:
@@ -108,8 +104,7 @@ def shifted_patch(
     """The patch on these rows and the level-cap ranks of its shifted orbit points."""
     orbit = shifted_orbit_ranks(win, ranks, xi)
     codes = win.tree.vec_classify(orbit)
-    patch = SymbolicPatch(win.group, rows, ranks, codes, win.window_id, tuple(xi.digits), win.cap)
-    return patch, orbit
+    return SymbolicPatch(win.group, rows, ranks, codes), orbit
 
 
 def emit_patch(

@@ -43,13 +43,13 @@ CLS_IN, CLS_OUT, CLS_PENDING = 0, 1, 2
 # -- exact threshold arithmetic ---------------------------------------------
 
 
-def rational_log_reciprocal(epsilon: Fraction, terms: int = 64) -> Fraction:
-    """Rational lower bound on -log(1-epsilon): truncated series Σ ε^i/i."""
+def rational_log_reciprocal(epsilon: Fraction) -> Fraction:
+    """Rational lower bound on -log(1-epsilon): the series Σ ε^i/i to 64 terms."""
     if not 0 < epsilon < 1:
         raise ConstructionError("epsilon must lie strictly between 0 and 1")
     total = Fraction(0)
     power = Fraction(1)
-    for i in range(1, terms + 1):
+    for i in range(1, 65):
         power *= epsilon
         total += power / i
     return total
@@ -684,8 +684,13 @@ def check_boundary_stability(win: Window, base: Window) -> Report:
     return Report("boundary_stability", same, lines, {})
 
 
-def verify_window(win: Window, base: Window | None = None) -> list[Report]:
-    """Run the verification battery; boundary-measure identity plus the checks."""
+def verify_window(win: Window) -> list[Report]:
+    """Run the verification battery; boundary-measure identity plus the checks.
+
+    Every window gets genericity, irredundancy and self-similarity; a k or
+    ktilde window also gets boundary stability against ``base_window(win)``,
+    the perf window it was carved from.
+    """
     reports = []
     measure_ok, measure_lines = True, []
     try:
@@ -705,8 +710,8 @@ def verify_window(win: Window, base: Window | None = None) -> list[Report]:
     reports.append(check_genericity(win))
     reports.append(check_irredundancy(win))
     reports.append(check_self_similarity(win))
-    if base is not None:
-        reports.append(check_boundary_stability(win, base))
+    if win.spec.kind != "perf":
+        reports.append(check_boundary_stability(win, base_window(win)))
     return reports
 
 

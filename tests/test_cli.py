@@ -178,9 +178,14 @@ def test_bad_flags_exit_two(tmp_path, cfg, capsys):
         ["fiber", win, "--critical", "--patch-level", "9"],
         ["fiber", win, "--critical", "--patch-level", "-1"],
         ["emit", win, "--patch-level", "-1"],
+        *([cmd, win, "--seed", "1", "--critical"] for cmd in ("fiber", "emit", "stats")),
     ):
         assert main(argv) == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
+    # stats reads no patch, so it takes no --patch-level; argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", win, "--seed", "1", "--patch-level", "1"])
+    assert exc.value.code == 2
 
 
 def test_oversized_level_exits_two(tmp_path, cfg, capsys, w_heis):
@@ -214,6 +219,36 @@ def test_report_over_budget_writes_nothing(tmp_path, cfg, capsys, monkeypatch):
     assert len(err) == 1
     assert "level 3: a product of 4096 rows (65536 bytes) is over the 20000-byte budget" in err[0]
     assert not out.exists()
+
+
+def test_fiber_report_over_budget_writes_nothing(tmp_path, cfg, capsys, monkeypatch):
+    # a report of 2 candidates x 21,840 hitters is refused under a 1 MiB budget,
+    # which the window's own levels fit
+    from odowin import expansion
+
+    main(["build", "--config", cfg("w.cfg", IRR_CFG), "--out", str(tmp_path / "w")])
+    monkeypatch.setattr(expansion, "ARRAY_BUDGET", 1 << 20)
+    out = tmp_path / "fiber.json"
+    capsys.readouterr()
+    assert main(["fiber", str(tmp_path / "w" / "window.txt"), "--seed", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "a fiber report of 43680 candidate-hitter values" in err[0]
+    assert not out.exists()
+
+
+def test_preset_must_agree_with_group_name(tmp_path, cfg, capsys):
+    capsys.readouterr()
+    for name in ("Heisenberg", "Z"):
+        path = cfg(f"{name}.cfg", Z2_CFG.replace("name = Z2", f"name = {name}"))
+        assert main(["build", "--config", path, "--out", str(tmp_path / name)]) == 2, name
+        assert len(capsys.readouterr().err.splitlines()) == 1, name
+        assert not (tmp_path / name).exists()
+    # with no [group] section the preset names the group
+    path = cfg("no-group.cfg", Z2_CFG.replace("[group]\nname = Z2\n", ""))
+    assert main(["build", "--config", path, "--out", str(tmp_path / "w")]) == 0
+    assert "group = Z2" in (tmp_path / "w" / "window.txt").read_text().splitlines()
 
 
 def test_malformed_window_exits_two(tmp_path, malformed_windows):

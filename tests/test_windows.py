@@ -350,6 +350,14 @@ def test_boundary_stability(w_fiber, w_k, w_kt, w_heis, w_heis_k2, w_heis_kt2):
     assert w_heis_kt2.tree.pending_equal(w_heis.tree)
 
 
+def test_verify_window_checks_carved_windows_against_their_base(w_fiber, w_k, w_kt, w_heis_kt2):
+    # a k or ktilde window is checked against the perf window it was carved from
+    for win in (w_k[2], w_kt[3], w_heis_kt2):
+        reports = {r.name: r for r in verify_window(win)}
+        assert reports["boundary_stability"].passed
+    assert "boundary_stability" not in {r.name for r in verify_window(w_fiber)}
+
+
 def test_build_k_needs_enough_boundary_cylinders(w_fiber):
     with pytest.raises(ConstructionError, match="larger sector level"):
         build_k(w_fiber, 5, 1)  # only 5 boundary cylinders at level 1
