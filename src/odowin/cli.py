@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import expansion
@@ -40,6 +42,13 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors (exit 2, one line)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _fraction(text: str) -> Fraction:
     num, slash, den = text.partition("/")
     return Fraction(int(num), int(den) if slash else 1)
@@ -57,6 +66,22 @@ def _number(text: str, parse=int):
 
 def _numbers(text: str) -> list[int]:
     return [_number(v) for v in text.split(",")]
+
+
+def _layout(items, depth: int, brackets: str) -> str:
+    """Encoded items (``"key": value`` in an object) in the layout ``json.dumps(indent=2)``
+    gives a list or dict at this depth."""
+    items = list(items)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
+def _object(encoded: dict[str, str], depth: int) -> str:
+    """A dict of encoded values as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    return _layout((f"{encode_basestring_ascii(k)}: {v}" for k, v in sorted(encoded.items())),
+                   depth, "{}")
 
 
 def _jsonable(x):
@@ -249,27 +274,33 @@ def cmd_fiber(args) -> int:
             f"{expansion.ARRAY_BUDGET}-byte budget"
         )
     distinct = fib.distinct()
-    rep = fib.report
     g = win.group
-    hitters = [g.fmt(h) for h in rep.hitters()]
+    # Written by hand in the json.dumps(indent=2, sort_keys=True) layout, whose pure-Python
+    # encoder would take most of the command.  Each hitter is formatted once, the classes
+    # are slices of the report-order texts, and the keys are sorted once for all candidates.
+    hitters = g.fmt_rows(fib.patch.rows[fib.hitters])
+    bounds = [0, *itertools.accumulate(len(c) for c in fib.report.classes)]
+    order = sorted(range(len(hitters)), key=hitters.__getitem__)
+    keys = [f"{encode_basestring_ascii(hitters[i])}: " for i in order]
+    value = {c: json.dumps(v) for c, v in VALUE_OF_CODE.items()}
     report = {
-        "window": win.window_id,
-        "shift_digits": [g.fmt(d) for d in xi.digits],
-        "patch_level": level,
-        "classes": {
-            f"S{j + 1}": [g.fmt(e) for e in cls] for j, cls in enumerate(rep.classes)
-        },
-        "full_coverage": rep.full_coverage(),
-        "candidates": len(fib.candidates),
-        "distinct": distinct,
-        "labels": fib.labels,
-        "values_on_hitters": {
-            label: dict(zip(hitters, (VALUE_OF_CODE[c] for c in row)))
-            for label, row in zip(fib.labels, fib.candidates.tolist())
-        },
+        "window": json.dumps(win.window_id),
+        "shift_digits": _layout((encode_basestring_ascii(g.fmt(d)) for d in xi.digits), 1, "[]"),
+        "patch_level": json.dumps(level),
+        "classes": _object({
+            f"S{j}": _layout(map(encode_basestring_ascii, hitters[a:b]), 2, "[]")
+            for j, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)
+        }, 1),
+        "full_coverage": json.dumps(fib.report.full_coverage()),
+        "candidates": json.dumps(len(fib.candidates)),
+        "distinct": json.dumps(distinct),
+        "labels": _layout(map(encode_basestring_ascii, fib.labels), 1, "[]"),
+        "values_on_hitters": _object({
+            label: _layout(map(str.__add__, keys, map(value.__getitem__, row)), 2, "{}")
+            for label, row in zip(fib.labels, fib.candidates[:, order].tolist())
+        }, 1),
     }
-    # The report holds only str, int, bool, None, lists and str-keyed dicts.
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _object(report, 0) + "\n"
     if args.out:
         _write(Path(args.out), text)
         print(f"fiber report written to {args.out} "
@@ -298,7 +329,7 @@ def cmd_stats(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; ``main`` dispatches on the command name."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="odowin",
         description="Build and analyze cylinder-tree windows and their symbolic arrays.",
     )
@@ -329,11 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # Looked up at call time, so a wrapper installed on a command is the one called.
-    command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        args = build_parser().parse_args(argv)
+        # Looked up at call time, so a wrapper installed on a command is the one called.
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -85,6 +85,13 @@ class GroupContext(ABC):
             return "(" + ",".join(str(c) for c in g) + ")"
         return str(g)
 
+    def fmt_rows(self, rows: np.ndarray, brackets: str = "()") -> list[str]:
+        """``fmt`` of each int64 element row, with ``brackets`` around a tuple's coordinates."""
+        if self.dim == 1:
+            return list(map(str, rows[:, 0].tolist()))
+        template = brackets[0] + ",".join(["%d"] * self.dim) + brackets[1]
+        return [template % tuple(r) for r in rows.tolist()]
+
     def parse(self, text: str) -> Elem:
         text = text.strip()
         if text.startswith("("):

@@ -156,24 +156,24 @@ def regularity(win: Window, n: int) -> Fraction:
 # -- writers --------------------------------------------------------------------
 
 
-def _json(x: Elem) -> str:
-    """Compact JSON text of a group element: an integer or a list of integers."""
-    return "[" + ",".join(map(str, x)) + "]" if isinstance(x, tuple) else str(x)
-
-
 def patch_jsonl(win: Window, patch: SymbolicPatch) -> str:
     """One line per position: ``{"digits":[...],"element":...,"value":1|0|"?"}``, no spaces."""
     ds, n = win.ds, win.cap
-    # One radix decode of the level-cap ranks gives every record's digit string.
-    columns = []
-    for j, idx in enumerate(ds.radix_digits(patch.ranks, n), start=1):
-        alpha = [_json(t) for t in ds.alphabet(j)]
-        columns.append([alpha[i] for i in idx.tolist()])
+    alpha = [ds.group.fmt_rows(ds.group.to_array(ds.alphabet(j)), "[]") for j in range(1, n + 1)]
+    # Digit text of every level-j prefix, by rank, up to the deepest level whose
+    # domain is no larger than the patch (or T_1); deeper digits go per record.
+    limit = max(len(patch.ranks), len(alpha[0]))
+    prefix, j = alpha[0], 1
+    while j < n and ds.size(j + 1) <= limit:
+        prefix = [f"{p},{a}" for a in alpha[j] for p in prefix]
+        j += 1
+    digits = [prefix[r] for r in (patch.ranks % ds.size(j)).tolist()]
+    for level, idx in enumerate(ds.radix_digits(patch.ranks, n)[j:], start=j):
+        digits = [f"{p},{alpha[level][i]}" for p, i in zip(digits, idx.tolist())]
     text = {c: '"?"' if v is None else str(v) for c, v in VALUE_OF_CODE.items()}
-    values = [text[c] for c in patch.codes.tolist()]
     lines = [
-        f'{{"digits":[{",".join(digits)}],"element":{_json(g)},"value":{v}}}'
-        for g, digits, v in zip(patch.positions, zip(*columns), values)
+        f'{{"digits":[{d}],"element":{g},"value":{text[c]}}}'
+        for d, g, c in zip(digits, ds.group.fmt_rows(patch.rows, "[]"), patch.codes.tolist())
     ]
     return "\n".join(lines) + "\n"
 

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odowin.cli import main
+from odowin.fibers import critical_point, enumerate_fiber
 from odowin.groups import ConstructionError
-from odowin.windows import parse_window, serialize_window
+from odowin.model_sets import VALUE_OF_CODE
+from odowin.odometer import sample_point
+from odowin.windows import build_k, build_ktilde, parse_window, serialize_window
 
 FIBER_CFG = """
 [group]
@@ -182,10 +185,19 @@ def test_bad_flags_exit_two(tmp_path, cfg, capsys):
     ):
         assert main(argv) == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
-    # stats reads no patch, so it takes no --patch-level; argparse exits 2
+    # argparse errors return 2 with one line too; stats reads no patch, so it takes no --patch-level
+    for argv in (
+        ["stats", win, "--seed", "1", "--patch-level", "1"],
+        ["emit", win, "--patch-level", "x"],
+        ["fiber", win, "--seed"],
+        ["frob", win],
+        [],
+    ):
+        assert main(argv) == 2, argv
+        assert len(capsys.readouterr().err.splitlines()) == 1, argv
     with pytest.raises(SystemExit) as exc:
-        main(["stats", win, "--seed", "1", "--patch-level", "1"])
-    assert exc.value.code == 2
+        main(["emit", "--help"])
+    assert exc.value.code == 0
 
 
 def test_oversized_level_exits_two(tmp_path, cfg, capsys, w_heis):
@@ -236,6 +248,60 @@ def test_fiber_report_over_budget_writes_nothing(tmp_path, cfg, capsys, monkeypa
     assert len(err) == 1
     assert "a fiber report of 43680 candidate-hitter values" in err[0]
     assert not out.exists()
+
+
+def _fiber_report_oracle(win, xi, level):
+    """The report as a dict, written by json.dumps(indent=2, sort_keys=True)."""
+    fib = enumerate_fiber(win, xi, patch_level=level)
+    rep, g = fib.report, win.group
+    hitters = [g.fmt(h) for h in rep.hitters()]
+    report = {
+        "window": win.window_id,
+        "shift_digits": [g.fmt(d) for d in xi.digits],
+        "patch_level": level,
+        "classes": {f"S{j + 1}": [g.fmt(e) for e in cls] for j, cls in enumerate(rep.classes)},
+        "full_coverage": rep.full_coverage(),
+        "candidates": len(fib.candidates),
+        "distinct": fib.distinct(),
+        "labels": fib.labels,
+        "values_on_hitters": {
+            label: dict(zip(hitters, (VALUE_OF_CODE[c] for c in row)))
+            for label, row in zip(fib.labels, fib.candidates.tolist())
+        },
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_fiber_report_matches_json_dumps(tmp_path, w_irr, w_k, w_kt, w_z2, w_heis, w_heis_k2,
+                                         w_heis_kt2):
+    z2_k2 = build_k(w_z2, 2, 2)
+    windows = {
+        "z-perf": w_irr, "z-k2": w_k[2], "z-ktilde3": w_kt[3],
+        "z2-perf": w_z2, "z2-k2": z2_k2, "z2-ktilde2": build_ktilde(z2_k2, "dovetail"),
+        "heis-perf": w_heis, "heis-k2": w_heis_k2, "heis-ktilde2": w_heis_kt2,
+    }
+    seen = set()
+    for name, built in windows.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(serialize_window(built))
+        win = parse_window(path.read_text())
+        shifts = ((["--seed", "1"], sample_point(win.ds, 1, win.cap)),
+                  (["--critical"], critical_point(win)))
+        for flags, xi in shifts:
+            for level in sorted({0, 1, win.cap - 1, win.cap}):
+                out = tmp_path / "fiber.json"
+                argv = ["fiber", str(path), *flags, "--patch-level", str(level), "--out", str(out)]
+                assert main(argv) == 0, argv
+                text = out.read_text()
+                assert text == _fiber_report_oracle(win, xi, level), argv
+                report = json.loads(text)
+                if [] in report["classes"].values() and not report["full_coverage"]:
+                    seen.add("empty class")
+                if not any(report["values_on_hitters"].values()):
+                    seen.add("no hitters")
+                if any("-drop-" in label for label in report["labels"]):
+                    seen.add("drops")
+    assert seen == {"empty class", "no hitters", "drops"}
 
 
 def test_preset_must_agree_with_group_name(tmp_path, cfg, capsys):

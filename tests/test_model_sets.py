@@ -208,15 +208,21 @@ def test_jsonl_matches_json_dumps(w_irr, w_z2, w_heis):
         "Heisenberg": [(-3, 2, -1), (4, -7, 9), (0, 0, 0)],
     }
     for win in (w_irr, w_z2, w_heis):
+        g_inv = win.group.inv
         shifts = (None, sample_point(win.ds, 5, win.cap), critical_point(win))
         for xi in shifts:
             for patch in (
                 emit_patch(win, xi),
                 emit_patch(win, xi, patch_level=1),
                 emit_patch(win, xi, patch=explicit[win.group.name]),
+                # negative coordinates and ranks spread over the whole cap level:
+                # the digit table reaches level cap - 1 and the cap digit goes per record
+                emit_patch(win, xi, patch=[g_inv(g) for g in win.ds.domain_list(win.cap - 1)]),
+                # shorter than T_1: the digit table holds level 1 only
+                emit_patch(win, xi, patch=explicit[win.group.name][:2]),
             ):
                 assert patch_jsonl(win, patch) == _jsonl_oracle(win, patch)
-        assert patch_jsonl(win, emit_patch(win, patch=[])) == "\n"
+            assert patch_jsonl(win, emit_patch(win, xi, patch=[])) == "\n"
     crit = emit_patch(w_z2, critical_point(w_z2), patch_level=1)
     assert '"value":"?"' in patch_jsonl(w_z2, crit)
 
