@@ -28,11 +28,11 @@ from .presets import CHAINS
 from .windows import (
     Window,
     boundary_measure,
-    build_k,
-    build_ktilde,
+    build_kind,
     build_perf,
     folner_ratio,
     parse_window,
+    read_ini,
     serialize_window,
     verify_window,
 )
@@ -95,14 +95,14 @@ def _jsonable(x):
 
 
 def load_config(path: str) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
-    read = cfg.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    return cfg
+    try:
+        text = Path(path).read_text()
+    except OSError:
+        raise ConfigError(f"cannot read config file {path}") from None
+    return read_ini(text, path)
 
 
-def window_from_config(cfg: configparser.ConfigParser, args) -> Window:
+def window_from_config(cfg: configparser.ConfigParser) -> Window:
     try:
         group = group_by_name(cfg.get("group", "name", fallback="Z"))
     except ConstructionError as exc:
@@ -129,40 +129,23 @@ def window_from_config(cfg: configparser.ConfigParser, args) -> Window:
     else:
         raise ConfigError("chain section needs preset, moduli, or rule")
 
-    kind = args.mode or cfg.get("window", "kind", fallback="perf")
-    if kind not in ("perf", "k", "ktilde"):
-        raise ConfigError(f"window kind must be perf, k, or ktilde (got {kind!r})")
-    cap = args.cap if args.cap is not None else _number(cfg.get("window", "cap", fallback="3"))
+    cap = _number(cfg.get("window", "cap", fallback="3"))
     sector_level = _number(cfg.get("window", "sector_level", fallback="1"))
     k = _number(cfg.get("window", "k", fallback="1"))
     if not cap >= sector_level >= 1:
         raise ConfigError(f"need cap >= sector_level >= 1 (cap={cap}, L={sector_level})")
-    parts = _numbers(cfg.get("window", "a", fallback="3"))
-    a_schedule = parts * cap if len(parts) == 1 else parts
-    if any(a < 3 for a in a_schedule[:cap]):
-        raise ConfigError("every a_n must be at least 3 (two interior digits survive)")
-    epsilon = delta = None
-    if cfg.has_option("window", "epsilon"):
-        epsilon = _number(cfg.get("window", "epsilon"), _fraction)
-        if not 0 < epsilon < 1:
-            raise ConfigError(f"epsilon must lie in (0,1), got {epsilon}")
-    if cfg.has_option("window", "delta"):
-        delta = _number(cfg.get("window", "delta"), _fraction)
-    if epsilon is None and delta is None:
-        raise ConfigError("window section needs epsilon or delta")
-    e_rule = cfg.get("window", "e_rule", fallback="dovetail")
-    if getattr(args, "strict_e_rule", False):
-        e_rule = "strict"
-
+    a = _numbers(cfg.get("window", "a", fallback="3"))
+    epsilon, delta = (
+        _number(cfg.get("window", key), _fraction) if cfg.has_option("window", key) else None
+        for key in ("epsilon", "delta")
+    )
     try:
-        win = build_perf(group, moduli, cap, a_schedule, epsilon=epsilon, delta=delta)
-        if kind != "perf":
-            win = build_k(win, k, sector_level)
-        if kind == "ktilde":
-            win = build_ktilde(win, e_rule)
+        win = build_perf(group, moduli, cap, a[0] if len(a) == 1 else a,
+                         epsilon=epsilon, delta=delta)
+        return build_kind(win, cfg.get("window", "kind", fallback="perf"), k, sector_level,
+                          cfg.get("window", "e_rule", fallback="dovetail"))
     except ConstructionError as exc:
         raise ConfigError(str(exc))
-    return win
 
 
 def _load_window(path: str) -> Window:
@@ -182,7 +165,7 @@ def _write(path: Path, data: str | bytes) -> None:
 
 def cmd_build(args) -> int:
     try:
-        win = window_from_config(load_config(args.config), args)
+        win = window_from_config(load_config(args.config))
     except configparser.Error as exc:
         raise ConfigError(f"config file {args.config}: {' '.join(str(exc).split())}")
     report = {
@@ -338,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a window from a config file")
     b.add_argument("--config", required=True)
     b.add_argument("--out")
-    b.add_argument("--cap", type=int)
-    b.add_argument("--mode", choices=["perf", "k", "ktilde"])
-    b.add_argument("--strict-e-rule", action="store_true")
 
     v = sub.add_parser("verify", help="verify a window file")
     v.add_argument("window")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .expansion import DomainSequence, build_domains
 from .groups import SubgroupChain, geometric_moduli, group_by_name
-from .windows import Window, build_k, build_ktilde, build_perf
+from .windows import Window, build_kind, build_perf
 
 CHAINS: dict[str, tuple[str, list[int]]] = {
     # name: (group, raw moduli)
@@ -57,7 +57,7 @@ def build_preset_window(
 ) -> Window:
     params = WINDOW_PRESETS[name]
     group_name, moduli = CHAINS[params["chain"]]
-    win = build_perf(
+    base = build_perf(
         group_by_name(group_name),
         moduli,
         cap=params["cap"],
@@ -65,11 +65,4 @@ def build_preset_window(
         epsilon=params.get("epsilon"),
         delta=params.get("delta"),
     )
-    if kind == "perf":
-        return win
-    kwin = build_k(win, k, sector_level)
-    if kind == "k":
-        return kwin
-    if kind == "ktilde":
-        return build_ktilde(kwin, e_rule)
-    raise ValueError(f"unknown window kind {kind!r}")
+    return build_kind(base, kind, k, sector_level, e_rule)

@@ -27,10 +27,11 @@ are integer rank arrays.
 
 from __future__ import annotations
 
+import configparser
 import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,15 +39,15 @@ from .expansion import CarryRange, DomainSequence, carry_ranges, check_rows
 from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, group_by_name, row_keys
 
 CLS_IN, CLS_OUT, CLS_PENDING = 0, 1, 2
+KINDS = ("perf", "k", "ktilde")
+E_RULES = ("dovetail", "strict", "per-parent")  # how a ktilde window picks its punctures
 
 
 # -- exact threshold arithmetic ---------------------------------------------
 
 
 def rational_log_reciprocal(epsilon: Fraction) -> Fraction:
-    """Rational lower bound on -log(1-epsilon): the series Σ ε^i/i to 64 terms."""
-    if not 0 < epsilon < 1:
-        raise ConstructionError("epsilon must lie strictly between 0 and 1")
+    """Rational lower bound on -log(1-epsilon), 0 < epsilon < 1: the series Σ ε^i/i to 64 terms."""
     total = Fraction(0)
     power = Fraction(1)
     for i in range(1, 65):
@@ -124,9 +125,14 @@ class WindowSpec:
         return out
 
     def validate(self, ds: DomainSequence) -> None:
-        """Raise unless the sector, class and puncture data fit the kind and the domains."""
-        if self.kind not in ("perf", "k", "ktilde"):
+        """Raise unless cap, e_rule, sector, class and puncture data fit the kind and the domains."""
+        if self.cap < 1:
+            raise ConstructionError(f"cap must be at least 1 (got {self.cap})")
+        if self.kind not in KINDS:
             raise ConstructionError(f"window kind must be perf, k, or ktilde (got {self.kind!r})")
+        if self.e_rule not in (E_RULES if self.kind == "ktilde" else ("",)):
+            raise ConstructionError(f"e_rule {self.e_rule or 'none'} does not fit a {self.kind} "
+                                    f"window (ktilde: {', '.join(E_RULES)}; perf and k: none)")
         if self.kind == "perf":
             if (self.k, self.sector_level, self.sector_of_rank, self.level_class,
                     self.punctures) != (1, 0, None, None, ()):
@@ -376,6 +382,8 @@ def build_perf(
     of the boundary part while the boundary fraction stays above the exact
     per-level threshold; raw levels are merged until both hold.
     """
+    if epsilon is not None and not 0 < epsilon < 1:
+        raise ConstructionError(f"epsilon must lie strictly between 0 and 1 (got {epsilon})")
     if delta is None:
         if epsilon is None:
             raise ConstructionError("need epsilon or delta")
@@ -500,7 +508,7 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
     """
     if base.spec.kind != "k":
         raise ConstructionError("punctured windows are built from a k window")
-    if e_rule not in ("dovetail", "strict", "per-parent"):
+    if e_rule not in E_RULES:
         raise ConstructionError(f"unknown e_rule {e_rule!r}")
     spec, ds, tree = base.spec, base.ds, base.tree
     lvl_l = spec.sector_level
@@ -528,6 +536,18 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
         punctures.append((n, ranks))
     spec2 = replace(spec, kind="ktilde", e_rule=e_rule, punctures=tuple(punctures))
     return Window(spec2, ds, build_log=list(base.build_log))
+
+
+def build_kind(
+    base: Window, kind: str, k: int = 1, sector_level: int = 1, e_rule: str = "dovetail"
+) -> Window:
+    """The ``kind`` window on a perf base: the base itself, its k sectors, or those punctured."""
+    if kind not in KINDS:
+        raise ConstructionError(f"window kind must be perf, k, or ktilde (got {kind!r})")
+    if kind == "perf":
+        return base
+    win = build_k(base, k, sector_level)
+    return build_ktilde(win, e_rule) if kind == "ktilde" else win
 
 
 def base_window(win: Window) -> Window:
@@ -731,15 +751,26 @@ def _parse_fraction(s: str) -> Fraction | None:
     return Fraction(int(num), int(den))
 
 
-def _level_number(label: str) -> int:
-    """n of a ``level n`` section header or puncture key."""
-    words = label.split()
+def read_ini(text: str, source: str) -> configparser.ConfigParser:
+    """INI text, read strictly and without interpolation, as configs and window files are.
+
+    A repeated section, a repeated key in one section, or a line that is not
+    ``key = value`` raises a :class:`configparser.Error`.
+    """
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(text, source)
+    return ini
+
+
+def _level_number(key: str) -> int:
+    """n of a ``level n`` puncture key."""
+    words = key.split()
     if len(words) != 2:
-        raise ConstructionError(f"{label!r} does not name one level")
+        raise ConstructionError(f"{key!r} does not name one level")
     return int(words[1])
 
 
-def _entry(section: dict[str, str], key: str, where: str = "the header") -> str:
+def _entry(section: Mapping[str, str], key: str, where: str = "the header") -> str:
     """The value of a required key of a window file section."""
     if key not in section:
         raise ConstructionError(f"window file has no {key!r} key in {where}")
@@ -791,36 +822,20 @@ def serialize_window(win: Window) -> str:
     return "\n".join(out) + "\n"
 
 
+_HEAD = "header"  # the section parse_window reads the header lines into
+
+
 def parse_window(text: str) -> Window:
     """Rebuild a window from its canonical text form (exact round-trip)."""
-    head: dict[str, str] = {}
-    levels: dict[int, dict[str, str]] = {}
-    sectors: dict[str, str] = {}
-    punctures: list[tuple[int, tuple[int, ...]]] = []
-    section: str | None = None
-    current_level = 0
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            section = line.strip("[]")
-            if section.startswith("level "):
-                current_level = _level_number(section)
-                levels[current_level] = {}
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if section is None:
-            head[key] = val
-        elif section.startswith("level "):
-            levels[current_level][key] = val
-        elif section == "sectors":
-            sectors[key] = val
-        elif section == "punctures":
-            punctures.append((_level_number(key), tuple(int(r) for r in val.split(","))))
-    if head.get("format") != "odowin-window 1":
+    fmt, _, rest = text.partition("\n")
+    if fmt.strip() != "format = odowin-window 1":
         raise ConstructionError("unrecognized window file format")
+    try:
+        # the header section takes the format line's place, so line numbers are the file's
+        ini = read_ini(f"[{_HEAD}]\n{rest}", "window file")
+    except configparser.Error as exc:
+        raise ConstructionError(" ".join(str(exc).split())) from None
+    head = ini[_HEAD]
     group = group_by_name(_entry(head, "group"))
     cap = int(_entry(head, "cap"))
     moduli = tuple(int(m) for m in _entry(head, "moduli").split(","))
@@ -829,24 +844,24 @@ def parse_window(text: str) -> Window:
     partitions = []
     level_class = []
     for n in range(1, cap + 1):
-        sec = levels.get(n)
-        if sec is None:
+        if f"level {n}" not in ini:
             raise ConstructionError(f"window file missing level {n}")
-        alphabet = _parse_elems(group, _entry(sec, "alphabet", f"[level {n}]"))
+        sec, where = ini[f"level {n}"], f"[level {n}]"
+        alphabet = _parse_elems(group, _entry(sec, "alphabet", where))
         if alphabet != ds.alphabet(n):
             raise ConstructionError(f"level {n}: alphabet does not match the chain")
         part = LevelPartition(
-            _parse_elems(group, _entry(sec, "interior", f"[level {n}]")),
-            _parse_elems(group, _entry(sec, "exterior", f"[level {n}]")),
-            _parse_elems(group, _entry(sec, "boundary", f"[level {n}]")),
+            _parse_elems(group, _entry(sec, "interior", where)),
+            _parse_elems(group, _entry(sec, "exterior", where)),
+            _parse_elems(group, _entry(sec, "boundary", where)),
         )
         part.validate(alphabet, n)
         partitions.append(part)
         if "class" in sec:
             level_class.append(int(sec["class"]))
-    kind = _entry(head, "kind")
+    punctures = ini["punctures"].items() if "punctures" in ini else ()
     spec = WindowSpec(
-        kind=kind,
+        kind=_entry(head, "kind"),
         group_name=group.name,
         moduli=moduli,
         cap=cap,
@@ -857,12 +872,19 @@ def parse_window(text: str) -> Window:
         k=int(_entry(head, "k")),
         sector_level=int(_entry(head, "sector_level")),
         sector_of_rank=(
-            tuple(int(s) for s in _entry(sectors, "sector_of_rank", "[sectors]").split(","))
-            if sectors
+            tuple(int(s) for s in _entry(ini["sectors"], "sector_of_rank", "[sectors]").split(","))
+            if "sectors" in ini
             else None
         ),
         level_class=tuple(level_class) if level_class else None,
-        e_rule="" if head.get("e_rule") in (None, "none") else head["e_rule"],
-        punctures=tuple(punctures),
+        e_rule="" if head.get("e_rule", "none") == "none" else head["e_rule"],
+        punctures=tuple(
+            (_level_number(key), tuple(int(r) for r in val.split(","))) for key, val in punctures
+        ),
     )
-    return Window(spec, ds)
+    win = Window(spec, ds)
+    known = {_HEAD, "sectors", "punctures", *(f"level {n}" for n in range(1, cap + 1))}
+    unknown = sorted(set(ini.sections()) - known)
+    if unknown:
+        raise ConstructionError(f"window file has a section [{unknown[0]}] that no window reads")
+    return win

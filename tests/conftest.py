@@ -81,8 +81,17 @@ def w_heis_kt2(w_heis_k2):
 
 
 @pytest.fixture(scope="session")
-def malformed_windows(w_kt):
-    """Edits of the z-fiber ktilde k=3 window file that describe no valid window."""
+def w_heis_kt1(w_heis):
+    # k = 1 at sector level 1 makes level 2 a designated level: a punctured Heisenberg window
+    from odowin.windows import build_k, build_ktilde
+
+    return build_ktilde(build_k(w_heis, 1, 1), "dovetail")
+
+
+@pytest.fixture(scope="session")
+def malformed_windows(w_fiber, w_kt):
+    """Edits of the z-fiber ktilde k=3 window file (and one of the perf file) that
+    describe no valid window, or no single one."""
     from odowin.windows import CLS_IN, serialize_window
 
     text = serialize_window(w_kt[3])
@@ -112,6 +121,17 @@ def malformed_windows(w_kt):
         "designated-level-unpunctured": re.sub(
             r"(\[level 6\]\n(?:[^\[\n]*\n)*?)class = 2$", r"\g<1>class = 3", text, flags=re.M
         ),
+        # a repeated key or section, or a line that is not key = value, has no one reading
+        "cap-repeated": text.replace("cap = 6\n", "cap = 6\ncap = 5\n"),
+        "boundary-repeated": re.sub(
+            r"(\[level 2\]\n(?:[^\[\n]*\n)*?)(boundary = .*\n)", r"\1\2\2", text
+        ),
+        "level-repeated": re.sub(r"(\[level 2\]\n[^\[]*)", r"\1\1", text),
+        "stray-line": text.replace("[sectors]\n", "[sectors]\ngarbage\n"),
+        "unknown-section": text + "[notes]\nseen = yes\n",
+        "e-rule-unknown": text.replace("e_rule = dovetail", "e_rule = banana"),
+        "e-rule-on-perf": serialize_window(w_fiber).replace("e_rule = none", "e_rule = strict"),
+        "cap-zero": text.replace("cap = 6\n", "cap = 0\n"),
     }
     assert text not in edits.values()
     return edits

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +144,14 @@ def test_verify_fails_on_corrupted_boundary_digits(tmp_path, cfg):
     assert main(["verify", str(wfile)]) == 1
 
 
+def test_readme_config_builds_and_verifies(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (tmp_path / "readme.cfg").write_text(re.search(r"```ini\n(.*?)```", readme, re.S)[1])
+    out = tmp_path / "w"
+    assert main(["build", "--config", str(tmp_path / "readme.cfg"), "--out", str(out)]) == 0
+    assert main(["verify", str(out / "window.txt")]) == 0
+
+
 def test_config_errors_exit_two(tmp_path, cfg, capsys):
     assert main(["build", "--config", cfg("a.cfg", IRR_CFG.replace("cap = 3", "cap = 3\na = 2")),
                  "--out", str(tmp_path / "x")]) == 2
@@ -163,6 +172,11 @@ def test_config_errors_exit_two(tmp_path, cfg, capsys):
         "delta.cfg": Z2_CFG.replace("delta = 60", "delta = sixty"),
         "delta-zero.cfg": Z2_CFG.replace("delta = 60", "delta = 1/0"),
         "no-section.cfg": "name = Z\n" + IRR_CFG,
+        # rules the builders own: the kind, the e_rule, epsilon in (0,1) even beside a delta
+        "kind.cfg": IRR_CFG.replace("kind = perf", "kind = banana"),
+        "e_rule.cfg": FIBER_CFG.replace("kind = k", "kind = ktilde") + "e_rule = banana\n",
+        "epsilon.cfg": Z2_CFG.replace("delta = 60", "delta = 60\nepsilon = 3/2"),
+        "cap-twice.cfg": Z2_CFG.replace("cap = 3", "cap = 3\ncap = 2"),
     }
     capsys.readouterr()
     for name, text in bad.items():
@@ -172,7 +186,8 @@ def test_config_errors_exit_two(tmp_path, cfg, capsys):
 
 def test_bad_flags_exit_two(tmp_path, cfg, capsys):
     path = cfg("w.cfg", IRR_CFG)
-    assert main(["build", "--config", path, "--out", str(tmp_path / "x"), "--cap", "0"]) == 2
+    assert main(["build", "--config", cfg("cap0.cfg", IRR_CFG.replace("cap = 3", "cap = 0")),
+                 "--out", str(tmp_path / "x")]) == 2
     assert main(["build", "--config", path, "--out", str(tmp_path / "w")]) == 0
     win = str(tmp_path / "w" / "window.txt")
     capsys.readouterr()
@@ -190,6 +205,7 @@ def test_bad_flags_exit_two(tmp_path, cfg, capsys):
         ["stats", win, "--seed", "1", "--patch-level", "1"],
         ["emit", win, "--patch-level", "x"],
         ["fiber", win, "--seed"],
+        ["build", "--config", path, "--cap", "2"],  # the config's keys are the only settings
         ["frob", win],
         [],
     ):
@@ -317,11 +333,13 @@ def test_preset_must_agree_with_group_name(tmp_path, cfg, capsys):
     assert "group = Z2" in (tmp_path / "w" / "window.txt").read_text().splitlines()
 
 
-def test_malformed_window_exits_two(tmp_path, malformed_windows):
+def test_malformed_window_exits_two(tmp_path, capsys, malformed_windows):
+    capsys.readouterr()
     for label, text in malformed_windows.items():
         path = tmp_path / f"{label}.txt"
         path.write_text(text)
         assert main(["verify", str(path)]) == 2, label
+        assert len(capsys.readouterr().err.splitlines()) == 1, label
 
 
 @pytest.mark.parametrize(
@@ -377,9 +395,10 @@ def test_render_command(tmp_path, cfg):
     assert head[0] == "P2" and head[1] == "32 32"
 
 
-def test_strict_e_rule_flag(tmp_path, cfg):
+def test_strict_e_rule_key(tmp_path, cfg):
     path = cfg("w.cfg", FIBER_CFG.replace("kind = k", "kind = ktilde"))
-    main(["build", "--config", path, "--out", str(tmp_path / "a"), "--strict-e-rule"])
+    strict = cfg("s.cfg", FIBER_CFG.replace("kind = k", "kind = ktilde") + "e_rule = strict\n")
+    main(["build", "--config", strict, "--out", str(tmp_path / "a")])
     main(["build", "--config", path, "--out", str(tmp_path / "b")])
     a = parse_window((tmp_path / "a" / "window.txt").read_text())
     b = parse_window((tmp_path / "b" / "window.txt").read_text())
@@ -387,10 +406,9 @@ def test_strict_e_rule_flag(tmp_path, cfg):
     assert main(["verify", str(tmp_path / "a" / "window.txt")]) == 0
 
 
-def test_mode_and_cap_overrides(tmp_path, cfg):
-    path = cfg("w.cfg", FIBER_CFG)
-    main(["build", "--config", path, "--out", str(tmp_path / "w"),
-          "--mode", "perf", "--cap", "4"])
+def test_kind_and_cap_keys(tmp_path, cfg):
+    path = cfg("w.cfg", FIBER_CFG.replace("kind = k", "kind = perf").replace("cap = 6", "cap = 4"))
+    main(["build", "--config", path, "--out", str(tmp_path / "w")])
     win = parse_window((tmp_path / "w" / "window.txt").read_text())
     assert win.spec.kind == "perf" and win.cap == 4
 
@@ -438,8 +456,10 @@ def mutation_sources(w_kt, w_heis_kt2):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutated_window_file_verifies_or_exits_two(tmp_path_factory, mutation_sources, data):
-    # one integer of a serialized window changed: verify ends in an exit code,
-    # and a file that still parses classifies alike by both routes
+    # One integer of a serialized window changed.  A mutant that parses is another
+    # valid window, not a fault: the reader keeps every value the file states (the
+    # mutant serializes back to itself), and both routes classify it alike.  Any
+    # mutant ends in an exit code.
     text = data.draw(st.sampled_from(mutation_sources))
     start, end = data.draw(st.sampled_from(_mutable_integers(text)))
     value = data.draw(st.integers(min_value=-1, max_value=max(8, 2 * int(text[start:end]))))
@@ -451,6 +471,7 @@ def test_mutated_window_file_verifies_or_exits_two(tmp_path_factory, mutation_so
         win = parse_window(mutant)
     except ConstructionError:
         return
+    assert serialize_window(win) == mutant
     size = win.ds.size(win.cap)
     walk = [win.tree.classify_indices(r)[0] for r in range(size)]
     assert win.tree.vec_classify(np.arange(size)).tolist() == walk

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from odowin.expansion import build_domains
+from odowin.fibers import critical_point, enumerate_fiber
 from odowin.groups import ConstructionError, SubgroupChain, geometric_moduli, group_by_name
+from odowin.odometer import sample_point
 from odowin.windows import (
     CLS_IN,
     CLS_OUT,
@@ -479,6 +481,20 @@ def test_round_trip(which, w_irr, w_k, w_kt, w_heis, w_z2):
     for n in range(win.cap):
         assert np.array_equal(back.tree.class_by_rank[n], win.tree.class_by_rank[n])
     assert [r.passed for r in verify_window(back)] == [r.passed for r in verify_window(win)]
+
+
+def test_heisenberg_puncture(w_heis, w_heis_kt1):
+    win = w_heis_kt1
+    assert win.spec.punctures == ((2, (3,)),)
+    # the quartet and boundary stability against the perf base
+    assert [r.passed for r in verify_window(win)] == [True] * 5
+    assert win.tree.pending_equal(w_heis.tree)
+    text = serialize_window(win)
+    assert serialize_window(parse_window(text)) == text
+    # k + 1 nested candidates plus one drop per top-class hitter, all distinct
+    for xi in (critical_point(win), sample_point(win.ds, 1, win.cap)):
+        fib = enumerate_fiber(win, xi)
+        assert len(fib.candidates) == win.spec.k + 1 + len(fib.report.classes[-1]) == fib.distinct()
 
 
 def test_parse_rejects_garbage(malformed_windows):
