@@ -10,6 +10,8 @@ the exact per-level threshold holds.
 from fractions import Fraction
 
 from odowin import (
+    CLS_IN,
+    CLS_PENDING,
     boundary_measure,
     build_perf,
     geometric_moduli,
@@ -33,10 +35,10 @@ for line in win.build_log:
 print("\n== the built window ==")
 print("  chain used:", win.spec.moduli)
 for n in range(1, win.cap + 1):
-    p = win.spec.partitions[n - 1]
+    codes = win.spec.partitions[n - 1]
     print(
-        f"  level {n}: alphabet {len(win.ds.alphabet(n))}, "
-        f"interior {len(p.interior)}, exterior 1, boundary {len(p.boundary)}"
+        f"  level {n}: alphabet {len(codes)}, "
+        f"interior {codes.count(CLS_IN)}, exterior 1, boundary {codes.count(CLS_PENDING)}"
     )
 
 print("\n== exact measures ==")

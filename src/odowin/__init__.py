@@ -71,7 +71,6 @@ from .windows import (
     CLS_OUT,
     CLS_PENDING,
     CylinderTree,
-    LevelPartition,
     Report,
     Window,
     WindowSpec,

@@ -26,6 +26,8 @@ from .model_sets import VALUE_OF_CODE, emit_patch, patch_jsonl, patch_pgm
 from .odometer import embed, sample_point
 from .presets import CHAINS
 from .windows import (
+    CLS_IN,
+    CLS_PENDING,
     Window,
     boundary_measure,
     build_kind,
@@ -33,6 +35,7 @@ from .windows import (
     folner_ratio,
     parse_window,
     read_ini,
+    refuse_unread,
     serialize_window,
     verify_window,
 )
@@ -103,7 +106,18 @@ def load_config(path: str) -> configparser.ConfigParser:
 
 
 def window_from_config(cfg: configparser.ConfigParser) -> Window:
+    sources = [key for key in ("preset", "moduli", "rule") if cfg.has_option("chain", key)]
+    if len(sources) > 1:
+        raise ConfigError(f"[chain] names {' and '.join(sources)}; give one")
+    kind = cfg.get("window", "kind", fallback="perf")
     try:
+        # A config builds what it states: no section or key goes unread.
+        refuse_unread(cfg, {
+            "group": {"name"},
+            "chain": {*sources, *(("base", "ratio", "length") if sources == ["rule"] else ())},
+            "window": {"kind", "cap", "sector_level", "k", "a", "epsilon", "delta",
+                       *(("e_rule",) if kind == "ktilde" else ())},
+        }, f"a {kind} build")
         group = group_by_name(cfg.get("group", "name", fallback="Z"))
     except ConstructionError as exc:
         raise ConfigError(str(exc))
@@ -142,8 +156,8 @@ def window_from_config(cfg: configparser.ConfigParser) -> Window:
     try:
         win = build_perf(group, moduli, cap, a[0] if len(a) == 1 else a,
                          epsilon=epsilon, delta=delta)
-        return build_kind(win, cfg.get("window", "kind", fallback="perf"), k, sector_level,
-                          cfg.get("window", "e_rule", fallback="dovetail"))
+        e_rule = cfg.get("window", "e_rule", fallback="dovetail")
+        return build_kind(win, kind, k, sector_level, e_rule)
     except ConstructionError as exc:
         raise ConfigError(str(exc))
 
@@ -175,9 +189,9 @@ def cmd_build(args) -> int:
         "levels": {
             n: {
                 "alphabet": len(win.ds.alphabet(n)),
-                "interior": len(win.spec.partitions[n - 1].interior),
+                "interior": win.spec.partitions[n - 1].count(CLS_IN),
                 "exterior": 1,
-                "boundary": len(win.spec.partitions[n - 1].boundary),
+                "boundary": win.spec.partitions[n - 1].count(CLS_PENDING),
                 "boundary_layer_measure": boundary_measure(win, n),
                 "folner_ratio": folner_ratio(win.ds, win.carries.level(n), n),
             }

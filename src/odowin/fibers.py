@@ -85,7 +85,8 @@ def critical_point(win: Window) -> OdometerPoint:
     The identity's shifted orbit point then sits on the boundary layer at
     every built level.
     """
-    return OdometerPoint(tuple(part.boundary[0] for part in win.spec.partitions[: win.cap]))
+    return OdometerPoint(tuple(win.ds.alphabet(n)[codes.index(CLS_PENDING)]
+                               for n, codes in enumerate(win.spec.partitions, start=1)))
 
 
 def boundary_hitters_exact(win: Window, xi: OdometerPoint) -> list[tuple[Elem, int]]:

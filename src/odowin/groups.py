@@ -92,16 +92,6 @@ class GroupContext(ABC):
         template = brackets[0] + ",".join(["%d"] * self.dim) + brackets[1]
         return [template % tuple(r) for r in rows.tolist()]
 
-    def parse(self, text: str) -> Elem:
-        text = text.strip()
-        if text.startswith("("):
-            parts = text.strip("()").split(",")
-            val = tuple(int(p) for p in parts)
-            if len(val) != self.dim:
-                raise ValueError(f"expected {self.dim} components in {text!r}")
-            return val
-        return int(text)
-
     # -- congruence structure ------------------------------------------------
 
     @abstractmethod

@@ -22,7 +22,9 @@ Three kinds are built on one base:
   mutually incomparable singletons.
 
 All measures are exact :class:`fractions.Fraction` values; all cylinder data
-are integer rank arrays.
+are integer rank arrays, and a level's partition is a digit-code array: the
+class code (``CLS_IN``, ``CLS_OUT`` or ``CLS_PENDING``) of each digit, by
+digit index.  Group elements appear only in the window file's text.
 """
 
 from __future__ import annotations
@@ -80,26 +82,6 @@ def boundary_fraction_threshold(delta: Fraction, n: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class LevelPartition:
-    """Digit split at one level: interior / single exterior / boundary."""
-
-    interior: tuple[Elem, ...]
-    exterior: tuple[Elem, ...]
-    boundary: tuple[Elem, ...]
-
-    def validate(self, alphabet: Sequence[Elem], level: int) -> None:
-        # Structural only: genericity of the identity digit is a verification
-        # concern, so adversarial partitions stay parseable.
-        if len(self.exterior) != 1:
-            raise ConstructionError(f"level {level}: need exactly one exterior digit")
-        if not self.interior or not self.boundary:
-            raise ConstructionError(f"level {level}: all three parts must be nonempty")
-        combined = list(self.interior) + list(self.exterior) + list(self.boundary)
-        if len(combined) != len(set(combined)) or set(combined) != set(alphabet):
-            raise ConstructionError(f"level {level}: parts must partition the alphabet")
-
-
-@dataclass(frozen=True)
 class WindowSpec:
     """Complete deterministic description of a built window."""
 
@@ -110,7 +92,7 @@ class WindowSpec:
     delta: Fraction
     epsilon: Fraction | None
     a_schedule: tuple[int, ...]
-    partitions: tuple[LevelPartition, ...]
+    partitions: tuple[tuple[int, ...], ...]  # per level, the class code of each digit index
     k: int = 1
     sector_level: int = 0  # partition level L; 0 for perf
     sector_of_rank: tuple[int, ...] | None = None  # sector per level-L rank
@@ -118,16 +100,17 @@ class WindowSpec:
     e_rule: str = ""
     punctures: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
-    def boundary_count(self, n: int) -> int:
-        out = 1
-        for j in range(1, n + 1):
-            out *= len(self.partitions[j - 1].boundary)
-        return out
-
     def validate(self, ds: DomainSequence) -> None:
-        """Raise unless cap, e_rule, sector, class and puncture data fit the kind and the domains."""
+        """Raise unless each field fits the kind, the domains and the other fields."""
         if self.cap < 1:
             raise ConstructionError(f"cap must be at least 1 (got {self.cap})")
+        # Structural only: genericity of the identity digit is a verification
+        # concern, so adversarial partitions stay buildable.
+        for n, codes in enumerate(self.partitions, start=1):
+            if codes.count(CLS_OUT) != 1:
+                raise ConstructionError(f"level {n}: need exactly one exterior digit")
+            if CLS_IN not in codes or CLS_PENDING not in codes:
+                raise ConstructionError(f"level {n}: all three parts must be nonempty")
         if self.kind not in KINDS:
             raise ConstructionError(f"window kind must be perf, k, or ktilde (got {self.kind!r})")
         if self.e_rule not in (E_RULES if self.kind == "ktilde" else ("",)):
@@ -218,9 +201,7 @@ class CylinderTree:
         punctures = dict(spec.punctures)
         prev = np.array([CLS_PENDING], dtype=np.int8)  # the root
         for n in range(1, spec.cap + 1):
-            part = spec.partitions[n - 1]
-            digit_class = {t: CLS_IN for t in part.interior} | {t: CLS_OUT for t in part.exterior}
-            code = np.array([digit_class.get(t, CLS_PENDING) for t in ds.alphabet(n)], np.int8)
+            code = np.array(spec.partitions[n - 1], np.int8)
             fresh = np.tile(prev == CLS_PENDING, len(code))  # children of boundary cylinders
             arr = np.where(fresh, np.repeat(code, len(prev)), np.tile(prev, len(code)))
             need = spec.level_class[n - 1] if spec.level_class is not None else 1
@@ -236,13 +217,7 @@ class CylinderTree:
                     )
                 arr[r] = CLS_OUT
             self.class_by_rank.append(arr)
-            pending = np.nonzero(arr == CLS_PENDING)[0]
-            if len(pending) != spec.boundary_count(n):
-                raise ConstructionError(
-                    f"level {n}: boundary cylinder count {len(pending)} does not match "
-                    f"the partition product {spec.boundary_count(n)}"
-                )
-            self.pending_ranks.append(pending)
+            self.pending_ranks.append(np.nonzero(arr == CLS_PENDING)[0])
             prev = arr
 
     # -- classification ---------------------------------------------------------
@@ -351,11 +326,11 @@ def vanhove_boundary(ds: DomainSequence, probe: Sequence[Elem], n: int) -> list[
     return g.from_array(candidates[hits.any(axis=0) & ~hits.all(axis=0)])
 
 
-def carry_safe_digits(ds: DomainSequence, carries: Sequence[Elem], n: int) -> list[Elem]:
-    """Alphabet digits t with carries·t fully inside D_n (eligible boundary digits)."""
-    g, alphabet = ds.group, ds.alphabet(n)
-    safe = translate_mask(ds, g.to_array(carries), g.to_array(alphabet), n).all(axis=0)
-    return [t for t, ok in zip(alphabet, safe.tolist()) if ok]
+def carry_safe_digits(ds: DomainSequence, carries: Sequence[Elem], n: int) -> np.ndarray:
+    """Mask over the level-n digit indices of the t with carries·t inside D_n (eligible boundary
+    digits)."""
+    g = ds.group
+    return translate_mask(ds, g.to_array(carries), g.to_array(ds.alphabet(n)), n).all(axis=0)
 
 
 def folner_ratio(ds: DomainSequence, carries: Sequence[Elem], n: int) -> Fraction:
@@ -405,7 +380,7 @@ def build_perf(
 
     raw = list(raw_moduli)
     ds = DomainSequence(group)
-    partitions: list[LevelPartition] = []
+    partitions: list[tuple[int, ...]] = []
     log: list[str] = []
     pointer = 0
     last_fail = ""
@@ -418,19 +393,17 @@ def build_perf(
             pointer += 1
             ds.append_level(m)
             carries = carry_ranges(ds, n).level(n)
-            safe = carry_safe_digits(ds, carries, n)
+            safe = np.flatnonzero(carry_safe_digits(ds, carries, n))
             total = len(ds.alphabet(n))
             n_boundary = len(safe) - a_n
             ratio = Fraction(max(n_boundary, 0), total)
             if n_boundary >= 1 and ratio >= threshold:
-                boundary = tuple(safe[a_n:])
-                bset = set(boundary)
-                pool = [t for t in ds.alphabet(n) if t not in bset]
-                ext = next(t for t in pool if t != group.identity)
-                interior = tuple(t for t in pool if t != ext)
-                part = LevelPartition(interior, (ext,), boundary)
-                part.validate(ds.alphabet(n), n)
-                partitions.append(part)
+                # The first a_n safe digits stay off the boundary; the first digit
+                # off it after the identity (digit 0) is the exterior one.
+                codes = np.full(total, CLS_IN, np.int8)
+                codes[safe[a_n:]] = CLS_PENDING
+                codes[1 + np.argmax(codes[1:] == CLS_IN)] = CLS_OUT
+                partitions.append(tuple(codes.tolist()))
                 log.append(
                     f"level {n}: modulus {m}, alphabet {total}, carry-safe {len(safe)}, "
                     f"boundary {n_boundary} (fraction {ratio} >= {float(threshold):.6g})"
@@ -508,8 +481,6 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
     """
     if base.spec.kind != "k":
         raise ConstructionError("punctured windows are built from a k window")
-    if e_rule not in E_RULES:
-        raise ConstructionError(f"unknown e_rule {e_rule!r}")
     spec, ds, tree = base.spec, base.ds, base.tree
     lvl_l = spec.sector_level
 
@@ -523,8 +494,7 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
     punctures: list[tuple[int, tuple[int, ...]]] = []
     for i, n in enumerate(spec.designated_levels()):
         parents = top_pendings(n - 1)
-        a_digit = spec.partitions[n - 1].interior[0]
-        a_idx = ds.alphabet_index(n, a_digit)
+        a_idx = spec.partitions[n - 1].index(CLS_IN)
         base_size = ds.size(n - 1)
         if e_rule == "per-parent":
             ranks = tuple(int(p) + base_size * a_idx for p in parents)
@@ -565,9 +535,8 @@ def boundary_measure(win: Window, n: int) -> Fraction:
     if n == 0:
         return Fraction(1)
     product = Fraction(1)
-    for j in range(1, n + 1):
-        part = win.spec.partitions[j - 1]
-        product *= Fraction(len(part.boundary), len(win.ds.alphabet(j)))
+    for codes in win.spec.partitions[:n]:
+        product *= Fraction(codes.count(CLS_PENDING), len(codes))
     census = Fraction(len(win.tree.pending_ranks[n - 1]), win.ds.size(n))
     if product != census:
         raise ConstructionError(
@@ -588,18 +557,13 @@ def check_genericity(win: Window) -> Report:
     are exactly those whose next digit is the identity).
     """
     ds, spec = win.ds, win.spec
-    bad_levels = [
-        n
-        for n in range(1, spec.cap + 1)
-        if ds.group.identity in spec.partitions[n - 1].boundary
-    ]
+    # The identity is digit 0 at every level.
+    bad_levels = [n for n, codes in enumerate(spec.partitions, start=1) if codes[0] == CLS_PENDING]
     lines, data = [], {}
     if bad_levels:
-        digits = []
-        for n in range(1, spec.cap + 1):
-            part = spec.partitions[n - 1]
-            pick = ds.group.identity if ds.group.identity in part.boundary else part.boundary[0]
-            digits.append(pick)
+        # the identity where it is a boundary digit, else the first boundary digit
+        digits = [ds.alphabet(n)[codes.index(CLS_PENDING)]
+                  for n, codes in enumerate(spec.partitions, start=1)]
         lines.append(
             f"FAIL: identity is a boundary digit at levels {bad_levels}; "
             "witness boundary digit string "
@@ -613,9 +577,7 @@ def check_genericity(win: Window) -> Report:
     depth = np.zeros(size, dtype=np.int64)  # last level with a non-identity digit
     # D_cap[r] has rank r, so its digit indices are the radix digits of r.
     for n, idx in enumerate(ds.radix_digits(np.arange(size), spec.cap), start=1):
-        boundary_mask = np.zeros(len(ds.alphabet(n)), dtype=bool)
-        boundary_mask[[ds.alphabet_index(n, t) for t in spec.partitions[n - 1].boundary]] = True
-        onb = boundary_mask[idx]
+        onb = (np.array(spec.partitions[n - 1]) == CLS_PENDING)[idx]
         escape[alive & ~onb] = n
         alive &= onb
         depth[idx != 0] = n
@@ -675,16 +637,19 @@ def check_irredundancy(win: Window) -> Report:
 def check_self_similarity(win: Window) -> Report:
     """Carry translates of every boundary digit stay inside the domain.
 
-    A failure's witness is the first level, boundary digit and carry, in that order.
+    A failure's witness is the first level, boundary digit (in alphabet order)
+    and carry, in that order.
     """
     ds, spec, carries = win.ds, win.spec, win.carries
     g = ds.group
-    for n in range(1, spec.cap + 1):
-        level_carries, boundary = carries.level(n), spec.partitions[n - 1].boundary
-        inside = translate_mask(ds, g.to_array(level_carries), g.to_array(boundary), n)
+    for n, codes in enumerate(spec.partitions, start=1):
+        level_carries = carries.level(n)
+        boundary = np.flatnonzero(np.array(codes) == CLS_PENDING)
+        inside = translate_mask(ds, g.to_array(level_carries),
+                                g.to_array(ds.alphabet(n))[boundary], n)
         bad = np.flatnonzero(~inside.all(axis=0))
         if bad.size:  # the first failing digit's first failing carry: argmin finds a False
-            k, c = level_carries[np.argmin(inside[:, bad[0]])], boundary[bad[0]]
+            k, c = level_carries[np.argmin(inside[:, bad[0]])], ds.alphabet(n)[boundary[bad[0]]]
             witness = {"level": n, "carry": k, "digit": c}
             lines = [f"FAIL at level {n}: carry {g.fmt(k)} pushes boundary digit {g.fmt(c)} "
                      "outside the domain"]
@@ -755,11 +720,25 @@ def read_ini(text: str, source: str) -> configparser.ConfigParser:
     """INI text, read strictly and without interpolation, as configs and window files are.
 
     A repeated section, a repeated key in one section, or a line that is not
-    ``key = value`` raises a :class:`configparser.Error`.
+    ``key = value`` raises a :class:`configparser.Error`.  No section header
+    can spell the default section's name, so ``[DEFAULT]`` is an ordinary
+    section and passes its keys to no other.
     """
-    ini = configparser.ConfigParser(interpolation=None)
+    ini = configparser.ConfigParser(interpolation=None, default_section="")
     ini.read_string(text, source)
     return ini
+
+
+def refuse_unread(ini: configparser.ConfigParser, read: Mapping[str, set[str]], reader: str,
+                  head: str = "") -> None:
+    """Raise on a section that ``read`` lacks or a key its set lacks; ``head`` is the header."""
+    for name in ini.sections():
+        where = "the header" if name == head else f"[{name}]"
+        if name not in read:
+            raise ConstructionError(f"{reader} reads no section {where}")
+        unread = sorted(set(ini[name]) - read[name])
+        if unread:
+            raise ConstructionError(f"{reader} reads no key {unread[0]!r} in {where}")
 
 
 def _level_number(key: str) -> int:
@@ -777,13 +756,12 @@ def _entry(section: Mapping[str, str], key: str, where: str = "the header") -> s
     return section[key]
 
 
-def _fmt_elems(group: GroupContext, elems: Sequence[Elem]) -> str:
-    return ";".join(group.fmt(e) for e in elems)
+_PARTS = ("interior", "exterior", "boundary")  # the digit list of CLS_IN, CLS_OUT, CLS_PENDING
 
 
-def _parse_elems(group: GroupContext, s: str) -> tuple[Elem, ...]:
-    s = s.strip()
-    return tuple(group.parse(p) for p in s.split(";")) if s else ()
+def _digit_lists(digits: Sequence[str], codes: Sequence[int]) -> list[str]:
+    """The interior, exterior and boundary lists of a level's digit texts, in alphabet order."""
+    return [";".join(t for t, c in zip(digits, codes) if c == code) for code in range(len(_PARTS))]
 
 
 def serialize_window(win: Window) -> str:
@@ -803,13 +781,11 @@ def serialize_window(win: Window) -> str:
         f"sector_level = {spec.sector_level}",
         f"e_rule = {spec.e_rule or 'none'}",
     ]
-    for n in range(1, spec.cap + 1):
-        part = spec.partitions[n - 1]
+    for n, codes in enumerate(spec.partitions, start=1):
+        digits = [g.fmt(t) for t in win.ds.alphabet(n)]
         out.append(f"[level {n}]")
-        out.append(f"alphabet = {_fmt_elems(g, win.ds.alphabet(n))}")
-        out.append(f"interior = {_fmt_elems(g, part.interior)}")
-        out.append(f"exterior = {_fmt_elems(g, part.exterior)}")
-        out.append(f"boundary = {_fmt_elems(g, part.boundary)}")
+        out.append(f"alphabet = {';'.join(digits)}")
+        out += [f"{key} = {text}" for key, text in zip(_PARTS, _digit_lists(digits, codes))]
         if spec.level_class is not None:
             out.append(f"class = {spec.level_class[n - 1]}")
     if spec.sector_of_rank is not None:
@@ -822,11 +798,32 @@ def serialize_window(win: Window) -> str:
     return "\n".join(out) + "\n"
 
 
+def _level_codes(sec: Mapping[str, str], n: int, digits: Sequence[str]) -> tuple[int, ...]:
+    """The class code of each digit index, from a ``[level n]`` section's three digit lists.
+
+    The lists must be the ones the codes write back: every digit of the
+    alphabet listed once, each list in alphabet order.
+    """
+    lists = [_entry(sec, key, f"[level {n}]") for key in _PARTS]
+    code_of = {t: code for code, text in enumerate(lists) for t in text.split(";")}
+    codes = tuple(code_of.get(t, -1) for t in digits)
+    if -1 in codes or _digit_lists(digits, codes) != lists:
+        raise ConstructionError(f"level {n}: the interior, exterior and boundary lists must "
+                                "name each alphabet digit once, each list in alphabet order")
+    return codes
+
+
 _HEAD = "header"  # the section parse_window reads the header lines into
+_HEAD_KEYS = {"group", "kind", "cap", "moduli", "delta", "epsilon", "a_schedule", "k",
+              "sector_level", "e_rule"}
 
 
 def parse_window(text: str) -> Window:
-    """Rebuild a window from its canonical text form (exact round-trip)."""
+    """Rebuild a window from its canonical text form (exact round-trip).
+
+    A section or key that no window reads is refused, as are digit lists
+    other than the ones the window writes back.
+    """
     fmt, _, rest = text.partition("\n")
     if fmt.strip() != "format = odowin-window 1":
         raise ConstructionError("unrecognized window file format")
@@ -846,17 +843,11 @@ def parse_window(text: str) -> Window:
     for n in range(1, cap + 1):
         if f"level {n}" not in ini:
             raise ConstructionError(f"window file missing level {n}")
-        sec, where = ini[f"level {n}"], f"[level {n}]"
-        alphabet = _parse_elems(group, _entry(sec, "alphabet", where))
-        if alphabet != ds.alphabet(n):
+        sec = ini[f"level {n}"]
+        digits = [group.fmt(t) for t in ds.alphabet(n)]
+        if _entry(sec, "alphabet", f"[level {n}]") != ";".join(digits):
             raise ConstructionError(f"level {n}: alphabet does not match the chain")
-        part = LevelPartition(
-            _parse_elems(group, _entry(sec, "interior", where)),
-            _parse_elems(group, _entry(sec, "exterior", where)),
-            _parse_elems(group, _entry(sec, "boundary", where)),
-        )
-        part.validate(alphabet, n)
-        partitions.append(part)
+        partitions.append(_level_codes(sec, n, digits))
         if "class" in sec:
             level_class.append(int(sec["class"]))
     punctures = ini["punctures"].items() if "punctures" in ini else ()
@@ -883,8 +874,9 @@ def parse_window(text: str) -> Window:
         ),
     )
     win = Window(spec, ds)
-    known = {_HEAD, "sectors", "punctures", *(f"level {n}" for n in range(1, cap + 1))}
-    unknown = sorted(set(ini.sections()) - known)
-    if unknown:
-        raise ConstructionError(f"window file has a section [{unknown[0]}] that no window reads")
+    levels = (f"level {n}" for n in range(1, cap + 1))
+    refuse_unread(ini, {_HEAD: _HEAD_KEYS, "sectors": {"sector_of_rank"},
+                        "punctures": {key for key, _ in punctures},
+                        **dict.fromkeys(levels, {"alphabet", *_PARTS, "class"})},
+                  "a window", _HEAD)
     return win

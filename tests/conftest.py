@@ -132,6 +132,21 @@ def malformed_windows(w_fiber, w_kt):
         "e-rule-unknown": text.replace("e_rule = dovetail", "e_rule = banana"),
         "e-rule-on-perf": serialize_window(w_fiber).replace("e_rule = none", "e_rule = strict"),
         "cap-zero": text.replace("cap = 6\n", "cap = 0\n"),
+        # level 1 splits 0..7 into interior 0;2, exterior 1 and boundary 3;4;5;6;7
+        "two-exterior-digits": text.replace("interior = 0;2\nexterior = 1\n",
+                                            "interior = 0\nexterior = 1;2\n"),
+        "empty-interior": text.replace("interior = 0;2\nexterior = 1\nboundary = 3;",
+                                       "interior = \nexterior = 1\nboundary = 0;2;3;"),
+        "digit-outside-alphabet": text.replace("= 3;4;5;6;7\n", "= 3;4;5;6;7;8\n"),
+        "digit-listed-twice": text.replace("= 3;4;5;6;7\n", "= 2;3;4;5;6;7\n"),
+        "digit-left-out": text.replace("= 3;4;5;6;7\n", "= 3;4;5;6\n"),
+        "boundary-out-of-order": text.replace("= 3;4;5;6;7\n", "= 7;6;5;4;3\n"),
+        # a key or section that no window reads
+        "unknown-header-key": text.replace("e_rule = dovetail\n",
+                                           "e_rule = dovetail\ncolour = red\n"),
+        "unknown-level-key": text.replace("[level 2]\n", "[level 2]\nnote = kept\n"),
+        "default-section": text.replace("[level 1]\n", "[DEFAULT]\nclass = 1\n[level 1]\n"),
     }
+    assert len(set(edits.values())) == len(edits)
     assert text not in edits.values()
     return edits

@@ -120,7 +120,8 @@ def test_verify_fails_on_broken_window(tmp_path, cfg):
 
 def test_verify_fails_on_corrupted_boundary_digits(tmp_path, cfg):
     # hand-corrupt the window file: swap the carry-unsafe top digit into the
-    # boundary part at level 2; the carry-safety check must fail
+    # boundary part at level 2, keeping each list in alphabet order (the Z
+    # alphabet is increasing); the carry-safety check must fail
     path = cfg("w.cfg", IRR_CFG)
     main(["build", "--config", path, "--out", str(tmp_path / "w")])
     wfile = tmp_path / "w" / "window.txt"
@@ -138,8 +139,8 @@ def test_verify_fails_on_corrupted_boundary_digits(tmp_path, cfg):
     bnds = lines[boundary].split(" = ")[1].split(";")
     top = max(ints, key=int)
     ints[ints.index(top)], bnds[0] = bnds[0], top
-    lines[interior] = "interior = " + ";".join(ints)
-    lines[boundary] = "boundary = " + ";".join(bnds)
+    lines[interior] = "interior = " + ";".join(sorted(ints, key=int))
+    lines[boundary] = "boundary = " + ";".join(sorted(bnds, key=int))
     wfile.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(wfile)]) == 1
 
@@ -177,6 +178,14 @@ def test_config_errors_exit_two(tmp_path, cfg, capsys):
         "e_rule.cfg": FIBER_CFG.replace("kind = k", "kind = ktilde") + "e_rule = banana\n",
         "epsilon.cfg": Z2_CFG.replace("delta = 60", "delta = 60\nepsilon = 3/2"),
         "cap-twice.cfg": Z2_CFG.replace("cap = 3", "cap = 3\ncap = 2"),
+        # a section or key that the build would not read
+        "section.cfg": Z2_CFG + "[notes]\nseen = yes\n",
+        "default.cfg": "[DEFAULT]\nnote = kept\n" + Z2_CFG,
+        "key.cfg": Z2_CFG.replace("cap = 3", "cap = 3\ncolour = red"),
+        "e_rule-on-k.cfg": FIBER_CFG + "e_rule = strict\n",
+        "e_rule-on-perf.cfg": Z2_CFG + "e_rule = dovetail\n",
+        "preset-and-moduli.cfg": FIBER_CFG.replace("[chain]\n", "[chain]\npreset = z-fiber\n"),
+        "base-without-rule.cfg": FIBER_CFG.replace("[chain]\n", "[chain]\nbase = 2\n"),
     }
     capsys.readouterr()
     for name, text in bad.items():
@@ -340,6 +349,31 @@ def test_malformed_window_exits_two(tmp_path, capsys, malformed_windows):
         path.write_text(text)
         assert main(["verify", str(path)]) == 2, label
         assert len(capsys.readouterr().err.splitlines()) == 1, label
+
+
+def test_unread_section_or_key_is_named(tmp_path, cfg, capsys, malformed_windows):
+    # a window file or config whose section or key nothing reads names it in its one line
+    path = tmp_path / "window.txt"
+    for label, named in (
+        ("unknown-header-key", "key 'colour' in the header"),
+        ("unknown-level-key", "key 'note' in [level 2]"),
+        ("unknown-section", "section [notes]"),
+        ("default-section", "section [DEFAULT]"),
+    ):
+        path.write_text(malformed_windows[label])
+        assert main(["verify", str(path)]) == 2, label
+        err = capsys.readouterr().err
+        assert f"a window reads no {named}" in err and len(err.splitlines()) == 1, label
+    for text, named in (
+        (Z2_CFG.replace("cap = 3", "cap = 3\ncolour = red"), "a perf build reads no key 'colour'"),
+        (FIBER_CFG + "e_rule = strict\n", "a k build reads no key 'e_rule' in [window]"),
+        ("[DEFAULT]\nnote = kept\n" + Z2_CFG, "a perf build reads no section [DEFAULT]"),
+        (FIBER_CFG.replace("[chain]\n", "[chain]\npreset = z-fiber\n"), "names preset and moduli"),
+    ):
+        out = tmp_path / "out"
+        assert main(["build", "--config", cfg("w.cfg", text), "--out", str(out)]) == 2, named
+        err = capsys.readouterr().err
+        assert named in err and len(err.splitlines()) == 1 and not out.exists(), named
 
 
 @pytest.mark.parametrize(

@@ -21,10 +21,12 @@ from odowin.windows import CLS_IN, CLS_OUT, CLS_PENDING, boundary_measure
 
 def test_classify_examples(w_irr):
     ds = w_irr.ds
-    a1 = w_irr.spec.partitions[0].interior[0]
+    a1 = ds.alphabet(1)[w_irr.spec.partitions[0].index(CLS_IN)]
     cls, level = classify(w_irr, embed(ds, a1, w_irr.cap))
     assert cls == CLS_IN and level == 1
-    all_boundary = OdometerPoint(tuple(p.boundary[0] for p in w_irr.spec.partitions))
+    all_boundary = OdometerPoint(tuple(
+        ds.alphabet(n)[p.index(CLS_PENDING)] for n, p in enumerate(w_irr.spec.partitions, start=1)
+    ))
     assert classify(w_irr, all_boundary) == (CLS_PENDING, w_irr.cap)
 
 
@@ -80,7 +82,7 @@ def test_per_sets_partition(w_irr):
         assert sorted(ps.ones + ps.zeros + ps.unresolved) == sorted(dom)
         expected = 1
         for j in range(1, n + 1):
-            expected *= len(w_irr.spec.partitions[j - 1].boundary)
+            expected *= w_irr.spec.partitions[j - 1].count(CLS_PENDING)
         assert len(ps.unresolved) == expected
 
 

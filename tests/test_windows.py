@@ -15,7 +15,6 @@ from odowin.windows import (
     CLS_OUT,
     CLS_PENDING,
     CylinderTree,
-    LevelPartition,
     Window,
     WindowSpec,
     boundary_measure,
@@ -36,6 +35,28 @@ from odowin.windows import (
 Z = group_by_name("Z")
 
 
+def partition_codes(alphabet, interior, exterior, boundary):
+    """The digit-code array of a partition given by its element parts."""
+    parts = {CLS_IN: interior, CLS_OUT: exterior, CLS_PENDING: boundary}
+    return tuple(next(c for c, part in parts.items() if t in part) for t in alphabet)
+
+
+def partition_parts(win, n):
+    """(interior, exterior, boundary) elements of level n, in alphabet order."""
+    codes = win.spec.partitions[n - 1]
+    return tuple(
+        tuple(t for t, c in zip(win.ds.alphabet(n), codes) if c == code)
+        for code in (CLS_IN, CLS_OUT, CLS_PENDING)
+    )
+
+
+def with_partition(win, n, interior, exterior, boundary):
+    """The window with level n split into these element parts."""
+    parts = list(win.spec.partitions)
+    parts[n - 1] = partition_codes(win.ds.alphabet(n), interior, exterior, boundary)
+    return Window(replace(win.spec, partitions=tuple(parts)), win.ds)
+
+
 def manual_window(moduli, parts, cap=None, **kwargs):
     """Assemble a window directly from partition data (no builder policy)."""
     cap = cap if cap is not None else len(moduli)
@@ -48,7 +69,8 @@ def manual_window(moduli, parts, cap=None, **kwargs):
         delta=Fraction(1),
         epsilon=None,
         a_schedule=tuple(3 for _ in range(cap)),
-        partitions=tuple(LevelPartition(*p) for p in parts),
+        partitions=tuple(partition_codes(ds.alphabet(n), *p)
+                         for n, p in enumerate(parts, start=1)),
         **kwargs,
     )
     return Window(spec, ds)
@@ -63,9 +85,9 @@ def test_builder_telescopes_and_bounds(w_irr):
     assert any("telescoped" in line for line in w_irr.build_log)
     assert boundary_measure(w_irr, w_irr.cap) >= Fraction(1, 2)
     for n in range(1, w_irr.cap + 1):
-        part = w_irr.spec.partitions[n - 1]
-        assert len(part.exterior) == 1 and len(part.interior) >= 2
-        assert Z.identity not in part.boundary
+        interior, exterior, boundary = partition_parts(w_irr, n)
+        assert len(exterior) == 1 and len(interior) >= 2
+        assert Z.identity not in boundary
 
 
 def test_builder_requires_a_of_three():
@@ -97,11 +119,11 @@ def test_tree_child_counts(w_fiber, w_k):
     # every boundary cylinder splits into (interior, one exterior, boundary) children
     for win in (w_fiber, w_k[3]):
         for n in range(1, win.cap):
-            part = win.spec.partitions[n]
+            boundary = partition_parts(win, n + 1)[2]
             for r in win.tree.pending_ranks[n - 1][:20]:
                 kids = _children(win.tree, r, n)
                 assert int((kids == CLS_OUT).sum()) >= 1
-                assert int((kids == CLS_PENDING).sum()) == len(part.boundary)
+                assert int((kids == CLS_PENDING).sum()) == len(boundary)
 
 
 # -- van Hove boundaries -------------------------------------------------------------
@@ -162,8 +184,8 @@ def test_carry_safe_equals_vanhove_complement(w_irr):
         carries = w_irr.carries.level(n)
         probe = [Z.inv(k) for k in carries]
         bnd = set(vanhove_boundary(ds, probe, n))
-        safe = set(carry_safe_digits(ds, carries, n))
-        assert safe == {t for t in ds.alphabet(n) if t not in bnd}
+        safe = carry_safe_digits(ds, carries, n)
+        assert safe.tolist() == [t not in bnd for t in ds.alphabet(n)]
 
 
 @pytest.mark.parametrize("name", ["w_irr", "w_fiber", "w_z2", "w_heis"])
@@ -233,28 +255,22 @@ def test_irredundancy_corrupt_sectors_fails(w_k):
 def test_self_similarity_pass_and_fail(w_irr):
     assert check_self_similarity(w_irr).passed
     # adversarial: swap the carry-unsafe top digit into the boundary part
-    ds = w_irr.ds
-    p2 = w_irr.spec.partitions[1]
-    bad_digit = ds.alphabet(2)[-1]
-    assert bad_digit in p2.interior  # the builder kept it out of the boundary
-    interior = tuple(t for t in p2.interior if t != bad_digit) + (p2.boundary[0],)
-    boundary = p2.boundary[1:] + (bad_digit,)
-    new_parts = (
-        w_irr.spec.partitions[0],
-        LevelPartition(interior, p2.exterior, boundary),
-        w_irr.spec.partitions[2],
-    )
-    spec = replace(w_irr.spec, partitions=new_parts)
-    win = Window(spec, ds)
+    interior, exterior, boundary = partition_parts(w_irr, 2)
+    bad_digit = w_irr.ds.alphabet(2)[-1]
+    assert bad_digit in interior  # the builder kept it out of the boundary
+    interior = tuple(t for t in interior if t != bad_digit) + (boundary[0],)
+    boundary = boundary[1:] + (bad_digit,)
+    win = with_partition(w_irr, 2, interior, exterior, boundary)
     rep = check_self_similarity(win)
     assert not rep.passed and rep.data["witness"]["level"] == 2
 
 
 def reference_self_similarity_witness(win):
-    """The scalar loop behind the self-similarity check: first level, boundary digit, carry."""
+    """The scalar loop behind the self-similarity check: first level, boundary digit (in
+    alphabet order), carry."""
     ds, g = win.ds, win.group
     for n in range(1, win.cap + 1):
-        for c in win.spec.partitions[n - 1].boundary:
+        for c in partition_parts(win, n)[2]:
             for k in win.carries.level(n):
                 if not ds.in_domain(g.mul(k, c), n):
                     return {"level": n, "carry": k, "digit": c}
@@ -268,7 +284,7 @@ def reference_genericity(win):
     escape = np.full(len(dig), cap + 1)
     alive = np.ones(len(dig), dtype=bool)
     for n in range(1, cap + 1):
-        onb = np.isin(dig[:, n - 1], [ds.alphabet_index(n, t) for t in win.spec.partitions[n - 1].boundary])
+        onb = np.isin(dig[:, n - 1], [ds.alphabet_index(n, t) for t in partition_parts(win, n)[2]])
         escape[alive & ~onb] = n
         alive &= onb
     nz = dig != 0
@@ -283,18 +299,14 @@ def corrupted_windows(win):
 
     The identity is never moved, so genericity reaches its escape histogram.
     """
-    for n, part in enumerate(win.spec.partitions, start=1):
-        pool = [t for t in part.interior if t != win.group.identity]
+    for n in range(1, win.cap + 1):
+        interior, exterior, boundary = partition_parts(win, n)
+        pool = [t for t in interior if t != win.group.identity]
         for s in (1, 2, 3):
-            m = min(s, len(part.boundary), len(pool))
-            out, into = part.boundary[:m], tuple(pool[-m:])
-            parts = list(win.spec.partitions)
-            parts[n - 1] = LevelPartition(
-                tuple(t for t in part.interior if t not in into) + out,
-                part.exterior,
-                part.boundary[m:] + into,
-            )
-            yield Window(replace(win.spec, partitions=tuple(parts)), win.ds)
+            m = min(s, len(boundary), len(pool))
+            out, into = boundary[:m], tuple(pool[-m:])
+            yield with_partition(win, n, tuple(t for t in interior if t not in into) + out,
+                                 exterior, boundary[m:] + into)
 
 
 @pytest.mark.parametrize("name", ["w_irr", "w_fiber", "w_z2", "w_heis"])
@@ -320,7 +332,7 @@ def test_interval_containment_oracle(w_irr):
     for n in range(1, w_irr.cap + 1):
         m = ds.modulus(n)
         carries = w_irr.carries.level(n)
-        for c in w_irr.spec.partitions[n - 1].boundary:
+        for c in partition_parts(w_irr, n)[2]:
             assert all(0 <= c + k < m for k in carries)
 
 
@@ -395,6 +407,12 @@ def test_ktilde_punctures(w_k, w_kt):
             assert n_in >= base_in - 1
             if win.spec.sector_of_rank[int(r) % size_l] == win.spec.k:
                 assert n_in >= 1
+
+
+def test_ktilde_unknown_e_rule_is_refused_by_validate(w_k):
+    with pytest.raises(ConstructionError, match=r"^e_rule banana does not fit a ktilde window "
+                       r"\(ktilde: dovetail, strict, per-parent; perf and k: none\)$"):
+        build_ktilde(w_k[2], "banana")
 
 
 def test_ktilde_empty_rule_is_identity(w_heis_k2):
