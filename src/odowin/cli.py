@@ -177,6 +177,17 @@ def _write(path: Path, data: str | bytes) -> None:
         path.write_text(data)
 
 
+def _folner_entry(win: Window, n: int) -> dict:
+    """The level's van Hove ratio, or null with the rows and bytes its product would take
+    where |K_n|·size(n) rows are over the array budget."""
+    carries = win.carries.level(n)
+    rows = len(carries) * win.ds.size(n)
+    nbytes = expansion.over_budget(rows, win.group.dim)
+    if nbytes:
+        return {"folner_ratio": None, "folner_product_rows": rows, "folner_product_bytes": nbytes}
+    return {"folner_ratio": folner_ratio(win.ds, carries, n)}
+
+
 def cmd_build(args) -> int:
     try:
         win = window_from_config(load_config(args.config))
@@ -193,7 +204,7 @@ def cmd_build(args) -> int:
                 "exterior": 1,
                 "boundary": win.spec.partitions[n - 1].count(CLS_PENDING),
                 "boundary_layer_measure": boundary_measure(win, n),
-                "folner_ratio": folner_ratio(win.ds, win.carries.level(n), n),
+                **_folner_entry(win, n),
             }
             for n in range(1, win.cap + 1)
         },

@@ -136,10 +136,11 @@ class DomainSequence:
                 f"level {n}: modulus {modulus} must be a proper multiple of {m_prev}"
             )
         index = modulus ** g.dim
-        if index * g.dim * 8 > ARRAY_BUDGET:
+        nbytes = over_budget(index, g.dim)
+        if nbytes:
             raise ConstructionError(
                 f"level {n}: modulus {modulus} gives a domain of {index} elements "
-                f"({index * g.dim * 8} bytes), over the {ARRAY_BUDGET}-byte budget for one level"
+                f"({nbytes} bytes), over the {ARRAY_BUDGET}-byte budget for one level"
             )
         alphabet = g.canonical_transversal(m_prev, modulus)
         if alphabet[0] != g.identity:
@@ -468,10 +469,17 @@ class CarryAutomaton:
         return out, state
 
 
+def over_budget(rows: int, dim: int) -> int:
+    """Bytes of ``rows`` int64 rows of ``dim`` coordinates if over ``ARRAY_BUDGET``, else 0."""
+    nbytes = rows * dim * 8
+    return nbytes if nbytes > ARRAY_BUDGET else 0
+
+
 def check_rows(n: int, rows: int, dim: int) -> None:
     """Refuse, before it is formed, a level-n product of ``rows`` rows over ``ARRAY_BUDGET``."""
-    if rows * dim * 8 > ARRAY_BUDGET:
-        raise ConstructionError(f"level {n}: a product of {rows} rows ({rows * dim * 8} bytes) "
+    nbytes = over_budget(rows, dim)
+    if nbytes:
+        raise ConstructionError(f"level {n}: a product of {rows} rows ({nbytes} bytes) "
                                 f"is over the {ARRAY_BUDGET}-byte budget")
 
 

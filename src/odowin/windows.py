@@ -64,18 +64,41 @@ def boundary_fraction_threshold(delta: Fraction, n: int) -> Fraction:
     Computed as the reciprocal of a truncated exponential series (a lower
     bound on exp(+x)), so requiring a boundary fraction >= this threshold
     rigorously implies the target inequality.
+
+    In integers: with x = p/q, after i terms the partial sum is total/denom
+    with denom = q^i·i! and the last term is power/denom with power = p^i.  The
+    series stops once a term falls below 2^-80 of the sum, or at 300 terms.
     """
     x = delta / (2**n)
-    term = Fraction(1)
-    total = Fraction(1)
-    i = 0
-    while i < 300:
-        i += 1
-        term = term * x / i
-        total += term
-        if term < total * Fraction(1, 1 << 80):
+    p, q = x.numerator, x.denominator
+    power = denom = total = 1
+    for i in range(1, 301):
+        power *= p
+        denom *= q * i
+        total = total * q * i + power
+        if power << 80 < total:
             break
-    return 1 / total
+    return Fraction(denom, total)
+
+
+def _check_epsilon(epsilon: Fraction | None) -> None:
+    """Raise unless epsilon is unset or lies strictly between 0 and 1."""
+    if epsilon is not None and not 0 < epsilon < 1:
+        raise ConstructionError(f"epsilon must lie strictly between 0 and 1 (got {epsilon})")
+
+
+def _check_a_schedule(a_schedule: Sequence[int], cap: int) -> None:
+    """Raise unless the schedule gives one a_n >= 3 for each of the cap levels."""
+    if len(a_schedule) != cap:
+        raise ConstructionError(
+            f"a_schedule must give one a_n for each of the {cap} levels (got {len(a_schedule)})"
+        )
+    for i, a in enumerate(a_schedule, start=1):
+        if a < 3:
+            raise ConstructionError(
+                f"level {i}: a_n = {a} rejected; at least two interior digits are "
+                "required, so a_n >= 3"
+            )
 
 
 # -- window data -------------------------------------------------------------
@@ -104,6 +127,8 @@ class WindowSpec:
         """Raise unless each field fits the kind, the domains and the other fields."""
         if self.cap < 1:
             raise ConstructionError(f"cap must be at least 1 (got {self.cap})")
+        _check_a_schedule(self.a_schedule, self.cap)
+        _check_epsilon(self.epsilon)
         # Structural only: genericity of the identity digit is a verification
         # concern, so adversarial partitions stay buildable.
         for n, codes in enumerate(self.partitions, start=1):
@@ -311,19 +336,47 @@ def translate_mask(ds: DomainSequence, left: np.ndarray, right: np.ndarray, n: i
     return inside.reshape(len(left), len(right))
 
 
+def _carry_tail_table(ds: DomainSequence, ks: np.ndarray, n: int):
+    """The candidates of the van Hove boundary of D_n for the translates K = ``ks``, by column.
+
+    A candidate g (an element with k·g ∈ D_n for some k ∈ K) is its head rank r
+    and its tail: g = D_n[r]·τ with τ ∈ Γ_n.  As Γ_n is normal, k·g ∈ D_n iff
+    τ = tail_n(k·D_n[r])⁻¹, so column r's candidates are k⁻¹·head_n(k·D_n[r]),
+    one per distinct tail over k ∈ K.  Returns the (|K|, size(n)) table of
+    candidate rows, their row keys (lexicographic order) and the mask of each
+    column's first occurrences.  Only the |K|·size(n) product is formed.
+    """
+    g = ds.group
+    check_rows(n, len(ks) * ds.size(n), g.dim)
+    dom = ds.domain_array(n)
+    heads = dom[ds.vec_rank(g.vec_mul(ks[:, None], dom[None]).reshape(-1, g.dim), n)]
+    rows = g.vec_mul(g.vec_inv(ks)[:, None], heads.reshape(len(ks), -1, g.dim))
+    keys = row_keys(rows.reshape(-1, g.dim)).reshape(len(ks), -1)
+    first = np.ones(keys.shape, dtype=bool)
+    for i in range(1, len(ks)):  # |K| is small: one pass per pair of carry rows
+        for j in range(i):
+            first[i] &= keys[i] != keys[j]
+    return rows, keys, first
+
+
+def _straddling(first: np.ndarray) -> np.ndarray:
+    """Mask of the candidates whose column holds at least two distinct tails."""
+    return first & (first.sum(axis=0) >= 2)
+
+
 def vanhove_boundary(ds: DomainSequence, probe: Sequence[Elem], n: int) -> list[Elem]:
     """Exact probe-boundary of D_n: elements g whose probe^{-1}·g set straddles D_n.
 
-    Its probe·D_n product and the translate mask are held to the array budget.
+    With K = probe⁻¹, the candidate with head rank r and tail τ hits exactly
+    the k with tail_n(k·D_n[r]) = τ⁻¹; so it straddles iff its column holds at
+    least two distinct tails, and the boundary is every distinct candidate of
+    those columns, in lexicographic (canonical) order.  The |K|·size(n)
+    product is held to the array budget.
     """
     g = ds.group
-    ks = g.to_array(probe)
-    check_rows(n, len(ks) * ds.size(n), g.dim)
-    # Distinct rows in lexicographic order, which is the canonical order.
-    rows = g.vec_mul(ks[:, None], ds.domain_array(n)[None]).reshape(-1, g.dim)
-    candidates = rows[np.unique(row_keys(rows), return_index=True)[1]]
-    hits = translate_mask(ds, g.vec_inv(ks), candidates, n)
-    return g.from_array(candidates[hits.any(axis=0) & ~hits.all(axis=0)])
+    rows, keys, first = _carry_tail_table(ds, g.vec_inv(g.to_array(probe)), n)
+    bnd = _straddling(first)
+    return g.from_array(rows[bnd][np.argsort(keys[bnd])])
 
 
 def carry_safe_digits(ds: DomainSequence, carries: Sequence[Elem], n: int) -> np.ndarray:
@@ -334,10 +387,14 @@ def carry_safe_digits(ds: DomainSequence, carries: Sequence[Elem], n: int) -> np
 
 
 def folner_ratio(ds: DomainSequence, carries: Sequence[Elem], n: int) -> Fraction:
-    """Diagnostic #boundary(D_n)/#D_n for the inverted carry probe."""
-    g = ds.group
-    probe = [g.inv(k) for k in carries]
-    return Fraction(len(vanhove_boundary(ds, probe, n)), ds.size(n))
+    """Diagnostic #boundary(D_n)/#D_n for the inverted carry probe (K = carries).
+
+    Counted from the carry-tail table: with d_r distinct tails of k·D_n[r]
+    over k ∈ K, #boundary = Σ d_r over the columns with d_r >= 2, which is
+    ``len(vanhove_boundary(ds, [k⁻¹ for k in K], n))``.
+    """
+    _rows, _keys, first = _carry_tail_table(ds, ds.group.to_array(carries), n)
+    return Fraction(int(_straddling(first).sum()), ds.size(n))
 
 
 # -- builders -----------------------------------------------------------------
@@ -357,8 +414,7 @@ def build_perf(
     of the boundary part while the boundary fraction stays above the exact
     per-level threshold; raw levels are merged until both hold.
     """
-    if epsilon is not None and not 0 < epsilon < 1:
-        raise ConstructionError(f"epsilon must lie strictly between 0 and 1 (got {epsilon})")
+    _check_epsilon(epsilon)
     if delta is None:
         if epsilon is None:
             raise ConstructionError("need epsilon or delta")
@@ -369,14 +425,7 @@ def build_perf(
     a_list = (
         [int(a_schedule)] * cap if isinstance(a_schedule, int) else [int(a) for a in a_schedule]
     )
-    if len(a_list) < cap:
-        raise ConstructionError(f"a_schedule must cover {cap} levels")
-    for i, a in enumerate(a_list[:cap], start=1):
-        if a < 3:
-            raise ConstructionError(
-                f"level {i}: a_n = {a} rejected; at least two interior digits are "
-                "required, so a_n >= 3"
-            )
+    _check_a_schedule(a_list, cap)
 
     raw = list(raw_moduli)
     ds = DomainSequence(group)
@@ -429,7 +478,7 @@ def build_perf(
         cap=cap,
         delta=delta,
         epsilon=None if epsilon is None else Fraction(epsilon),
-        a_schedule=tuple(a_list[:cap]),
+        a_schedule=tuple(a_list),
         partitions=tuple(partitions),
     )
     return Window(spec, ds, build_log=log)
@@ -711,9 +760,15 @@ def _parse_fraction(s: str) -> Fraction | None:
     if s == "none":
         return None
     num, den = s.split("/")
-    if int(den) == 0:
-        raise ConstructionError(f"zero denominator in {s!r}")
     return Fraction(int(num), int(den))
+
+
+def _fmt_ints(values: Sequence[int]) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _parse_ints(s: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in s.split(","))
 
 
 def read_ini(text: str, source: str) -> configparser.ConfigParser:
@@ -741,12 +796,22 @@ def refuse_unread(ini: configparser.ConfigParser, read: Mapping[str, set[str]], 
             raise ConstructionError(f"{reader} reads no key {unread[0]!r} in {where}")
 
 
+def _number(text: str, refusal: str, parse=int, fmt=str):
+    """The value ``parse`` reads from ``text`` where ``fmt`` writes it back as ``text``;
+    else a ``ConstructionError`` with ``refusal``."""
+    try:
+        value = parse(text)
+        if fmt(value) == text:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConstructionError(refusal)
+
+
 def _level_number(key: str) -> int:
-    """n of a ``level n`` puncture key."""
-    words = key.split()
-    if len(words) != 2:
-        raise ConstructionError(f"{key!r} does not name one level")
-    return int(words[1])
+    """n of a ``level n`` puncture key, written as the window writes it."""
+    return _number(key, f"{key!r} does not name one level",
+                   lambda k: int(k.removeprefix("level ")), lambda n: f"level {n}")
 
 
 def _entry(section: Mapping[str, str], key: str, where: str = "the header") -> str:
@@ -754,6 +819,14 @@ def _entry(section: Mapping[str, str], key: str, where: str = "the header") -> s
     if key not in section:
         raise ConstructionError(f"window file has no {key!r} key in {where}")
     return section[key]
+
+
+def _value(section: Mapping[str, str], key: str, where: str = "the header", parse=int, fmt=str):
+    """A required number (or list) of a window file section, written as the window writes it."""
+    text = _entry(section, key, where)
+    return _number(text, f"{key} = {text} in {where} is not written as a window writes it "
+                   "(plain decimal integers, fractions p/q in lowest terms, lists joined by ',')",
+                   parse=parse, fmt=fmt)
 
 
 _PARTS = ("interior", "exterior", "boundary")  # the digit list of CLS_IN, CLS_OUT, CLS_PENDING
@@ -773,10 +846,10 @@ def serialize_window(win: Window) -> str:
         f"group = {spec.group_name}",
         f"kind = {spec.kind}",
         f"cap = {spec.cap}",
-        f"moduli = {','.join(str(m) for m in spec.moduli)}",
+        f"moduli = {_fmt_ints(spec.moduli)}",
         f"delta = {_fmt_fraction(spec.delta)}",
         f"epsilon = {_fmt_fraction(spec.epsilon)}",
-        f"a_schedule = {','.join(str(a) for a in spec.a_schedule)}",
+        f"a_schedule = {_fmt_ints(spec.a_schedule)}",
         f"k = {spec.k}",
         f"sector_level = {spec.sector_level}",
         f"e_rule = {spec.e_rule or 'none'}",
@@ -790,11 +863,11 @@ def serialize_window(win: Window) -> str:
             out.append(f"class = {spec.level_class[n - 1]}")
     if spec.sector_of_rank is not None:
         out.append("[sectors]")
-        out.append("sector_of_rank = " + ",".join(str(s) for s in spec.sector_of_rank))
+        out.append(f"sector_of_rank = {_fmt_ints(spec.sector_of_rank)}")
     if spec.punctures:
         out.append("[punctures]")
         for lvl, ranks in spec.punctures:
-            out.append(f"level {lvl} = {','.join(str(r) for r in ranks)}")
+            out.append(f"level {lvl} = {_fmt_ints(ranks)}")
     return "\n".join(out) + "\n"
 
 
@@ -834,8 +907,8 @@ def parse_window(text: str) -> Window:
         raise ConstructionError(" ".join(str(exc).split())) from None
     head = ini[_HEAD]
     group = group_by_name(_entry(head, "group"))
-    cap = int(_entry(head, "cap"))
-    moduli = tuple(int(m) for m in _entry(head, "moduli").split(","))
+    cap = _value(head, "cap")
+    moduli = _value(head, "moduli", parse=_parse_ints, fmt=_fmt_ints)
     chain = SubgroupChain(group, moduli)
     ds = DomainSequence.build(chain, cap)
     partitions = []
@@ -849,34 +922,35 @@ def parse_window(text: str) -> Window:
             raise ConstructionError(f"level {n}: alphabet does not match the chain")
         partitions.append(_level_codes(sec, n, digits))
         if "class" in sec:
-            level_class.append(int(sec["class"]))
-    punctures = ini["punctures"].items() if "punctures" in ini else ()
+            level_class.append(_value(sec, "class", f"[level {n}]"))
+    punctures = ini["punctures"] if "punctures" in ini else {}
     spec = WindowSpec(
         kind=_entry(head, "kind"),
         group_name=group.name,
         moduli=moduli,
         cap=cap,
-        delta=_parse_fraction(_entry(head, "delta")),
-        epsilon=_parse_fraction(_entry(head, "epsilon")),
-        a_schedule=tuple(int(a) for a in _entry(head, "a_schedule").split(",")),
+        delta=_value(head, "delta", parse=_parse_fraction, fmt=_fmt_fraction),
+        epsilon=_value(head, "epsilon", parse=_parse_fraction, fmt=_fmt_fraction),
+        a_schedule=_value(head, "a_schedule", parse=_parse_ints, fmt=_fmt_ints),
         partitions=tuple(partitions),
-        k=int(_entry(head, "k")),
-        sector_level=int(_entry(head, "sector_level")),
+        k=_value(head, "k"),
+        sector_level=_value(head, "sector_level"),
         sector_of_rank=(
-            tuple(int(s) for s in _entry(ini["sectors"], "sector_of_rank", "[sectors]").split(","))
+            _value(ini["sectors"], "sector_of_rank", "[sectors]", _parse_ints, _fmt_ints)
             if "sectors" in ini
             else None
         ),
         level_class=tuple(level_class) if level_class else None,
         e_rule="" if head.get("e_rule", "none") == "none" else head["e_rule"],
         punctures=tuple(
-            (_level_number(key), tuple(int(r) for r in val.split(","))) for key, val in punctures
+            (_level_number(key), _value(punctures, key, "[punctures]", _parse_ints, _fmt_ints))
+            for key in punctures
         ),
     )
     win = Window(spec, ds)
     levels = (f"level {n}" for n in range(1, cap + 1))
     refuse_unread(ini, {_HEAD: _HEAD_KEYS, "sectors": {"sector_of_rank"},
-                        "punctures": {key for key, _ in punctures},
+                        "punctures": set(punctures),
                         **dict.fromkeys(levels, {"alphabet", *_PARTS, "class"})},
                   "a window", _HEAD)
     return win

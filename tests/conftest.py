@@ -146,6 +146,17 @@ def malformed_windows(w_fiber, w_kt):
                                            "e_rule = dovetail\ncolour = red\n"),
         "unknown-level-key": text.replace("[level 2]\n", "[level 2]\nnote = kept\n"),
         "default-section": text.replace("[level 1]\n", "[DEFAULT]\nclass = 1\n[level 1]\n"),
+        # a number not written as the window writes it
+        "delta-not-in-lowest-terms": text.replace("delta = 104/1\n", "delta = 208/2\n"),
+        "k-leading-zero": text.replace("k = 3\n", "k = 03\n"),
+        "class-plus-sign": re.sub(r"^class = 1$", "class = +1", text, count=1, flags=re.M),
+        "moduli-spaced": text.replace("moduli = 8,48,", "moduli = 8, 48,"),
+        "puncture-level-leading-zero": re.sub(r"^level (\d+) = ", r"level 0\1 = ", text,
+                                              flags=re.M),
+        # the builder's rules on a_schedule and epsilon
+        "a-schedule-short": re.sub(r"^a_schedule = .*$", "a_schedule = 1", text, flags=re.M),
+        "a-schedule-below-three": text.replace("a_schedule = 3,3,3", "a_schedule = 3,2,3"),
+        "epsilon-above-one": text.replace("epsilon = none", "epsilon = 5/1"),
     }
     assert len(set(edits.values())) == len(edits)
     assert text not in edits.values()

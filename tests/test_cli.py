@@ -186,6 +186,8 @@ def test_config_errors_exit_two(tmp_path, cfg, capsys):
         "e_rule-on-perf.cfg": Z2_CFG + "e_rule = dovetail\n",
         "preset-and-moduli.cfg": FIBER_CFG.replace("[chain]\n", "[chain]\npreset = z-fiber\n"),
         "base-without-rule.cfg": FIBER_CFG.replace("[chain]\n", "[chain]\nbase = 2\n"),
+        # more a_n than levels: a list gives one a_n per level
+        "a-longer-than-cap.cfg": IRR_CFG.replace("cap = 3", "cap = 3\na = 3,4,5,6,7"),
     }
     capsys.readouterr()
     for name, text in bad.items():
@@ -243,19 +245,32 @@ def test_oversized_level_exits_two(tmp_path, cfg, capsys, w_heis):
         assert f"level {level}: modulus 512 gives a domain of 134217728 elements (3221225472 bytes)" in err[0]
 
 
-def test_report_over_budget_writes_nothing(tmp_path, cfg, capsys, monkeypatch):
-    # the build report's van Hove product is held to the array budget, and the
-    # report is complete before either file is written
+def test_report_over_budget_records_null(tmp_path, cfg, monkeypatch):
+    # a level whose |K_n|·size(n) van Hove product is over the array budget reports a null
+    # ratio with the rows and bytes it would take; the window still builds and verifies
     from odowin import expansion
 
-    monkeypatch.setattr(expansion, "ARRAY_BUDGET", 20000)
+    monkeypatch.setattr(expansion, "ARRAY_BUDGET", 400_000)
     out = tmp_path / "w"
-    capsys.readouterr()
-    assert main(["build", "--config", cfg("z2.cfg", Z2_CFG), "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert "level 3: a product of 4096 rows (65536 bytes) is over the 20000-byte budget" in err[0]
-    assert not out.exists()
+    # D_6 is 36,000 rows (288,000 bytes); the level-6 product is 72,000 rows
+    assert main(["build", "--config", cfg("fiber.cfg", FIBER_CFG), "--out", str(out)]) == 0
+    levels = json.loads((out / "build_report.json").read_text())["levels"]
+    assert levels["6"]["folner_ratio"] is None
+    assert levels["6"]["folner_product_rows"] == 72000
+    assert levels["6"]["folner_product_bytes"] == 576000
+    for n in range(1, 6):
+        assert set(levels[str(n)]) == set(levels["6"]) - {"folner_product_rows",
+                                                         "folner_product_bytes"}
+        assert levels[str(n)]["folner_ratio"] is not None
+    assert main(["verify", str(out / "window.txt")]) == 0
+    # the ratios that fit are the ones an unbounded build reports
+    monkeypatch.setattr(expansion, "ARRAY_BUDGET", 1 << 30)
+    full_out = tmp_path / "v"
+    assert main(["build", "--config", cfg("fiber.cfg", FIBER_CFG), "--out", str(full_out)]) == 0
+    full = json.loads((full_out / "build_report.json").read_text())["levels"]
+    assert [levels[str(n)] for n in range(1, 6)] == [full[str(n)] for n in range(1, 6)]
+    assert full["6"]["folner_ratio"] is not None
+    assert (out / "window.txt").read_text() == (full_out / "window.txt").read_text()
 
 
 def test_fiber_report_over_budget_writes_nothing(tmp_path, cfg, capsys, monkeypatch):
@@ -349,6 +364,22 @@ def test_malformed_window_exits_two(tmp_path, capsys, malformed_windows):
         path.write_text(text)
         assert main(["verify", str(path)]) == 2, label
         assert len(capsys.readouterr().err.splitlines()) == 1, label
+
+
+def test_non_canonical_number_is_named(tmp_path, capsys, malformed_windows):
+    # a window file number that is not written as the window writes it names its key
+    path = tmp_path / "window.txt"
+    for label, named in (
+        ("delta-not-in-lowest-terms", "delta = 208/2 in the header"),
+        ("k-leading-zero", "k = 03 in the header"),
+        ("class-plus-sign", "class = +1 in [level 1]"),
+        ("moduli-spaced", "moduli = 8, 48,"),
+        ("puncture-level-leading-zero", "'level 04' does not name one level"),
+    ):
+        path.write_text(malformed_windows[label])
+        assert main(["verify", str(path)]) == 2, label
+        err = capsys.readouterr().err
+        assert named in err and len(err.splitlines()) == 1, label
 
 
 def test_unread_section_or_key_is_named(tmp_path, cfg, capsys, malformed_windows):

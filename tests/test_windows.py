@@ -21,6 +21,7 @@ from odowin.windows import (
     build_k,
     build_ktilde,
     build_perf,
+    boundary_fraction_threshold,
     check_genericity,
     check_irredundancy,
     check_self_similarity,
@@ -95,6 +96,49 @@ def test_builder_requires_a_of_three():
         build_perf(Z, geometric_moduli(2, 2, 10), 2, a_schedule=2, epsilon=Fraction(1, 2))
 
 
+def test_builder_takes_one_a_per_level():
+    # a single a applies to every level; a list gives exactly one per level
+    moduli = geometric_moduli(2, 2, 10)
+    win = build_perf(Z, moduli, 2, a_schedule=[3, 4], epsilon=Fraction(1, 2))
+    assert win.spec.a_schedule == (3, 4)
+    for a in ([3], [3, 4, 5]):
+        with pytest.raises(ConstructionError, match=rf"each of the 2 levels \(got {len(a)}\)"):
+            build_perf(Z, moduli, 2, a_schedule=a, epsilon=Fraction(1, 2))
+
+
+def test_spec_refuses_a_schedule_and_epsilon(w_fiber):
+    # the builder's rules hold for every spec, also one read from a file
+    for change, match in (({"a_schedule": (3,)}, "one a_n for each"),
+                          ({"a_schedule": (3, 3, 2, 3, 3, 3)}, "level 3: a_n = 2"),
+                          ({"epsilon": Fraction(5)}, "strictly between 0 and 1"),
+                          ({"epsilon": Fraction(0)}, "strictly between 0 and 1")):
+        with pytest.raises(ConstructionError, match=match):
+            Window(replace(w_fiber.spec, **change), w_fiber.ds)
+
+
+def _threshold_series(delta, n):
+    """The threshold as a Fraction series: the reference the integer series must equal."""
+    x = delta / (2**n)
+    term = Fraction(1)
+    total = Fraction(1)
+    i = 0
+    while i < 300:
+        i += 1
+        term = term * x / i
+        total += term
+        if term < total * Fraction(1, 1 << 80):
+            break
+    return 1 / total
+
+
+def test_threshold_matches_fraction_series(w_irr):
+    deltas = [Fraction(1), Fraction(40), Fraction(104), Fraction(1000), Fraction(1, 3),
+              Fraction(7, 2), w_irr.spec.delta]
+    for delta in deltas:
+        for n in range(9):
+            assert boundary_fraction_threshold(delta, n) == _threshold_series(delta, n), (delta, n)
+
+
 def test_builder_exhaustion_reports_inequality():
     with pytest.raises(ConstructionError, match="failing inequality"):
         build_perf(Z, [2, 4], 2, epsilon=Fraction(1, 2))
@@ -155,7 +199,7 @@ def test_vanhove_refuses_a_product_over_the_budget():
         vanhove_boundary(ds, probe, 3)
 
 
-@pytest.mark.parametrize("name", ["z2-pow2", "heis-pow2"])
+@pytest.mark.parametrize("name", ["z-carry", "z-dec", "z2-pow2", "heis-pow2"])
 def test_vanhove_matches_brute_force(name):
     # several signed columns: the boundary and its canonical (sorted) order
     from odowin import presets
@@ -200,6 +244,17 @@ def test_translate_mask_matches_scalar_membership(request, name):
         assert mask.tolist() == [[ds.in_domain(g.mul(k, t), n) for t in alphabet] for k in carries]
         outside += int((~mask).sum())
     assert outside  # some carry pushes some digit out of D_n
+
+
+@pytest.mark.parametrize("name", ["w_irr", "w_fiber", "w_z2", "w_heis"])
+def test_folner_ratio_counts_the_boundary(request, name):
+    # the carry-tail count equals the boundary list at every level of every preset window
+    win = request.getfixturevalue(name)
+    ds, g = win.ds, win.group
+    for n in range(1, win.cap + 1):
+        carries = win.carries.level(n)
+        boundary = vanhove_boundary(ds, [g.inv(k) for k in carries], n)
+        assert folner_ratio(ds, carries, n) == Fraction(len(boundary), ds.size(n))
 
 
 def test_folner_ratios_decrease(w_irr):
