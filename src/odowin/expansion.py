@@ -567,26 +567,33 @@ def verify_carry_identity(
     A level-n rank is r + size(n-1)·d with r a D_{n-1} rank and d a level-n
     digit index, and ``append_level`` builds D_n so that
     D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d].  Route A reads each pair's
-    product off the carry automaton: ``batch_product`` runs once over the
-    D_{n-1} × D_{n-1} prefix pairs, giving the prefix rank r and state s, and
-    one step table, built once per call over the level-n transitions
-    (s, p, q), holds T_n[d]·c for the digit d and next state's carry c, with a
-    flag for c ∈ Γ_n.  So route A's D_n[rank]·c is D_{n-1}[r]·step[s, p, q].
-    Route B multiplies each block's factors directly, as one broadcast
-    product g·h.  A pair passes iff D_n[rank]·c = g·h and c lies in Γ_n.
-    That is the same as rank being the head rank of g·h and c its tail,
-    because D_n is a transversal of G/Γ_n: D_n[rank] = g·h·c^{-1} lies in the
-    coset g·h·Γ_n exactly when c ∈ Γ_n.
+    product off the carry automaton: ``batch_product`` runs over the prefix
+    pairs of D_{n-1} × D_{n-1}, giving the prefix rank r and state s, and one
+    step table, built once per call over the level-n transitions (s, p, q),
+    holds T_n[d]·c for the digit d and next state's carry c, with a flag for
+    c ∈ Γ_n.  So route A's D_n[rank]·c is D_{n-1}[r]·step[s, p, q].  Route B
+    multiplies each block's factors directly, as one broadcast product g·h.
+    A pair passes iff D_n[rank]·c = g·h and c lies in Γ_n.  That is the same
+    as rank being the head rank of g·h and c its tail, because D_n is a
+    transversal of G/Γ_n: D_n[rank] = g·h·c^{-1} lies in the coset g·h·Γ_n
+    exactly when c ∈ Γ_n.
 
-    The pairs are taken in rank order, in blocks of left factors against all
-    of D_n, about ``chunk`` pairs per block (at least one left factor).  A
-    block is laid out (left, q, h_low) for the right factor
+    The left factors are taken in groups of consecutive left prefixes g_low,
+    and within a group by top digit p: a block holds the left factors
+    g_low + size(n-1)·p of one group and of one or more top digits, against
+    all of D_n, about ``chunk`` pairs per block (at least one left factor).
+    ``batch_product`` runs once per group, over that group × D_{n-1}, and its
+    prefix ranks and states serve every top digit, so working memory is
+    bounded by ``chunk`` and the step table, not by size(n-1)².  A block is
+    laid out (p, g_low, q, h_low) for the right factor
     D_n[h_low + size(n-1)·q], and every operand is stored coordinate-major,
     as C-contiguous ``(dim, ...)`` columns, so the products and comparisons
-    run on contiguous memory.  Returns a summary with the mismatch count
-    (must be zero), the number of pairs, a nonabelian conjugation witness
-    when one exists, and spot-check results comparing the vectorized and
-    scalar paths.
+    run on contiguous memory.  The step table and both domains are checked
+    against the int64 bound once, and the blocks multiply gathers and views
+    of them with the unchecked ``mul_rows``.  Returns a summary with the
+    mismatch count (must be zero), the number of pairs, a nonabelian
+    conjugation witness when one exists, and spot-check results comparing the
+    vectorized and scalar paths; it does not depend on ``chunk``.
     """
     import random
 
@@ -619,13 +626,7 @@ def verify_carry_identity(
         return np.ascontiguousarray(arr.T)
 
     def as_rows(cols: np.ndarray) -> np.ndarray:
-        return cols.transpose(1, 2, 3, 0)  # a (dim, left, q, h_low) view as rows
-
-    prefix = np.arange(low)
-    pre_rank, pre_flat = auto.batch_product(np.repeat(prefix, low), np.tile(prefix, low), n - 1)
-    pre_rank = pre_rank.reshape(low, low)
-    pre_flat = pre_flat.reshape(low, low)
-    pre_flat *= na * na  # flat index of the transition (s, 0, 0) from the prefix state s
+        return np.moveaxis(cols, 0, -1)  # a (dim, ...) array viewed as rows
 
     # The step table over the level-n transitions (s, p, q) in flat order.
     carry_elems = g.to_array([c for c, _ctx in auto.states[n]])  # by state index
@@ -634,22 +635,32 @@ def verify_carry_identity(
     step = columns(g.vec_mul(g.to_array(ds.alphabet(n))[step_digit], carry_elems[step_state]))
     step_ok = (g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0)[step_state]
     low_cols = columns(ds.domain_array(n - 1))
-    dom_cols = columns(ds.domain_array(n))
-    right = as_rows(dom_cols.reshape(g.dim, 1, na, low))  # D_n[h_low + low·q] at (q, h_low)
+    dom_cols = columns(ds.domain_array(n)).reshape(g.dim, na, low)  # D_n[h_low + low·q] at (q, h_low)
+    # Every product operand below is a gather or a view of these three arrays.
+    g.check_bounds(step, low_cols, dom_cols)
+    right = as_rows(dom_cols[:, None, None])  # at (1, 1, q, h_low)
     q = np.arange(na)[:, None]
-    rows = max(1, chunk // size)
-    for start in range(0, size, rows):
-        stop = min(start + rows, size)
-        p, g_low = np.divmod(np.arange(start, stop), low)
-        flat = (pre_flat[g_low] + (p * na)[:, None])[:, None, :] + q  # (left, q, h_low)
-        head = low_cols.take(pre_rank[g_low], axis=1)[:, :, None, :]  # D_{n-1}[r], shared by q
-        route_a = g.vec_mul(as_rows(head), as_rows(step.take(flat, axis=1)))
-        route_b = g.vec_mul(as_rows(dom_cols[:, start:stop, None, None]), right)
-        ok = step_ok.take(flat)
-        for k in range(g.dim):  # each coordinate is one contiguous column
-            ok &= route_a[..., k] == route_b[..., k]
-        mismatches += ok.size - int(np.count_nonzero(ok))
-        total += ok.size
+    prefix = np.arange(low)
+    rows = max(1, chunk // size)  # left factors per block
+    width = min(rows, low)  # left prefixes per block and per batch_product call
+    tops = max(1, rows // low)  # top digits per block
+    for g0 in range(0, low, width):
+        g_low = prefix[g0 : g0 + width]
+        pre_rank, pre_flat = auto.batch_product(np.repeat(g_low, low), np.tile(prefix, len(g_low)), n - 1)
+        head = low_cols.take(pre_rank, axis=1).reshape(g.dim, 1, len(g_low), 1, low)  # D_{n-1}[r]
+        pre_flat = pre_flat.reshape(len(g_low), 1, low) * (na * na)  # flat index of (s, 0, 0)
+        for p0 in range(0, na, tops):
+            p = np.arange(p0, min(p0 + tops, na))
+            flat = pre_flat + (p * na)[:, None, None, None] + q  # (p, left prefix, q, h_low)
+            route_a = g.mul_rows(as_rows(head), as_rows(step.take(flat, axis=1)))
+            left = dom_cols[:, p0 : p0 + len(p), g0 : g0 + len(g_low), None, None]
+            route_b = g.mul_rows(as_rows(left), right)
+            ok = step_ok.take(flat)
+            for k in range(g.dim):  # each coordinate is one contiguous column
+                ok &= route_a[..., k] == route_b[..., k]
+            mismatches += ok.size - int(np.count_nonzero(ok))
+            total += ok.size
+            del route_a, route_b  # free this block's products before the next block forms its own
 
     rng = random.Random(20_240_601)  # a fixed seed keeps the report deterministic
     spot_bad = 0

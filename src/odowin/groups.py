@@ -156,14 +156,25 @@ class GroupContext(ABC):
         rows = arr.tolist()
         return [r[0] for r in rows] if self.dim == 1 else [tuple(r) for r in rows]
 
-    def _check_bounds(self, *arrays: np.ndarray) -> None:
+    def check_bounds(self, *arrays: np.ndarray) -> None:
+        """Refuse arrays with a value outside (-2**30, 2**30), where row products stay exact."""
         for a in arrays:
             if a.size and (a.max() >= _VEC_BOUND or a.min() <= -_VEC_BOUND):
                 raise OverflowError("vectorized path refused: values too large")
 
     @abstractmethod
+    def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-wise products, unchecked: the caller has passed both operands to ``check_bounds``.
+
+        Coordinates are the last axis; the leading axes broadcast.
+        """
+
+    @abstractmethod
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise products; coordinates are the last axis, the leading axes broadcast."""
+        """``mul_rows`` after ``check_bounds`` on both operands.
+
+        Each group defines its own, so that ``bench/tracing.py`` times it per class.
+        """
 
     @abstractmethod
     def vec_inv(self, a: np.ndarray) -> np.ndarray: ...
@@ -171,7 +182,7 @@ class GroupContext(ABC):
     def vec_residue_rank(self, a: np.ndarray, m: int) -> np.ndarray:
         if m**self.dim >= _KEY_LIMIT:
             raise OverflowError(f"vectorized path refused: {m}**{self.dim} residue ranks")
-        self._check_bounds(a)
+        self.check_bounds(a)
         r = np.mod(a, m)
         rank = r[:, 0].copy()
         for i in range(1, self.dim):
@@ -202,12 +213,15 @@ class ZGroup(GroupContext):
     def canonical_transversal(self, m_prev, m):
         return [i * m_prev for i in range(m // m_prev)]
 
-    def vec_mul(self, a, b):
-        self._check_bounds(a, b)
+    def mul_rows(self, a, b):
         return a + b
 
+    def vec_mul(self, a, b):
+        self.check_bounds(a, b)
+        return self.mul_rows(a, b)
+
     def vec_inv(self, a):
-        self._check_bounds(a)
+        self.check_bounds(a)
         return -a
 
 
@@ -235,12 +249,15 @@ class Z2Group(GroupContext):
         r = m // m_prev
         return [(i * m_prev, j * m_prev) for i in range(r) for j in range(r)]
 
-    def vec_mul(self, a, b):
-        self._check_bounds(a, b)
+    def mul_rows(self, a, b):
         return a + b
 
+    def vec_mul(self, a, b):
+        self.check_bounds(a, b)
+        return self.mul_rows(a, b)
+
     def vec_inv(self, a):
-        self._check_bounds(a)
+        self.check_bounds(a)
         return -a
 
 
@@ -293,7 +310,7 @@ class HeisenbergGroup(GroupContext):
         return (p[0], p[1], p[2] + p[0] * y - p[1] * x)
 
     def vec_conj_in_context(self, ctx, p):
-        self._check_bounds(ctx, p)
+        self.check_bounds(ctx, p)
         out = p.copy()
         out[:, 2] += p[:, 0] * ctx[:, 1] - p[:, 1] * ctx[:, 0]
         return out
@@ -301,14 +318,17 @@ class HeisenbergGroup(GroupContext):
     def vec_context_step(self, ctx, q):
         return ctx + q[:, :2]
 
-    def vec_mul(self, a, b):
-        self._check_bounds(a, b)
+    def mul_rows(self, a, b):
         out = a + b
         out[..., 2] += a[..., 0] * b[..., 1]
         return out
 
+    def vec_mul(self, a, b):
+        self.check_bounds(a, b)
+        return self.mul_rows(a, b)
+
     def vec_inv(self, a):
-        self._check_bounds(a)
+        self.check_bounds(a)
         out = -a
         out[:, 2] += a[:, 0] * a[:, 1]
         return out

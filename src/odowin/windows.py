@@ -87,6 +87,12 @@ def _check_epsilon(epsilon: Fraction | None) -> None:
         raise ConstructionError(f"epsilon must lie strictly between 0 and 1 (got {epsilon})")
 
 
+def _check_delta(delta: Fraction | None) -> None:
+    """Raise unless delta is set and positive."""
+    if delta is None or delta <= 0:
+        raise ConstructionError(f"delta must be positive (got {_fmt_fraction(delta)})")
+
+
 def _check_a_schedule(a_schedule: Sequence[int], cap: int) -> None:
     """Raise unless the schedule gives one a_n >= 3 for each of the cap levels."""
     if len(a_schedule) != cap:
@@ -129,6 +135,7 @@ class WindowSpec:
             raise ConstructionError(f"cap must be at least 1 (got {self.cap})")
         _check_a_schedule(self.a_schedule, self.cap)
         _check_epsilon(self.epsilon)
+        _check_delta(self.delta)
         # Structural only: genericity of the identity digit is a verification
         # concern, so adversarial partitions stay buildable.
         for n, codes in enumerate(self.partitions, start=1):
@@ -420,8 +427,7 @@ def build_perf(
             raise ConstructionError("need epsilon or delta")
         delta = rational_log_reciprocal(Fraction(epsilon))
     delta = Fraction(delta)
-    if delta <= 0:
-        raise ConstructionError("delta must be positive")
+    _check_delta(delta)
     a_list = (
         [int(a_schedule)] * cap if isinstance(a_schedule, int) else [int(a) for a in a_schedule]
     )
@@ -774,12 +780,13 @@ def _parse_ints(s: str) -> tuple[int, ...]:
 def read_ini(text: str, source: str) -> configparser.ConfigParser:
     """INI text, read strictly and without interpolation, as configs and window files are.
 
-    A repeated section, a repeated key in one section, or a line that is not
-    ``key = value`` raises a :class:`configparser.Error`.  No section header
-    can spell the default section's name, so ``[DEFAULT]`` is an ordinary
-    section and passes its keys to no other.
+    Keys keep their case.  A repeated section, a repeated key in one section,
+    or a line that is not ``key = value`` raises a :class:`configparser.Error`.
+    No section header can spell the default section's name, so ``[DEFAULT]``
+    is an ordinary section and passes its keys to no other.
     """
     ini = configparser.ConfigParser(interpolation=None, default_section="")
+    ini.optionxform = str  # keys are case-sensitive: ``CAP`` is not ``cap``
     ini.read_string(text, source)
     return ini
 
@@ -906,11 +913,21 @@ def parse_window(text: str) -> Window:
     except configparser.Error as exc:
         raise ConstructionError(" ".join(str(exc).split())) from None
     head = ini[_HEAD]
+    punctures = ini["punctures"] if "punctures" in ini else {}
+    levels = [name for name in ini.sections() if name.startswith("level ")]
+    # Before any key is looked up, so a key in the wrong case is named, not missed.
+    refuse_unread(ini, {_HEAD: _HEAD_KEYS, "sectors": {"sector_of_rank"},
+                        "punctures": set(punctures),
+                        **dict.fromkeys(levels, {"alphabet", *_PARTS, "class"})},
+                  "a window", _HEAD)
     group = group_by_name(_entry(head, "group"))
     cap = _value(head, "cap")
     moduli = _value(head, "moduli", parse=_parse_ints, fmt=_fmt_ints)
     chain = SubgroupChain(group, moduli)
     ds = DomainSequence.build(chain, cap)
+    beyond = sorted(set(levels) - {f"level {n}" for n in range(1, cap + 1)})
+    if beyond:
+        raise ConstructionError(f"a window reads no section [{beyond[0]}]")
     partitions = []
     level_class = []
     for n in range(1, cap + 1):
@@ -923,7 +940,6 @@ def parse_window(text: str) -> Window:
         partitions.append(_level_codes(sec, n, digits))
         if "class" in sec:
             level_class.append(_value(sec, "class", f"[level {n}]"))
-    punctures = ini["punctures"] if "punctures" in ini else {}
     spec = WindowSpec(
         kind=_entry(head, "kind"),
         group_name=group.name,
@@ -947,10 +963,4 @@ def parse_window(text: str) -> Window:
             for key in punctures
         ),
     )
-    win = Window(spec, ds)
-    levels = (f"level {n}" for n in range(1, cap + 1))
-    refuse_unread(ini, {_HEAD: _HEAD_KEYS, "sectors": {"sector_of_rank"},
-                        "punctures": set(punctures),
-                        **dict.fromkeys(levels, {"alphabet", *_PARTS, "class"})},
-                  "a window", _HEAD)
-    return win
+    return Window(spec, ds)

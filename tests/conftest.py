@@ -129,6 +129,7 @@ def malformed_windows(w_fiber, w_kt):
         "level-repeated": re.sub(r"(\[level 2\]\n[^\[]*)", r"\1\1", text),
         "stray-line": text.replace("[sectors]\n", "[sectors]\ngarbage\n"),
         "unknown-section": text + "[notes]\nseen = yes\n",
+        "level-beyond-cap": text + "[level 7]\nalphabet = 0\n",
         "e-rule-unknown": text.replace("e_rule = dovetail", "e_rule = banana"),
         "e-rule-on-perf": serialize_window(w_fiber).replace("e_rule = none", "e_rule = strict"),
         "cap-zero": text.replace("cap = 6\n", "cap = 0\n"),
@@ -157,6 +158,10 @@ def malformed_windows(w_fiber, w_kt):
         "a-schedule-short": re.sub(r"^a_schedule = .*$", "a_schedule = 1", text, flags=re.M),
         "a-schedule-below-three": text.replace("a_schedule = 3,3,3", "a_schedule = 3,2,3"),
         "epsilon-above-one": text.replace("epsilon = none", "epsilon = 5/1"),
+        "delta-none": text.replace("delta = 104/1\n", "delta = none\n"),
+        "delta-negative": text.replace("delta = 104/1\n", "delta = -5/1\n"),
+        # keys are case-sensitive
+        "cap-upper-case": text.replace("cap = 6\n", "CAP = 6\n"),
     }
     assert len(set(edits.values())) == len(edits)
     assert text not in edits.values()

@@ -389,7 +389,9 @@ def test_unread_section_or_key_is_named(tmp_path, cfg, capsys, malformed_windows
         ("unknown-header-key", "key 'colour' in the header"),
         ("unknown-level-key", "key 'note' in [level 2]"),
         ("unknown-section", "section [notes]"),
+        ("level-beyond-cap", "section [level 7]"),
         ("default-section", "section [DEFAULT]"),
+        ("cap-upper-case", "key 'CAP' in the header"),
     ):
         path.write_text(malformed_windows[label])
         assert main(["verify", str(path)]) == 2, label
@@ -399,6 +401,7 @@ def test_unread_section_or_key_is_named(tmp_path, cfg, capsys, malformed_windows
         (Z2_CFG.replace("cap = 3", "cap = 3\ncolour = red"), "a perf build reads no key 'colour'"),
         (FIBER_CFG + "e_rule = strict\n", "a k build reads no key 'e_rule' in [window]"),
         ("[DEFAULT]\nnote = kept\n" + Z2_CFG, "a perf build reads no section [DEFAULT]"),
+        (Z2_CFG.replace("name = Z2", "Name = Z"), "a perf build reads no key 'Name' in [group]"),
         (FIBER_CFG.replace("[chain]\n", "[chain]\npreset = z-fiber\n"), "names preset and moduli"),
     ):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -557,6 +558,37 @@ def test_two_route_report_is_independent_of_blocks(name):
         assert want["pairs"] == ds.size(n) ** 2 and want["mismatches"] == 0
         for chunk in (1, 3 * ds.size(n) + 5):
             assert verify_carry_identity(ds, n, chunk=chunk) == want
+
+
+def test_two_route_memory_is_bounded_by_blocks():
+    # The oracle forms prefix tables for one group of left prefixes at a time,
+    # so on heis-pow2's 16.8M level-4 pairs its own working memory stays
+    # under 10 MiB; whole D_3 × D_3 prefix tables took 18.9 MB.
+    ds = presets.domains("heis-pow2", 4)
+    ds.automaton(4)  # the cached automaton belongs to the domains, not to the call
+    tracemalloc.start()
+    try:
+        rep = verify_carry_identity(ds, 4, rng_spot_checks=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["pairs"] == ds.size(4) ** 2 and rep["mismatches"] == 0
+    assert peak < 10 << 20
+
+
+@pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
+def test_two_route_refuses_a_step_table_value_at_the_bound(name):
+    # The blocks multiply unchecked, after one bound check of the step table
+    # and the domains.  A carry just below 2**30, reached with a nonzero top
+    # digit, puts T_n[d]·c at the bound: the oracle must refuse it.
+    n = 3
+    ds = presets.domains(name, n)
+    g, auto = ds.group, ds.automaton(n)
+    s = auto.trans_state[n - 1].reshape(-1)[np.flatnonzero(auto.trans_digit[n - 1])[0]]
+    big = g.from_array(np.full((1, g.dim), (1 << 30) - 1, dtype=np.int64))[0]
+    auto.states[n][s] = (big, auto.states[n][s][1])
+    with pytest.raises(OverflowError, match="values too large"):
+        verify_carry_identity(ds, n, rng_spot_checks=0)
 
 
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])

@@ -238,6 +238,27 @@ def test_vec_mul_broadcasts_over_leading_axes(ctx):
     assert np.array_equal(grid.reshape(-1, ctx.dim), rows)
 
 
+@pytest.mark.parametrize("ctx", [Z, Z2, H], ids=lambda c: c.name)
+def test_mul_rows_is_vec_mul_without_the_bound_check(ctx):
+    # In range the unchecked law equals vec_mul and the scalar law, broadcast
+    # included; the bound is check_bounds' alone.
+    rng = np.random.default_rng(3)
+    top = _VEC_BOUND - 1
+    left = rng.integers(-top, top, size=(4, 1, ctx.dim), endpoint=True)
+    right = rng.integers(-top, top, size=(1, 7, ctx.dim), endpoint=True)
+    left[0, 0], right[0, 0] = top, -top
+    ctx.check_bounds(left, right)
+    rows = ctx.mul_rows(left, right)
+    assert np.array_equal(rows, ctx.vec_mul(left, right))
+    pairs = itertools.product(ctx.from_array(left.reshape(-1, ctx.dim)),
+                              ctx.from_array(right.reshape(-1, ctx.dim)))
+    assert ctx.from_array(rows.reshape(-1, ctx.dim)) == [ctx.mul(a, b) for a, b in pairs]
+    right[0, 0, -1] = _VEC_BOUND
+    for op in (lambda: ctx.check_bounds(left, right), lambda: ctx.vec_mul(left, right)):
+        with pytest.raises(OverflowError, match="values too large"):
+            op()
+
+
 def test_row_keys_keep_lexicographic_order():
     rng = np.random.default_rng(1)
     rows = rng.integers(-5, 5, size=(500, 3))

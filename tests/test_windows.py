@@ -116,6 +116,16 @@ def test_spec_refuses_a_schedule_and_epsilon(w_fiber):
             Window(replace(w_fiber.spec, **change), w_fiber.ds)
 
 
+def test_spec_and_builder_refuse_a_delta_that_is_not_positive(w_fiber):
+    # one rule for the builder and for every spec: delta is present and positive
+    for delta, shown in ((None, "none"), (Fraction(-5), "-5/1"), (Fraction(0), "0/1")):
+        with pytest.raises(ConstructionError, match=rf"delta must be positive \(got {shown}\)"):
+            Window(replace(w_fiber.spec, delta=delta), w_fiber.ds)
+    for delta in (-5, 0):
+        with pytest.raises(ConstructionError, match="delta must be positive"):
+            build_perf(Z, geometric_moduli(2, 2, 10), 2, delta=Fraction(delta))
+
+
 def _threshold_series(delta, n):
     """The threshold as a Fraction series: the reference the integer series must equal."""
     x = delta / (2**n)
