@@ -588,9 +588,14 @@ def verify_carry_identity(
     laid out (p, g_low, q, h_low) for the right factor
     D_n[h_low + size(n-1)·q], and every operand is stored coordinate-major,
     as C-contiguous ``(dim, ...)`` columns, so the products and comparisons
-    run on contiguous memory.  The step table and both domains are checked
-    against the int64 bound once, and the blocks multiply gathers and views
-    of them with the unchecked ``mul_rows``.  Returns a summary with the
+    run on contiguous memory.  The step table is filled in blocks of whole
+    source states, at most ``_CLOSURE_ROWS`` transitions each, so no
+    full-size gather or product is formed beside it.  The step table and both
+    domains pass ``exact_dtype`` once: it refuses values at 2**30, and when
+    every value lies in (-2**15, 2**15) they are cast to int32, where every
+    group law stays exact (c+c'+a·b' < 2**15 + 2**15 + 2**30 < 2**31).  The
+    blocks multiply gathers and views of them with the unchecked ``mul_rows``
+    in that dtype.  Returns a summary with the
     mismatch count (must be zero), the number of pairs, a nonabelian
     conjugation witness when one exists, and spot-check results comparing the
     vectorized and scalar paths; it does not depend on ``chunk``.
@@ -628,16 +633,25 @@ def verify_carry_identity(
     def as_rows(cols: np.ndarray) -> np.ndarray:
         return np.moveaxis(cols, 0, -1)  # a (dim, ...) array viewed as rows
 
-    # The step table over the level-n transitions (s, p, q) in flat order.
+    # The step table over the level-n transitions (s, p, q) in flat order,
+    # filled in blocks of whole source states, as the closure forms them.
     carry_elems = g.to_array([c for c, _ctx in auto.states[n]])  # by state index
+    alphabet = g.to_array(ds.alphabet(n))
+    g.check_bounds(alphabet, carry_elems)
     step_state = auto.trans_state[n - 1].reshape(-1)
     step_digit = auto.trans_digit[n - 1].reshape(-1)
-    step = columns(g.vec_mul(g.to_array(ds.alphabet(n))[step_digit], carry_elems[step_state]))
+    step = np.empty((g.dim, len(step_state)), dtype=np.int64)
+    block = max(1, _CLOSURE_ROWS // (na * na)) * (na * na)
+    for lo in range(0, len(step_state), block):
+        hi = lo + block
+        step[:, lo:hi] = g.mul_rows(alphabet[step_digit[lo:hi]], carry_elems[step_state[lo:hi]]).T
     step_ok = (g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0)[step_state]
     low_cols = columns(ds.domain_array(n - 1))
     dom_cols = columns(ds.domain_array(n)).reshape(g.dim, na, low)  # D_n[h_low + low·q] at (q, h_low)
-    # Every product operand below is a gather or a view of these three arrays.
-    g.check_bounds(step, low_cols, dom_cols)
+    # Every product operand below is a gather or a view of these three arrays,
+    # so they are checked once and cast to the narrowest exact dtype.
+    dt = g.exact_dtype(step, low_cols, dom_cols)
+    step, low_cols, dom_cols = (a.astype(dt, copy=False) for a in (step, low_cols, dom_cols))
     right = as_rows(dom_cols[:, None, None])  # at (1, 1, q, h_low)
     q = np.arange(na)[:, None]
     prefix = np.arange(low)

@@ -10,7 +10,8 @@ used by the digit-expansion machinery.
 
 All scalar arithmetic is plain Python integers (arbitrary precision).  The
 vectorized helpers operate on int64 arrays and refuse inputs large enough to
-overflow instead of wrapping.
+overflow instead of wrapping; ``exact_dtype`` names the int32 range where a
+caller may multiply in half the bytes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ Elem = int | tuple[int, ...]
 # Guard for vectorized int64 paths: products of two in-range values plus sums
 # stay below 2**62.
 _VEC_BOUND = 1 << 30
+# Values in (-2**15, 2**15) multiply exactly in int32 under every group law:
+# a+a' stays below 2**16, and c+c'+a·b' below 2**15 + 2**15 + 2**30 < 2**31.
+_NARROW_BOUND = 1 << 15
 # Number of distinct values an int64 key (rank or packed row) can take.
 _KEY_LIMIT = 1 << 63
 
@@ -157,16 +161,35 @@ class GroupContext(ABC):
         return [r[0] for r in rows] if self.dim == 1 else [tuple(r) for r in rows]
 
     def check_bounds(self, *arrays: np.ndarray) -> None:
-        """Refuse arrays with a value outside (-2**30, 2**30), where row products stay exact."""
+        """Refuse arrays with a value outside (-2**30, 2**30), where int64 row products stay exact.
+
+        ``exact_dtype`` runs this check too, and narrows to int32 below 2**15.
+        """
         for a in arrays:
             if a.size and (a.max() >= _VEC_BOUND or a.min() <= -_VEC_BOUND):
                 raise OverflowError("vectorized path refused: values too large")
+
+    def exact_dtype(self, *arrays: np.ndarray) -> type:
+        """The narrowest dtype in which ``mul_rows`` of these arrays' values is exact.
+
+        ``check_bounds`` runs first, so a value at 2**30 is refused.  The answer
+        is int32 when every value lies in (-2**15, 2**15): there a+a' stays
+        below 2**16 and c+c'+a·b' below 2**15 + 2**15 + 2**30 < 2**31.  It is
+        int64 otherwise.
+        """
+        self.check_bounds(*arrays)
+        for a in arrays:
+            if a.size and (a.max() >= _NARROW_BOUND or a.min() <= -_NARROW_BOUND):
+                return np.int64
+        return np.int32
 
     @abstractmethod
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise products, unchecked: the caller has passed both operands to ``check_bounds``.
 
-        Coordinates are the last axis; the leading axes broadcast.
+        Coordinates are the last axis; the leading axes broadcast.  The products
+        take the operands' dtype, which is exact for int32 operands that passed
+        ``exact_dtype``.
         """
 
     @abstractmethod

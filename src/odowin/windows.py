@@ -957,7 +957,7 @@ def parse_window(text: str) -> Window:
             else None
         ),
         level_class=tuple(level_class) if level_class else None,
-        e_rule="" if head.get("e_rule", "none") == "none" else head["e_rule"],
+        e_rule="" if (rule := _entry(head, "e_rule")) == "none" else rule,
         punctures=tuple(
             (_level_number(key), _value(punctures, key, "[punctures]", _parse_ints, _fmt_ints))
             for key in punctures

@@ -132,6 +132,8 @@ def malformed_windows(w_fiber, w_kt):
         "level-beyond-cap": text + "[level 7]\nalphabet = 0\n",
         "e-rule-unknown": text.replace("e_rule = dovetail", "e_rule = banana"),
         "e-rule-on-perf": serialize_window(w_fiber).replace("e_rule = none", "e_rule = strict"),
+        # e_rule is required like every other header key, even where it is none
+        "e-rule-missing": serialize_window(w_fiber).replace("e_rule = none\n", ""),
         "cap-zero": text.replace("cap = 6\n", "cap = 0\n"),
         # level 1 splits 0..7 into interior 0;2, exterior 1 and boundary 3;4;5;6;7
         "two-exterior-digits": text.replace("interior = 0;2\nexterior = 1\n",

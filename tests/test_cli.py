@@ -412,7 +412,7 @@ def test_unread_section_or_key_is_named(tmp_path, cfg, capsys, malformed_windows
 
 @pytest.mark.parametrize(
     "key, where",
-    [(key, "the header") for key in ("group", "cap", "moduli", "kind", "delta", "k")]
+    [(key, "the header") for key in ("group", "cap", "moduli", "kind", "delta", "k", "e_rule")]
     + [("alphabet", "[level 1]"), ("boundary", "[level 1]")],
 )
 def test_missing_window_key_is_named(tmp_path, capsys, w_kt, key, where):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odowin import presets
+from odowin import expansion, groups, presets
 from odowin.expansion import (
     _CLOSURE_ROWS,
     CarryRange,
@@ -549,21 +549,34 @@ def test_two_route_rejects_levels_outside_the_domains():
 
 
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
-def test_two_route_report_is_independent_of_blocks(name):
+def test_two_route_report_is_independent_of_blocks(name, monkeypatch):
     # chunk=1 is one left factor per block; 3·size(n)+5 is three, which does
-    # not divide size(n); level 1 has a 1×1 prefix table
+    # not divide size(n); level 1 has a 1×1 prefix table.  These domains and
+    # step tables lie below 2**15, so the blocks run in int32; with the narrow
+    # bound at 0 they run in int64.  With _CLOSURE_ROWS at 1 the step table is
+    # filled one source state at a time.
     ds = presets.domains(name, 3)
     for n in (1, 2, 3):
         want = verify_carry_identity(ds, n)
         assert want["pairs"] == ds.size(n) ** 2 and want["mismatches"] == 0
+        assert ds.group.exact_dtype(ds.domain_array(n)) is np.int32
         for chunk in (1, 3 * ds.size(n) + 5):
             assert verify_carry_identity(ds, n, chunk=chunk) == want
+        with monkeypatch.context() as m:
+            m.setattr(groups, "_NARROW_BOUND", 0)
+            assert ds.group.exact_dtype(ds.domain_array(n)) is np.int64
+            for chunk in (1 << 15, 1, 3 * ds.size(n) + 5):
+                assert verify_carry_identity(ds, n, chunk=chunk) == want
+        with monkeypatch.context() as m:
+            m.setattr(expansion, "_CLOSURE_ROWS", 1)
+            assert verify_carry_identity(ds, n) == want
 
 
 def test_two_route_memory_is_bounded_by_blocks():
-    # The oracle forms prefix tables for one group of left prefixes at a time,
-    # so on heis-pow2's 16.8M level-4 pairs its own working memory stays
-    # under 10 MiB; whole D_3 × D_3 prefix tables took 18.9 MB.
+    # The oracle fills its step table and forms prefix tables in blocks, and
+    # multiplies in int32, so on heis-pow2's 16.8M level-4 pairs its own
+    # working memory stays under 4 MiB; whole D_3 × D_3 prefix tables took
+    # 18.9 MB, and a step table formed in one product 5.3 MB.
     ds = presets.domains("heis-pow2", 4)
     ds.automaton(4)  # the cached automaton belongs to the domains, not to the call
     tracemalloc.start()
@@ -573,7 +586,7 @@ def test_two_route_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert rep["pairs"] == ds.size(4) ** 2 and rep["mismatches"] == 0
-    assert peak < 10 << 20
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
@@ -706,13 +719,21 @@ def test_two_route_counts_corrupted_tables_exactly(d3_truth):
 
 
 @pytest.mark.parametrize("d3_truth", ["z2-pow2", "heis-pow2"], indirect=True)
-def test_two_route_counts_carries_outside_the_subgroup(d3_truth):
+def test_two_route_counts_carries_outside_the_subgroup(d3_truth, monkeypatch):
     # A pair passes the oracle iff D_n[rank]·carry = g·h with the carry in Γ_n.
     # Each case changes the carry reached through one level-n transition; the
     # oracle's mismatch count must equal a scalar count over every pair of D_3.
     n = 3
     ds, prods, truth = d3_truth
     grp, auto = ds.group, ds.automaton(n)
+    dtypes = []  # the oracle's working dtype, call by call
+    exact_dtype = type(grp).exact_dtype
+
+    def recorded(self, *arrays):
+        dtypes.append(exact_dtype(self, *arrays))
+        return dtypes[-1]
+
+    monkeypatch.setattr(type(grp), "exact_dtype", recorded)
     entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
     digits, states = auto.trans_digit[n - 1], auto.trans_state[n - 1]
     target = states[entry]
@@ -747,10 +768,15 @@ def test_two_route_counts_carries_outside_the_subgroup(d3_truth):
         auto.states[n].pop()
         states[entry], digits[entry] = target, old_digit
 
-    # One state's carry moved by an element of Γ_n, then by one outside it.
-    for delta in (gamma, outside):
+    # One state's carry moved by an element of Γ_n, by the element of Γ_n
+    # whose coordinates are all m_n·2**12 = 2**15, which puts the step table
+    # past the int32 range, and by one element outside Γ_n.
+    assert ds.modulus(n) << 12 == 1 << 15
+    wide = grp.from_array(np.full((1, grp.dim), ds.modulus(n) << 12, dtype=np.int64))[0]
+    for delta, dtype in ((gamma, np.int32), (wide, np.int64), (outside, np.int32)):
         auto.states[n][target] = (grp.mul(carry, delta), ctx)
         try:
             oracle_equals_scalar_count()
+            assert dtypes[-1] is dtype
         finally:
             auto.states[n][target] = (carry, ctx)

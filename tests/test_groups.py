@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odowin.groups import (
+    _NARROW_BOUND,
     _VEC_BOUND,
     ConstructionError,
     HeisenbergGroup,
@@ -257,6 +258,43 @@ def test_mul_rows_is_vec_mul_without_the_bound_check(ctx):
     for op in (lambda: ctx.check_bounds(left, right), lambda: ctx.vec_mul(left, right)):
         with pytest.raises(OverflowError, match="values too large"):
             op()
+
+
+@pytest.mark.parametrize("ctx", [Z, Z2, H], ids=lambda c: c.name)
+def test_exact_dtype_narrows_below_two_to_the_fifteen(ctx):
+    # int32 while every value lies in (-2**15, 2**15), int64 from 2**15 on,
+    # refused from 2**30 on as check_bounds refuses it; empty arrays add nothing.
+    empty = np.empty((0, ctx.dim), dtype=np.int64)
+    zero = ctx.to_array([ctx.identity])
+    assert _NARROW_BOUND == 1 << 15
+    assert ctx.exact_dtype() is ctx.exact_dtype(empty) is np.int32
+    for sign in (1, -1):
+        for top, want in ((_NARROW_BOUND - 1, np.int32), (_NARROW_BOUND, np.int64),
+                          (_VEC_BOUND - 1, np.int64)):
+            edge = zero.copy()
+            edge[0, -1] = sign * top
+            assert ctx.exact_dtype(empty, zero, edge) is want, (sign, top)
+            assert ctx.exact_dtype(edge.astype(want)) is want, (sign, top)
+        edge[0, -1] = sign * _VEC_BOUND
+        with pytest.raises(OverflowError, match="values too large"):
+            ctx.exact_dtype(zero, edge)
+
+
+@pytest.mark.parametrize("ctx", [Z, Z2, H], ids=lambda c: c.name)
+def test_mul_rows_in_int32_is_exact_below_the_narrow_bound(ctx):
+    # Every sign pattern of ±(2**15 - 1) and 0 against every other: the int32
+    # products equal the int64 products and the scalar law.
+    top = _NARROW_BOUND - 1
+    coords = [top, -top, 0]
+    elems = [e[0] if ctx.dim == 1 else e for e in itertools.product(coords, repeat=ctx.dim)]
+    wide = ctx.to_array(elems)
+    assert ctx.exact_dtype(wide) is np.int32
+    narrow = wide.astype(np.int32)
+    rows = ctx.mul_rows(narrow[:, None], narrow[None, :])
+    assert rows.dtype == np.int32
+    assert np.array_equal(rows, ctx.mul_rows(wide[:, None], wide[None, :]))
+    pairs = itertools.product(elems, repeat=2)
+    assert ctx.from_array(rows.reshape(-1, ctx.dim)) == [ctx.mul(a, b) for a, b in pairs]
 
 
 def test_row_keys_keep_lexicographic_order():
