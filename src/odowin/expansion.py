@@ -585,20 +585,25 @@ def verify_carry_identity(
     ``batch_product`` runs once per group, over that group × D_{n-1}, and its
     prefix ranks and states serve every top digit, so working memory is
     bounded by ``chunk`` and the step table, not by size(n-1)².  A block is
-    laid out (p, g_low, q, h_low) for the right factor
-    D_n[h_low + size(n-1)·q], and every operand is stored coordinate-major,
-    as C-contiguous ``(dim, ...)`` columns, so the products and comparisons
-    run on contiguous memory.  The step table is filled in blocks of whole
-    source states, at most ``_CLOSURE_ROWS`` transitions each, so no
-    full-size gather or product is formed beside it.  The step table and both
-    domains pass ``exact_dtype`` once: it refuses values at 2**30, and when
-    every value lies in (-2**15, 2**15) they are cast to int32, where every
-    group law stays exact (c+c'+a·b' < 2**15 + 2**15 + 2**30 < 2**31).  The
-    blocks multiply gathers and views of them with the unchecked ``mul_rows``
-    in that dtype.  Returns a summary with the
-    mismatch count (must be zero), the number of pairs, a nonabelian
-    conjugation witness when one exists, and spot-check results comparing the
-    vectorized and scalar paths; it does not depend on ``chunk``.
+    laid out (p, g_low, h_low, q) for the right factor D_n[h_low + size(n-1)·q],
+    q innermost, and every operand is stored coordinate-major, as C-contiguous
+    ``(dim, ...)`` columns, so the products and comparisons run on contiguous
+    memory.  The step table is viewed as ``(dim, S·|T_n|, |T_n|)``, so row
+    s·|T_n| + p holds every q: route A gathers one whole row per (p, prefix
+    pair) and multiplies it by D_{n-1}[r], gathered once per group and
+    repeated across q; route B multiplies g by one copy of D_n laid out
+    ``(dim, size(n-1), |T_n|)``.  A step value depends only on (d, next
+    state), so the products are formed once for each pair some transition
+    reaches; those values and both domains pass ``exact_dtype`` once, and the
+    step table is filled straight in the dtype it answers.  ``exact_dtype``
+    refuses values at 2**30, and when every value lies in (-2**15, 2**15) it
+    answers int32, where every group law stays exact
+    (c+c'+a·b' < 2**15 + 2**15 + 2**30 < 2**31).  The blocks multiply gathers
+    and views of these arrays with the unchecked ``mul_rows`` in that dtype.
+    Returns a summary with the mismatch count (must be zero), the number of
+    pairs, a nonabelian conjugation witness when one exists, and spot-check
+    results comparing the vectorized and scalar paths; it does not depend on
+    ``chunk``.
     """
     import random
 
@@ -633,43 +638,50 @@ def verify_carry_identity(
     def as_rows(cols: np.ndarray) -> np.ndarray:
         return np.moveaxis(cols, 0, -1)  # a (dim, ...) array viewed as rows
 
-    # The step table over the level-n transitions (s, p, q) in flat order,
-    # filled in blocks of whole source states, as the closure forms them.
+    # A step value T_n[d]·c depends only on the digit d and the next state, so
+    # it is formed once for each (d, next state) pair that some transition reaches.
     carry_elems = g.to_array([c for c, _ctx in auto.states[n]])  # by state index
     alphabet = g.to_array(ds.alphabet(n))
     g.check_bounds(alphabet, carry_elems)
     step_state = auto.trans_state[n - 1].reshape(-1)
-    step_digit = auto.trans_digit[n - 1].reshape(-1)
-    step = np.empty((g.dim, len(step_state)), dtype=np.int64)
-    block = max(1, _CLOSURE_ROWS // (na * na)) * (na * na)
-    for lo in range(0, len(step_state), block):
-        hi = lo + block
-        step[:, lo:hi] = g.mul_rows(alphabet[step_digit[lo:hi]], carry_elems[step_state[lo:hi]]).T
-    step_ok = (g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0)[step_state]
+    step_ok = (g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0)[step_state].reshape(-1, na)
+    pair_of = auto.trans_digit[n - 1].reshape(-1) * len(carry_elems) + step_state
+    reached = np.zeros(na * len(carry_elems), dtype=bool)
+    reached[pair_of] = True
+    pair_digit, pair_state = np.divmod(np.flatnonzero(reached), len(carry_elems))
+    pair_step = g.mul_rows(alphabet[pair_digit], carry_elems[pair_state])
     low_cols = columns(ds.domain_array(n - 1))
-    dom_cols = columns(ds.domain_array(n)).reshape(g.dim, na, low)  # D_n[h_low + low·q] at (q, h_low)
-    # Every product operand below is a gather or a view of these three arrays,
-    # so they are checked once and cast to the narrowest exact dtype.
-    dt = g.exact_dtype(step, low_cols, dom_cols)
-    step, low_cols, dom_cols = (a.astype(dt, copy=False) for a in (step, low_cols, dom_cols))
-    right = as_rows(dom_cols[:, None, None])  # at (1, 1, q, h_low)
-    q = np.arange(na)[:, None]
+    # D_n[h_low + low·q] at (h_low, q): q innermost, like the step table's rows.
+    dom_cols = np.ascontiguousarray(ds.domain_array(n).reshape(na, low, g.dim).transpose(2, 1, 0))
+    # Every product operand below is a gather or a view of the step values and
+    # the two domains, so they are checked once.  The step table is then filled
+    # straight in the narrowest exact dtype, as (dim, S·|T_n|, |T_n|): row
+    # s·|T_n| + p holds every q.
+    dt = g.exact_dtype(pair_step, low_cols, dom_cols)
+    table = np.zeros((g.dim, len(reached)), dtype=dt)
+    table[:, reached] = pair_step.T  # zero where no transition reaches
+    del pair_digit, pair_state, pair_step
+    step = table.take(pair_of, axis=1).reshape(g.dim, -1, na)
+    del table, pair_of  # the blocks below hold only the step table
+    low_cols, dom_cols = (a.astype(dt, copy=False) for a in (low_cols, dom_cols))
+    right = as_rows(dom_cols[:, None, None])  # at (1, 1, h_low, q)
     prefix = np.arange(low)
     rows = max(1, chunk // size)  # left factors per block
     width = min(rows, low)  # left prefixes per block and per batch_product call
     tops = max(1, rows // low)  # top digits per block
     for g0 in range(0, low, width):
         g_low = prefix[g0 : g0 + width]
-        pre_rank, pre_flat = auto.batch_product(np.repeat(g_low, low), np.tile(prefix, len(g_low)), n - 1)
-        head = low_cols.take(pre_rank, axis=1).reshape(g.dim, 1, len(g_low), 1, low)  # D_{n-1}[r]
-        pre_flat = pre_flat.reshape(len(g_low), 1, low) * (na * na)  # flat index of (s, 0, 0)
+        pre_rank, pre_state = auto.batch_product(np.repeat(g_low, low), np.tile(prefix, len(g_low)), n - 1)
+        # D_{n-1}[r] at (1, g_low, h_low, q), repeated across q once per group.
+        head = np.repeat(low_cols.take(pre_rank, axis=1), na, axis=1).reshape(g.dim, 1, len(g_low), low, na)
+        pre_row = pre_state.reshape(len(g_low), low) * na  # step row of (s, 0)
         for p0 in range(0, na, tops):
             p = np.arange(p0, min(p0 + tops, na))
-            flat = pre_flat + (p * na)[:, None, None, None] + q  # (p, left prefix, q, h_low)
-            route_a = g.mul_rows(as_rows(head), as_rows(step.take(flat, axis=1)))
-            left = dom_cols[:, p0 : p0 + len(p), g0 : g0 + len(g_low), None, None]
-            route_b = g.mul_rows(as_rows(left), right)
-            ok = step_ok.take(flat)
+            row = pre_row + p[:, None, None]  # step row of (s, p) at (p, g_low, h_low)
+            route_a = g.mul_rows(as_rows(head), as_rows(step.take(row, axis=1)))
+            left = dom_cols[:, g0 : g0 + len(g_low), p0 : p0 + len(p)].transpose(0, 2, 1)
+            route_b = g.mul_rows(as_rows(left[..., None, None]), right)
+            ok = step_ok.take(row, axis=0)
             for k in range(g.dim):  # each coordinate is one contiguous column
                 ok &= route_a[..., k] == route_b[..., k]
             mismatches += ok.size - int(np.count_nonzero(ok))

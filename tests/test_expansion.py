@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odowin import expansion, groups, presets
+from odowin import groups, presets
 from odowin.expansion import (
     _CLOSURE_ROWS,
     CarryRange,
@@ -551,32 +551,32 @@ def test_two_route_rejects_levels_outside_the_domains():
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
 def test_two_route_report_is_independent_of_blocks(name, monkeypatch):
     # chunk=1 is one left factor per block; 3·size(n)+5 is three, which does
-    # not divide size(n); level 1 has a 1×1 prefix table.  These domains and
+    # not divide size(n); 3·size(n-1)·size(n) is three top digits per block,
+    # which does not divide |T_n|, so the last block holds fewer; level 1 has
+    # a 1×1 prefix table.  These domains and
     # step tables lie below 2**15, so the blocks run in int32; with the narrow
-    # bound at 0 they run in int64.  With _CLOSURE_ROWS at 1 the step table is
-    # filled one source state at a time.
+    # bound at 0 they run in int64.
     ds = presets.domains(name, 3)
     for n in (1, 2, 3):
         want = verify_carry_identity(ds, n)
         assert want["pairs"] == ds.size(n) ** 2 and want["mismatches"] == 0
         assert ds.group.exact_dtype(ds.domain_array(n)) is np.int32
-        for chunk in (1, 3 * ds.size(n) + 5):
+        chunks = (1, 3 * ds.size(n) + 5, 3 * ds.size(n - 1) * ds.size(n))
+        assert (ds.size(n) // ds.size(n - 1)) % 3 != 0
+        for chunk in chunks:
             assert verify_carry_identity(ds, n, chunk=chunk) == want
         with monkeypatch.context() as m:
             m.setattr(groups, "_NARROW_BOUND", 0)
             assert ds.group.exact_dtype(ds.domain_array(n)) is np.int64
-            for chunk in (1 << 15, 1, 3 * ds.size(n) + 5):
+            for chunk in (1 << 15,) + chunks:
                 assert verify_carry_identity(ds, n, chunk=chunk) == want
-        with monkeypatch.context() as m:
-            m.setattr(expansion, "_CLOSURE_ROWS", 1)
-            assert verify_carry_identity(ds, n) == want
 
 
 def test_two_route_memory_is_bounded_by_blocks():
-    # The oracle fills its step table and forms prefix tables in blocks, and
-    # multiplies in int32, so on heis-pow2's 16.8M level-4 pairs its own
-    # working memory stays under 4 MiB; whole D_3 × D_3 prefix tables took
-    # 18.9 MB, and a step table formed in one product 5.3 MB.
+    # The oracle forms prefix tables in blocks, fills its step table straight
+    # in int32 and multiplies in int32, so on heis-pow2's 16.8M level-4 pairs
+    # its own working memory stays under 3 MiB; whole D_3 × D_3 prefix tables
+    # took 18.9 MB, and a step table formed in one product 5.3 MB.
     ds = presets.domains("heis-pow2", 4)
     ds.automaton(4)  # the cached automaton belongs to the domains, not to the call
     tracemalloc.start()
@@ -586,7 +586,7 @@ def test_two_route_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert rep["pairs"] == ds.size(4) ** 2 and rep["mismatches"] == 0
-    assert peak < 4 << 20
+    assert peak < 3 << 20
 
 
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
@@ -677,20 +677,24 @@ def test_two_route_matches_reference_loop(name, n):
             table[entry] = old
 
 
-@pytest.fixture(scope="module")
-def d3_truth(request):
-    """Scalar truth over D_3 × D_3 of one preset, computed once per module.
+def scalar_truth(ds, n):
+    """Scalar products and truth over D_n × D_n.
 
-    Returns (domains, products, truth): products maps each pair of digit-index
-    strings to g·h, truth maps it to the product's digit indices and tail.
+    Returns (products, truth): products maps each pair of digit-index strings
+    to g·h, truth maps it to the product's digit indices and tail.
     """
-    n = 3
-    ds = presets.domains(request.param, n)
     grp, dom = ds.group, ds.domain_list(n)
     idx = [ds.digit_index_prefix(x, n) for x in dom]
     prods = {(ia, ib): grp.mul(a, b) for a, ia in zip(dom, idx) for b, ib in zip(dom, idx)}
     truth = {k: (ds.digit_index_prefix(x, n), ds.tail(x, n)) for k, x in prods.items()}
-    return ds, prods, truth
+    return prods, truth
+
+
+@pytest.fixture(scope="module")
+def d3_truth(request):
+    """Scalar truth over D_3 × D_3 of one preset, computed once per module: (domains, products, truth)."""
+    ds = presets.domains(request.param, 3)
+    return (ds, *scalar_truth(ds, 3))
 
 
 @pytest.mark.parametrize("d3_truth", ["z-carry", "z2-pow2", "heis-pow2"], indirect=True)
@@ -716,6 +720,35 @@ def test_two_route_counts_corrupted_tables_exactly(d3_truth):
                 assert verify_carry_identity(ds, n, rng_spot_checks=0)["mismatches"] == want
             finally:
                 tables[j - 1][entry] = old
+
+
+@pytest.mark.parametrize("name", ["z2-pow2", "heis-pow2"])
+def test_two_route_counts_corrupted_step_row_edges_exactly(name):
+    # The blocks gather whole step rows (s, p), q innermost.  One wrong digit,
+    # or a state with another carry, at a corner of the first or the last
+    # state's rows, (s, 0, 0), (s, 0, |T_n|-1), (s, |T_n|-1, 0) or
+    # (s, |T_n|-1, |T_n|-1): the oracle's mismatch count equals a scalar count
+    # over every pair of D_2.
+    n = 2
+    ds = presets.domains(name, n)
+    auto = ds.automaton(n)
+    _prods, truth = scalar_truth(ds, n)
+    carries = [c for c, _ctx in auto.states[n]]
+    last = len(ds.alphabet(n)) - 1
+    for table, wrong in (
+        (auto.trans_digit[n - 1], lambda d: (d + 1) % len(ds.alphabet(n))),
+        (auto.trans_state[n - 1], lambda s: next(t for t, c in enumerate(carries) if c != carries[s])),
+    ):
+        for entry in itertools.product((0, -1), (0, last), (0, last)):
+            old = table[entry]
+            table[entry] = wrong(old)
+            try:
+                want = sum(auto.product_digit_indices(*k, n) != got for k, got in truth.items())
+                assert want > 0, entry
+                got = verify_carry_identity(ds, n, rng_spot_checks=0)["mismatches"]
+                assert got == want, entry
+            finally:
+                table[entry] = old
 
 
 @pytest.mark.parametrize("d3_truth", ["z2-pow2", "heis-pow2"], indirect=True)
