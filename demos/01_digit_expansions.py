@@ -6,21 +6,21 @@ any of the shipped groups; products are computed digit by digit through a
 carry recursion that never multiplies the factors directly.
 """
 
-from odowin import carry_mul, carry_ranges, decompose, expand, presets, reconstruct
+from odowin import carry_mul, carry_ranges, presets, reconstruct
 
 ds = presets.domains("z-dec", 3)
 
 print("== decimal digits ==")
 for g in (7, 23, 235, 999):
-    d = expand(ds, g)
-    print(f"  {g} = {' · '.join(str(c) for c in d.coefficients)}   (depth {d.depth})")
-print("  decompose(23, level 1) ->", decompose(ds, 23, 1))
-print("  decompose(-1, level 1) ->", decompose(ds, -1, 1), " (head 9, tail -10)")
+    d = ds.digits(g)
+    print(f"  {g} = {' · '.join(str(c) for c in d)}   (depth {len(d) - 1})")
+print("  decompose(23, level 1) ->", ds.decompose(23, 1))
+print("  decompose(-1, level 1) ->", ds.decompose(-1, 1), " (head 9, tail -10)")
 
 print("\n== carries in the chain 2 | 4 | 8 ==")
 ds2 = presets.domains("z-pow2", 4)
-dg, dh = expand(ds2, 3), expand(ds2, 1)
-print(f"  digits of 3: {dg.coefficients}, digits of 1: {dh.coefficients}")
+dg, dh = ds2.digits(3), ds2.digits(1)
+print(f"  digits of 3: {dg}, digits of 1: {dh}")
 for n in (1, 2, 3):
     prefix, carry = carry_mul(ds2, dg, dh, n)
     print(f"  product digits to level {n}: {prefix}, carry entering level {n+1}: {carry}")

@@ -11,13 +11,9 @@ cardinality) by exact finite-level computation.
 from . import presets
 from .expansion import (
     CarryRange,
-    Digits,
     DomainSequence,
-    build_domains,
     carry_mul,
     carry_ranges,
-    decompose,
-    expand,
     reconstruct,
 )
 from .fibers import (
@@ -26,7 +22,6 @@ from .fibers import (
     TRegionResult,
     birkhoff_stats,
     boundary_hitters_exact,
-    coverage_fraction,
     critical_point,
     enumerate_fiber,
     similarity_classes,
@@ -34,7 +29,6 @@ from .fibers import (
 )
 from .groups import (
     ConstructionError,
-    CosetLabel,
     GroupContext,
     HeisenbergGroup,
     PrecisionError,

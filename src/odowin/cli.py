@@ -71,6 +71,13 @@ def _numbers(text: str) -> list[int]:
     return [_number(v) for v in text.split(",")]
 
 
+def _text(text: str) -> str:
+    """An ``--out`` or ``--levels`` value, which an empty string is not: it would read as none."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty value")
+    return text
+
+
 def _layout(items, depth: int, brackets: str) -> str:
     """Encoded items (``"key": value`` in an object) in the layout ``json.dumps(indent=2)``
     gives a list or dict at this depth."""
@@ -322,6 +329,8 @@ def cmd_stats(args) -> int:
     win = _load_window(args.window)
     xi = _shift_point(win, args)
     levels = _numbers(args.levels) if args.levels else list(range(1, win.cap + 1))
+    if len(set(levels)) < len(levels):
+        raise ConfigError(f"--levels {args.levels} names a level twice")
     stats = birkhoff_stats(win, xi, levels)
     ok = all(row["census_match"] for row in stats.values())
     report = {"window": win.window_id, "levels": stats, "census_match": ok}
@@ -345,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build a window from a config file")
     b.add_argument("--config", required=True)
-    b.add_argument("--out")
+    b.add_argument("--out", type=_text)
 
     v = sub.add_parser("verify", help="verify a window file")
     v.add_argument("window")
@@ -353,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("emit", "render", "fiber", "stats"):
         p = sub.add_parser(name)
         p.add_argument("window")
-        p.add_argument("--out")
+        p.add_argument("--out", type=_text)
         p.add_argument("--seed", type=int)
         p.add_argument("--critical", action="store_true",
                        help="use the canonical boundary point as the shift")
         if name == "stats":
-            p.add_argument("--levels")
+            p.add_argument("--levels", type=_text)
         else:
             p.add_argument("--patch-level", type=int)
     return ap

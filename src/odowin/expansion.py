@@ -9,8 +9,8 @@ g = t_1·t_2·...·t_n with t_j in the level-j alphabet.
 
 Each D_n is stored once: an int64 array whose rows are its elements in rank
 order, rank = d_rank + size(n-1)·t_index, plus a residue→rank table.  So D_m
-sits at ranks 0..size(m)-1 of every deeper level, and membership, heads,
-depths and digit indices are all rank lookups.
+sits at ranks 0..size(m)-1 of every deeper level, and heads, depths and digit
+indices are all rank lookups.
 
 Products of digit strings are computed digit-by-digit through the carry
 recursion
@@ -46,19 +46,6 @@ REPORT_ENTRY_BYTES = 200
 # Transition rows the closure forms at once; a block holds whole source states,
 # at least one, so a level needs O(max(budget, #alphabet²)) scratch memory.
 _CLOSURE_ROWS = 1 << 14
-
-
-@dataclass(frozen=True)
-class Digits:
-    """Finite digit string of a group element.
-
-    ``coefficients`` has length ``depth + 1``; the last entry is the identity
-    only for the identity element.  ``depth`` is the least n such that the
-    element lies in D_{n+1}.
-    """
-
-    coefficients: tuple[Elem, ...]
-    depth: int
 
 
 @dataclass
@@ -205,16 +192,9 @@ class DomainSequence:
         """D_n in rank order, converted from the stored rows on each call."""
         return self.group.from_array(self.domain_array(n))
 
-    def domain_set(self, n: int) -> set[Elem]:
-        """D_n as a set, converted from the stored rows on each call."""
-        return set(self.domain_list(n))
-
     def domain_array(self, n: int) -> np.ndarray:
         self.modulus(n)  # rejects a level outside 0..levels
         return self._dom[n]
-
-    def in_domain(self, g: Elem, n: int) -> bool:
-        return self.element_of_rank(self.rank_of(g, n), n) == g
 
     # -- decomposition and digits ---------------------------------------------
 
@@ -241,19 +221,16 @@ class DomainSequence:
             f"(no finite digit string within {self.levels} levels)"
         )
 
-    def digits(self, g: Elem) -> Digits:
-        """Full digit expansion of g; defined for elements of the built domains."""
-        n = self.depth(g)
-        return Digits(self.digit_prefix(g, n + 1), n)
+    def digits(self, g: Elem) -> tuple[Elem, ...]:
+        """Digits of g in the built domains: ``depth(g) + 1`` of them, the last not the identity
+        unless g is."""
+        return self.digit_prefix(g, self.depth(g) + 1)
 
     def digit_prefix(self, g: Elem, n: int) -> tuple[Elem, ...]:
         """Digits of head(g, n): defined for every group element."""
         return tuple(
-            self.alphabets[j][i] for j, i in enumerate(self.digit_index_prefix(g, n))
+            self.alphabets[j][i] for j, i in enumerate(self.radix_digits(self.rank_of(g, n), n))
         )
-
-    def digit_index_prefix(self, g: Elem, n: int) -> tuple[int, ...]:
-        return tuple(self.radix_digits(self.rank_of(g, n), n))
 
     # -- rank arithmetic --------------------------------------------------------
     # D_n is built as D_{n-1}·T_n in the order rank = d_rank + size(n-1)·t_index,
@@ -499,19 +476,9 @@ def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], number[inverse]
 
 
-# -- spec-facing operations ------------------------------------------------
-
-
-def build_domains(chain: SubgroupChain, levels: int | None = None) -> DomainSequence:
-    return DomainSequence.build(chain, levels)
-
-
-def decompose(ds: DomainSequence, g: Elem, n: int) -> tuple[Elem, Elem]:
-    return ds.decompose(g, n)
-
-
-def expand(ds: DomainSequence, g: Elem) -> Digits:
-    return ds.digits(g)
+# -- digit strings and carries ------------------------------------------------
+# A digit string is a tuple of alphabet elements, level 1 first, as ``DomainSequence.digits``
+# and ``digit_prefix`` return it.
 
 
 def reconstruct(ds: DomainSequence, digits: Sequence[Elem], carry: Elem | None = None) -> Elem:
@@ -526,18 +493,16 @@ def reconstruct(ds: DomainSequence, digits: Sequence[Elem], carry: Elem | None =
 
 
 def carry_mul(
-    ds: DomainSequence, dg: Digits | Sequence[Elem], dh: Digits | Sequence[Elem], n: int
+    ds: DomainSequence, dg: Sequence[Elem], dh: Sequence[Elem], n: int
 ) -> tuple[tuple[Elem, ...], Elem]:
     """First n digits of the product and the carry entering level n+1.
 
     Computed purely from the factors' digits through the carry recursion; the
     factors are never multiplied directly.
     """
-    gseq = dg.coefficients if isinstance(dg, Digits) else tuple(dg)
-    hseq = dh.coefficients if isinstance(dh, Digits) else tuple(dh)
     auto = ds.automaton(n)
-    g_idx = [ds.alphabet_index(j + 1, t) for j, t in enumerate(gseq[:n])]
-    h_idx = [ds.alphabet_index(j + 1, t) for j, t in enumerate(hseq[:n])]
+    g_idx = [ds.alphabet_index(j + 1, t) for j, t in enumerate(dg[:n])]
+    h_idx = [ds.alphabet_index(j + 1, t) for j, t in enumerate(dh[:n])]
     out_idx, carry = auto.product_digit_indices(g_idx, h_idx, n)
     prefix = tuple(ds.alphabet(j + 1)[i] for j, i in enumerate(out_idx))
     return prefix, carry

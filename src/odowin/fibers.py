@@ -29,7 +29,7 @@ import numpy as np
 
 from .groups import ConstructionError, Elem, PrecisionError
 from .model_sets import SymbolicPatch, patch_cylinders, shifted_patch
-from .odometer import OdometerPoint, head_of_point, rank_of_point, sample_point
+from .odometer import OdometerPoint, head_of_point, rank_of_point
 from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window
 
 
@@ -38,8 +38,6 @@ class SimilarityReport:
     """Boundary hitters of a patch, split by sector and ordered by class index."""
 
     classes: list[list[Elem]]  # classes[j-1] = S_j ∩ patch, canonical order
-    atoms: list[Elem] | None   # punctured windows: S_k split into singletons
-    index: list[list[int]]     # index[j-1][i]: patch index of classes[j-1][i]
 
     @property
     def k(self) -> int:
@@ -119,10 +117,7 @@ def _classified(
     hitters, sectors = pending[order], sectors[order]
     bounds = np.searchsorted(sectors, np.arange(1, win.spec.k + 2)).tolist()
     elems = win.group.from_array(base.rows[hitters])
-    index = [hitters[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
-    classes = [elems[a:b] for a, b in zip(bounds, bounds[1:])]
-    atoms = list(classes[-1]) if win.spec.kind == "ktilde" else None
-    report = SimilarityReport(classes, atoms, index)
+    report = SimilarityReport([elems[a:b] for a, b in zip(bounds, bounds[1:])])
     return base, report, hitters, sectors
 
 
@@ -274,10 +269,3 @@ def birkhoff_stats(win: Window, xi: OdometerPoint, levels: Sequence[int]) -> dic
         }
     return out
 
-
-def coverage_fraction(
-    win: Window, patch: Sequence[Elem], seeds: Sequence[int]
-) -> tuple[Fraction, list[SimilarityReport]]:
-    """Fraction of sampled shifts whose patch hits every class."""
-    reports = [similarity_classes(win, sample_point(win.ds, s, win.cap), patch) for s in seeds]
-    return Fraction(sum(r.full_coverage() for r in reports), len(seeds)), reports

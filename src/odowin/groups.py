@@ -5,8 +5,8 @@ Three concrete groups are shipped: the integers ``Z``, the integer plane
 (a, b, c) with product (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b'), i.e. upper
 unitriangular 3x3 integer matrices).  Each comes with nested normal
 finite-index subgroups given by congruence conditions modulo a divisibility
-chain m_1 | m_2 | ..., together with canonical coset labels and transversals
-used by the digit-expansion machinery.
+chain m_1 | m_2 | ..., together with the canonical transversals used by the
+digit-expansion machinery.
 
 All scalar arithmetic is plain Python integers (arbitrary precision).  The
 vectorized helpers operate on int64 arrays and refuse inputs large enough to
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,19 +40,6 @@ class ConstructionError(ValueError):
 
 class PrecisionError(ValueError):
     """An odometer operation was asked for more digits than are available."""
-
-
-@dataclass(frozen=True)
-class CosetLabel:
-    """Label of a coset g·Γ_n: the canonical residue of g at level n."""
-
-    level: int
-    residue: Elem
-
-    def is_identity(self) -> bool:
-        if isinstance(self.residue, tuple):
-            return all(r == 0 for r in self.residue)
-        return self.residue == 0
 
 
 class GroupContext(ABC):
@@ -426,20 +412,10 @@ class SubgroupChain:
             return 1
         return self.modulus(n) ** self.group.dim
 
-    def project(self, g: Elem, n: int) -> CosetLabel:
-        """Label of the coset g·Γ_n."""
-        return CosetLabel(n, self.group.residue(g, self.modulus(n)))
-
-    def label_rank(self, label: CosetLabel) -> int:
-        return self.group.residue_rank(label.residue, self.modulus(label.level))
-
-    def is_member(self, g: Elem, n: int) -> bool:
-        return self.project(g, n).is_identity()
-
     def separation_level(self, g: Elem, h: Elem) -> int | None:
-        """Smallest level whose projection distinguishes g from h, or None."""
-        for n in range(1, len(self.moduli) + 1):
-            if self.project(g, n) != self.project(h, n):
+        """Smallest level whose residues distinguish g from h, or None."""
+        for n, m in enumerate(self.moduli, start=1):
+            if self.group.residue(g, m) != self.group.residue(h, m):
                 return n
         return None
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expansion import DomainSequence, carry_mul
+from .expansion import DomainSequence, carry_mul, reconstruct
 from .groups import Elem, PrecisionError, SubgroupChain
 
 
@@ -74,11 +74,7 @@ def head_of_point(ds: DomainSequence, x: OdometerPoint, n: int) -> Elem:
     """Product of the first n digits; lies in D_n."""
     if n > x.precision:
         raise PrecisionError(f"point has precision {x.precision}, need {n}")
-    g = ds.group
-    acc = g.identity
-    for t in x.digits[:n]:
-        acc = g.mul(acc, t)
-    return acc
+    return reconstruct(ds, x.digits[:n])
 
 
 def rank_of_point(ds: DomainSequence, x: OdometerPoint, n: int) -> int:

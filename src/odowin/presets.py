@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expansion import DomainSequence, build_domains
+from .expansion import DomainSequence
 from .groups import SubgroupChain, geometric_moduli, group_by_name
 from .windows import Window, build_kind, build_perf
 
@@ -33,7 +33,7 @@ def chain(name: str) -> SubgroupChain:
 
 
 def domains(name: str, levels: int) -> DomainSequence:
-    return build_domains(chain(name), levels)
+    return DomainSequence.build(chain(name), levels)
 
 
 WINDOW_PRESETS: dict[str, dict] = {

@@ -193,9 +193,10 @@ def test_config_errors_exit_two(tmp_path, cfg, capsys):
     for name, text in bad.items():
         assert main(["build", "--config", cfg(name, text), "--out", str(tmp_path / "x")]) == 2, name
         assert len(capsys.readouterr().err.splitlines()) == 1, name
+        assert not (tmp_path / "x").exists(), name  # a refused config writes nothing
 
 
-def test_bad_flags_exit_two(tmp_path, cfg, capsys):
+def test_bad_flags_exit_two(tmp_path, cfg, capsys, monkeypatch):
     path = cfg("w.cfg", IRR_CFG)
     assert main(["build", "--config", cfg("cap0.cfg", IRR_CFG.replace("cap = 3", "cap = 0")),
                  "--out", str(tmp_path / "x")]) == 2
@@ -212,6 +213,9 @@ def test_bad_flags_exit_two(tmp_path, cfg, capsys):
         assert main(argv) == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
     # argparse errors return 2 with one line too; stats reads no patch, so it takes no --patch-level
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)  # where a default output path would land
     for argv in (
         ["stats", win, "--seed", "1", "--patch-level", "1"],
         ["emit", win, "--patch-level", "x"],
@@ -219,9 +223,18 @@ def test_bad_flags_exit_two(tmp_path, cfg, capsys):
         ["build", "--config", path, "--cap", "2"],  # the config's keys are the only settings
         ["frob", win],
         [],
+        # an empty value is no value, and a level is asked for once
+        ["build", "--config", path, "--out", ""],
+        *([cmd, win, "--seed", "1", "--out", ""] for cmd in ("emit", "fiber", "stats", "render")),
+        ["stats", win, "--seed", "1", "--levels", ""],
+        ["stats", win, "--seed", "1", "--levels", "2,2"],
     ):
         assert main(argv) == 2, argv
-        assert len(capsys.readouterr().err.splitlines()) == 1, argv
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1 and not out, argv
+        if argv and argv[-1] in ("", "2,2"):
+            assert argv[-2] in err, argv  # the flag is named
+    assert not any(cwd.iterdir())
     with pytest.raises(SystemExit) as exc:
         main(["emit", "--help"])
     assert exc.value.code == 0
@@ -543,3 +556,20 @@ def test_mutated_window_file_verifies_or_exits_two(tmp_path_factory, mutation_so
     size = win.ds.size(win.cap)
     walk = [win.tree.classify_indices(r)[0] for r in range(size)]
     assert win.tree.vec_classify(np.arange(size)).tolist() == walk
+
+
+def test_bench_tracer_targets_exist(monkeypatch):
+    # bench/tracing.py wraps library names by lookup; each one it names must exist
+    from odowin import cli, odometer
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+
+    originals = (cli.main, odometer.embed)
+    tracer = tracing.Tracer()
+    try:
+        with tracer:
+            assert (cli.main, odometer.embed) != originals
+    finally:
+        tracer.__exit__(None, None, None)  # also undoes an install that stopped part way
+    assert (cli.main, odometer.embed) == originals

@@ -12,11 +12,8 @@ from odowin.expansion import (
     _CLOSURE_ROWS,
     CarryRange,
     DomainSequence,
-    build_domains,
     carry_mul,
     carry_ranges,
-    decompose,
-    expand,
     reconstruct,
     verify_carry_identity,
 )
@@ -112,28 +109,28 @@ def assert_matches_reference(auto, ref):
 
 def test_decimal_domains(ds_z_dec):
     assert ds_z_dec.domain_list(2) == list(range(100))  # oracle: residue enumeration
-    assert Z.identity in ds_z_dec.domain_set(1)
+    assert Z.identity in ds_z_dec.domain_list(1)
     assert ds_z_dec.size(3) == 1000
 
 
 def test_domains_nested_and_sized(ds_z_carry, ds_heis):
     for ds in (ds_z_carry, ds_heis):
         for n in range(1, ds.levels):
-            assert ds.domain_set(n) <= ds.domain_set(n + 1)
+            assert set(ds.domain_list(n)) <= set(ds.domain_list(n + 1))
         for n in range(1, ds.levels + 1):
             assert ds.size(n) == ds.index(n)
 
 
 def test_heisenberg_domain_count():
-    ds = build_domains(SubgroupChain(H, [4, 16]), 2)
+    ds = DomainSequence.build(SubgroupChain(H, [4, 16]), 2)
     assert ds.size(2) == 4**6  # index (4^2)^3
 
 
 def test_alphabet_is_domain_cap_subgroup(ds_z_carry, ds_heis):
     for ds in (ds_z_carry, ds_heis):
-        chain = ds.chain
         for n in range(2, 4):
-            members = {g for g in ds.domain_list(n) if chain.is_member(g, n - 1)}
+            grp, m = ds.group, ds.modulus(n - 1)
+            members = {g for g in ds.domain_list(n) if grp.residue(g, m) == grp.identity}
             assert members == set(ds.alphabet(n))
             ratio = ds.index(n) // ds.index(n - 1)
             assert len(ds.alphabet(n)) == ratio
@@ -147,7 +144,7 @@ def test_product_structure(ds_z_carry):
             for t in ds_z_carry.alphabet(n)
             for d in ds_z_carry.domain_list(n - 1)
         }
-        assert prods == ds_z_carry.domain_set(n)
+        assert prods == set(ds_z_carry.domain_list(n))
 
 
 def test_transversal_outside_subgroup_rejected():
@@ -292,8 +289,8 @@ def test_rank_lookups_match_digit_strings(name):
         m = ds.modulus(n)
         head_of_residue = {grp.residue(h, m): h for h in doms[n]}
         for g in probes:
-            assert ds.in_domain(g, n) == (g in doms[n])
             head = ds.head(g, n)
+            assert (head == g) == (g in doms[n])
             assert head == head_of_residue[grp.residue(g, m)] and plain(head)
         for rank in range(ds.size(n)):
             assert plain(ds.element_of_rank(rank, n))
@@ -317,22 +314,22 @@ def test_rank_lookups_match_digit_strings(name):
 
 
 def test_decompose_examples(ds_z_dec):
-    assert decompose(ds_z_dec, 23, 1) == (euclid_head(23, 10), 20) == (3, 20)
-    assert decompose(ds_z_dec, -1, 1) == (euclid_head(-1, 10), -10) == (9, -10)
-    assert decompose(ds_z_dec, 0, 2) == (0, 0)
-    head, tail = decompose(ds_z_dec, 12345, 0)
+    assert ds_z_dec.decompose(23, 1) == (euclid_head(23, 10), 20) == (3, 20)
+    assert ds_z_dec.decompose(-1, 1) == (euclid_head(-1, 10), -10) == (9, -10)
+    assert ds_z_dec.decompose(0, 2) == (0, 0)
+    head, tail = ds_z_dec.decompose(12345, 0)
     assert head == Z.identity and tail == 12345
 
 
 def test_decompose_invariants(ds_heis):
-    chain = ds_heis.chain
     rng = random.Random(5)
+    doms = [set(ds_heis.domain_list(n)) for n in range(4)]
     for _ in range(100):
         g = (rng.randrange(-40, 40), rng.randrange(-40, 40), rng.randrange(-40, 40))
         for n in (1, 2, 3):
-            head, tail = decompose(ds_heis, g, n)
-            assert head in ds_heis.domain_set(n)
-            assert chain.is_member(tail, n)
+            head, tail = ds_heis.decompose(g, n)
+            assert head in doms[n]
+            assert H.residue(tail, ds_heis.modulus(n)) == H.identity
             assert H.mul(head, tail) == g
 
 
@@ -340,27 +337,25 @@ def test_decompose_invariants(ds_heis):
 
 
 def test_expand_examples(ds_z_dec, ds_z_carry):
-    d = expand(ds_z_dec, 235)
-    assert d.coefficients == (5, 30, 200) and d.depth == 2
-    ident = expand(ds_z_dec, 0)
-    assert ident.coefficients == (0,) and ident.depth == 0
+    assert ds_z_dec.digits(235) == (5, 30, 200) and ds_z_dec.depth(235) == 2
+    assert ds_z_dec.digits(0) == (0,) and ds_z_dec.depth(0) == 0
     # mixed-radix chain 2, 8, 32: oracle digits
     for g in range(ds_z_carry.size(3)):
-        assert list(expand(ds_z_carry, g).coefficients) == mixed_radix_digits(
-            g, ds_z_carry.moduli[: expand(ds_z_carry, g).depth + 1]
-        )
+        d = ds_z_carry.digits(g)
+        assert len(d) == ds_z_carry.depth(g) + 1
+        assert list(d) == mixed_radix_digits(g, ds_z_carry.moduli[: len(d)])
 
 
 def test_expand_reconstructs(ds_heis):
     for g in ds_heis.domain_list(3):
-        d = expand(ds_heis, g)
-        assert reconstruct(ds_heis, d.coefficients) == g
-        assert d.coefficients[-1] != H.identity or g == H.identity
+        d = ds_heis.digits(g)
+        assert reconstruct(ds_heis, d) == g
+        assert d[-1] != H.identity or g == H.identity
 
 
 def test_expand_outside_domains_raises(ds_z_dec):
     with pytest.raises(ConstructionError):
-        expand(ds_z_dec, -1)  # negative integers have no finite digit string here
+        ds_z_dec.digits(-1)  # negative integers have no finite digit string here
 
 
 def test_uniqueness_by_exhaustive_recomposition(ds_z_carry, ds_heis):
@@ -371,12 +366,11 @@ def test_uniqueness_by_exhaustive_recomposition(ds_z_carry, ds_heis):
             g = reconstruct(ds, combo)
             assert ds.digit_prefix(g, 3) == combo
             seen.add(g)
-        assert seen == ds.domain_set(3)
+        assert seen == set(ds.domain_list(3))
 
 
 def test_basic_digit_properties(ds_heis):
     ds = ds_heis
-    chain = ds.chain
     rng = random.Random(7)
     dom = ds.domain_list(3)
     pairs = [(dom[rng.randrange(len(dom))], dom[rng.randrange(len(dom))]) for _ in range(200)]
@@ -397,7 +391,7 @@ def test_basic_digit_properties(ds_heis):
     for g, _ in pairs[:50]:
         for n in (1, 2, 3):
             gamma = ds.alphabet(n + 1)[1] if n < 3 else (8, 0, 0)
-            assert chain.is_member(gamma, n)
+            assert H.residue(gamma, ds.modulus(n)) == H.identity
             for shifted in (H.mul(gamma, g), H.mul(g, gamma)):
                 assert ds.digit_prefix(shifted, n)[n - 1] == ds.digit_prefix(g, n)[n - 1]
 
@@ -407,17 +401,17 @@ def test_basic_digit_properties(ds_heis):
 
 def test_carry_example_binary(ds_z_pow2):
     # 3 + 1 in the chain 2, 4, 8: digits (1,2) + (1,) -> (0,0,4) with carries 2, 4, 0
-    dg, dh = expand(ds_z_pow2, 3), expand(ds_z_pow2, 1)
-    assert dg.coefficients == (1, 2) and dh.coefficients == (1,)
+    dg, dh = ds_z_pow2.digits(3), ds_z_pow2.digits(1)
+    assert dg == (1, 2) and dh == (1,)
     assert carry_mul(ds_z_pow2, dg, dh, 1) == ((0,), 2)
     assert carry_mul(ds_z_pow2, dg, dh, 2) == ((0, 0), 4)
     assert carry_mul(ds_z_pow2, dg, dh, 3) == ((0, 0, 4), 0)
 
 
 def test_carry_identity_factor(ds_z_carry):
-    ident = expand(ds_z_carry, 0)
+    ident = ds_z_carry.digits(0)
     for g in (5, 29, 100):
-        dg = expand(ds_z_carry, g)
+        dg = ds_z_carry.digits(g)
         prefix, carry = carry_mul(ds_z_carry, dg, ident, 4)
         assert prefix == ds_z_carry.digit_prefix(g, 4)
         assert carry == Z.identity
@@ -684,9 +678,13 @@ def scalar_truth(ds, n):
     to g·h, truth maps it to the product's digit indices and tail.
     """
     grp, dom = ds.group, ds.domain_list(n)
-    idx = [ds.digit_index_prefix(x, n) for x in dom]
+
+    def digit_indices(x):
+        return tuple(ds.radix_digits(ds.rank_of(x, n), n))
+
+    idx = [digit_indices(x) for x in dom]
     prods = {(ia, ib): grp.mul(a, b) for a, ia in zip(dom, idx) for b, ib in zip(dom, idx)}
-    truth = {k: (ds.digit_index_prefix(x, n), ds.tail(x, n)) for k, x in prods.items()}
+    truth = {k: (digit_indices(x), ds.tail(x, n)) for k, x in prods.items()}
     return prods, truth
 
 

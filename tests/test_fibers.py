@@ -9,7 +9,6 @@ import pytest
 from odowin.fibers import (
     birkhoff_stats,
     boundary_hitters_exact,
-    coverage_fraction,
     critical_point,
     enumerate_fiber,
     similarity_classes,
@@ -151,7 +150,6 @@ def test_ktilde_atoms_and_pairwise_difference(w_kt):
     xi = sample_point(win.ds, 5, win.cap)
     patch = win.ds.domain_list(win.cap)
     fib = enumerate_fiber(win, xi, patch)
-    assert fib.report.atoms == fib.report.classes[-1]
     k = win.spec.k
     base = fib.candidate(k - 1)  # the candidate keeping the whole top class
     drops = [fib.candidate(c) for c in range(k + 1, len(fib.candidates))]
@@ -217,13 +215,6 @@ def test_birkhoff_census(w_k):
                     assert dens[j - 1] - dens[j] == row["sector_freq"][j]
 
 
-def test_coverage_full_at_cap_patch(w_k):
-    win = w_k[3]
-    frac, reports = coverage_fraction(win, win.ds.domain_list(win.cap), range(25))
-    assert frac == 1
-    assert all(r.full_coverage() for r in reports)
-
-
 def test_fiber_classifies_the_patch_once(w_kt, monkeypatch):
     # the report and every candidate come from one shift and one classification
     from odowin.expansion import DomainSequence
@@ -273,14 +264,15 @@ def test_default_and_explicit_fiber_routes_agree(w_kt, w_heis_kt2, monkeypatch):
             assert sum(converted) <= len(default.hitters)
             explicit = enumerate_fiber(win, xi, win.ds.domain_list(m))
             assert default.labels == explicit.labels
-            assert default.report.index == explicit.report.index
+            assert np.array_equal(default.hitters, explicit.hitters)
             assert default.report.classes == explicit.report.classes
             assert np.array_equal(default.candidates, explicit.candidates)
             for c in range(len(default.candidates)):
                 a, b = default.candidate(c), explicit.candidate(c)
                 assert a.positions == b.positions
                 assert np.array_equal(a.ranks, b.ranks) and np.array_equal(a.codes, b.codes)
-    assert enumerate_fiber(win, xi).report.index == explicit.report.index  # default level: the cap
+    # default level: the cap
+    assert np.array_equal(enumerate_fiber(win, xi).hitters, explicit.hitters)
 
 
 def _reference_fiber(win, xi, patch):
@@ -343,9 +335,9 @@ def test_code_matrix_matches_per_candidate_loop(request, name):
     for label, patch in patches.items():
         fib = enumerate_fiber(win, xi, patch)
         index, codes, distinct = _reference_fiber(win, xi, patch)
-        assert fib.report.index == index, label
         hitters = [i for idx in index for i in idx]
         assert fib.hitters.tolist() == hitters, label
+        assert [len(c) for c in fib.report.classes] == [len(idx) for idx in index], label
         assert fib.candidates.dtype == np.int8, label
         assert fib.candidates.shape == (len(codes), len(hitters)), label
         assert len(fib.labels) == len(codes), label

@@ -1,4 +1,4 @@
-"""Group arithmetic, congruence chains, and coset labels."""
+"""Group arithmetic, congruence chains, and residues."""
 
 import itertools
 
@@ -91,26 +91,29 @@ def test_conjugation():
 
 def test_project_examples():
     chain = SubgroupChain(Z, geometric_moduli(10, 10, 4))
-    lbl = chain.project(23, 1)
-    assert lbl.residue == 23 % 10 == 3 and lbl.level == 1
+    assert Z.residue(23, chain.modulus(1)) == 23 % 10 == 3
     for n in (1, 2, 3):
-        assert chain.project(Z.identity, n).is_identity()
+        assert Z.residue(Z.identity, chain.modulus(n)) == 0
     hchain = SubgroupChain(H, [2, 4, 8])
     g = (5, 7, 11)
     for n in (1, 2, 3):
         m = hchain.modulus(n)
-        assert hchain.project(g, n).residue == (5 % m, 7 % m, 11 % m)
+        assert H.residue(g, m) == (5 % m, 7 % m, 11 % m)
+        assert H.residue_rank(H.identity, m) == 0
+    # (2,2,2) lies in Γ_1 = ker(mod 2), (1,0,0) does not
+    assert H.residue((2, 2, 2), 2) == H.identity != H.residue((1, 0, 0), 2)
+    assert hchain.index(2) == 4**3
 
 
 def test_projections_are_homomorphisms():
     chain = SubgroupChain(H, [2, 4, 8])
     sample = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (3, 2, 1), (-1, 5, -7), (2, 2, 2)]
-    for n in (1, 2, 3):
+    for m in chain.moduli:
         table = {}
         for g in sample:
             for h in sample:
-                key = (chain.project(g, n), chain.project(h, n))
-                val = chain.project(H.mul(g, h), n)
+                key = (H.residue(g, m), H.residue(h, m))
+                val = H.residue(H.mul(g, h), m)
                 assert table.setdefault(key, val) == val
 
 
@@ -118,13 +121,13 @@ def test_normality():
     chain = SubgroupChain(H, [2, 4, 8])
     members = [(2, 4, 6), (-4, 0, 8), (0, 2, -2)]
     outer = [(1, 0, 0), (0, 1, 0), (1, 1, 1), (-3, 2, 5)]
-    for n in (1, 2):
+    for m in chain.moduli[:2]:
         for gamma in members:
-            if not chain.is_member(gamma, n):
+            if H.residue(gamma, m) != H.identity:
                 continue
             for g in outer:
                 conj = H.mul(H.mul(g, gamma), H.inv(g))
-                assert chain.is_member(conj, n)
+                assert H.residue(conj, m) == H.identity
 
 
 def test_separation_and_refinement():
@@ -133,19 +136,14 @@ def test_separation_and_refinement():
     for i, g in enumerate(sample):
         for h in sample[i + 1 :]:
             assert chain.separation_level(g, h) is not None
+    # the first level whose modulus does not divide the difference
+    assert chain.separation_level(0, 4) == 3 and chain.separation_level(1, 1025) == 11
+    assert chain.separation_level(5, 5) is None
     # refinement: the finer projection determines the coarser one
     for g in sample:
         for n in range(1, 6):
-            fine = chain.project(g, n + 1).residue % chain.modulus(n)
-            assert fine == chain.project(g, n).residue
-
-
-def test_label_is_identity_and_rank():
-    chain = SubgroupChain(H, [2, 4])
-    assert chain.project((2, 2, 2), 1).is_identity()
-    assert not chain.project((1, 0, 0), 1).is_identity()
-    assert chain.label_rank(chain.project((0, 0, 0), 2)) == 0
-    assert chain.index(2) == 4**3
+            fine = Z.residue(g, chain.modulus(n + 1)) % chain.modulus(n)
+            assert fine == Z.residue(g, chain.modulus(n))
 
 
 def test_chain_validation():

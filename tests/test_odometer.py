@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from odowin.expansion import expand
 from odowin.groups import PrecisionError
 from odowin.odometer import (
     Cylinder,

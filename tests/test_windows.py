@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odowin.expansion import build_domains
+from odowin.expansion import DomainSequence
 from odowin.fibers import critical_point, enumerate_fiber
 from odowin.groups import ConstructionError, SubgroupChain, geometric_moduli, group_by_name
 from odowin.odometer import sample_point
@@ -61,7 +61,7 @@ def with_partition(win, n, interior, exterior, boundary):
 def manual_window(moduli, parts, cap=None, **kwargs):
     """Assemble a window directly from partition data (no builder policy)."""
     cap = cap if cap is not None else len(moduli)
-    ds = build_domains(SubgroupChain(Z, moduli), cap)
+    ds = DomainSequence.build(SubgroupChain(Z, moduli), cap)
     spec = WindowSpec(
         kind=kwargs.pop("kind", "perf"),
         group_name="Z",
@@ -202,7 +202,7 @@ def test_vanhove_interval_oracle(ds_z_pow2):
 
 def test_vanhove_refuses_a_product_over_the_budget():
     # 200 probe rows times #D_3 = 64^3 Heisenberg rows is 1.26 GB: refused before it is formed
-    ds = build_domains(SubgroupChain(group_by_name("Heisenberg"), [2, 8, 64]))
+    ds = DomainSequence.build(SubgroupChain(group_by_name("Heisenberg"), [2, 8, 64]))
     probe = ds.group.from_array(ds.domain_array(3)[:200])
     with pytest.raises(ConstructionError, match=r"^level 3: a product of 52428800 rows "
                        r"\(1258291200 bytes\) is over the 1073741824-byte budget$"):
@@ -251,7 +251,8 @@ def test_translate_mask_matches_scalar_membership(request, name):
     for n in range(1, win.cap + 1):
         carries, alphabet = win.carries.level(n), ds.alphabet(n)
         mask = translate_mask(ds, g.to_array(carries), g.to_array(alphabet), n)
-        assert mask.tolist() == [[ds.in_domain(g.mul(k, t), n) for t in alphabet] for k in carries]
+        assert mask.tolist() == [[ds.head(g.mul(k, t), n) == g.mul(k, t) for t in alphabet]
+                                 for k in carries]
         outside += int((~mask).sum())
     assert outside  # some carry pushes some digit out of D_n
 
@@ -337,7 +338,7 @@ def reference_self_similarity_witness(win):
     for n in range(1, win.cap + 1):
         for c in partition_parts(win, n)[2]:
             for k in win.carries.level(n):
-                if not ds.in_domain(g.mul(k, c), n):
+                if ds.head(g.mul(k, c), n) != g.mul(k, c):
                     return {"level": n, "carry": k, "digit": c}
     return None
 
