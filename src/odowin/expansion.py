@@ -239,8 +239,11 @@ class DomainSequence:
     # Level-m prefixes of a rank are rank % size(m).
 
     def radix_digits(self, rank, n: int) -> list:
-        """Digit indices 1..n of level-n ranks (an int or an int64 array)."""
-        self.modulus(n)  # rejects a level outside 0..levels
+        """Digit indices 1..n of level-n ranks (an int or an int64 array).
+
+        A level outside 0..levels, or a rank outside 0..size(n)-1, is refused.
+        """
+        _check_ranks(self.size(n), n, rank)
         out = []
         for alphabet in self.alphabets[:n]:
             rank, i = divmod(rank, len(alphabet))
@@ -532,25 +535,28 @@ def verify_carry_identity(
     A level-n rank is r + size(n-1)·d with r a D_{n-1} rank and d a level-n
     digit index, and ``append_level`` builds D_n so that
     D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d].  Route A reads each pair's
-    product off the carry automaton: ``batch_product`` runs over the prefix
-    pairs of D_{n-1} × D_{n-1}, giving the prefix rank r and state s, and one
-    step table, built once per call over the level-n transitions (s, p, q),
-    holds T_n[d]·c for the digit d and next state's carry c, with a flag for
-    c ∈ Γ_n.  So route A's D_n[rank]·c is D_{n-1}[r]·step[s, p, q].  Route B
-    multiplies each block's factors directly, as one broadcast product g·h.
-    A pair passes iff D_n[rank]·c = g·h and c lies in Γ_n.  That is the same
-    as rank being the head rank of g·h and c its tail, because D_n is a
-    transversal of G/Γ_n: D_n[rank] = g·h·c^{-1} lies in the coset g·h·Γ_n
-    exactly when c ∈ Γ_n.
+    product off the carry automaton: each prefix pair of D_{n-1} × D_{n-1}
+    gives the prefix rank r and state s, and one step table, built once per
+    call over the level-n transitions (s, p, q), holds T_n[d]·c for the digit
+    d and next state's carry c, with a flag for c ∈ Γ_n.  So route A's
+    D_n[rank]·c is D_{n-1}[r]·step[s, p, q].  Route B multiplies each block's
+    factors directly, as one broadcast product g·h.  A pair passes iff
+    D_n[rank]·c = g·h and c lies in Γ_n.  That is the same as rank being the
+    head rank of g·h and c its tail, because D_n is a transversal of G/Γ_n:
+    D_n[rank] = g·h·c^{-1} lies in the coset g·h·Γ_n exactly when c ∈ Γ_n.
 
     The left factors are taken in groups of consecutive left prefixes g_low,
     and within a group by top digit p: a block holds the left factors
     g_low + size(n-1)·p of one group and of one or more top digits, against
     all of D_n, about ``chunk`` pairs per block (at least one left factor).
-    ``batch_product`` runs once per group, over that group × D_{n-1}, and its
-    prefix ranks and states serve every top digit, so working memory is
-    bounded by ``chunk`` and the step table, not by size(n-1)².  A block is
-    laid out (p, g_low, h_low, q) for the right factor D_n[h_low + size(n-1)·q],
+    A level-(n-1) rank is a + size(n-2)·d, so a prefix pair's rank and state
+    are one level-(n-1) transition from those of its pair of D_{n-2} ranks:
+    ``batch_product`` runs once per call, over D_{n-2} × D_{n-2} (level 1's
+    prefix table is D_0's, 1×1), and each group gathers its prefix pairs from
+    that table and the level-(n-1) transitions; those ranks and states serve
+    every top digit.  So working memory is bounded by ``chunk``, the step
+    table and the size(n-2)² table, not by size(n-1)².  A block is laid out
+    (p, g_low, h_low, q) for the right factor D_n[h_low + size(n-1)·q],
     q innermost, and every operand is stored coordinate-major, as C-contiguous
     ``(dim, ...)`` columns, so the products and comparisons run on contiguous
     memory.  The step table is viewed as ``(dim, S·|T_n|, |T_n|)``, so row
@@ -559,12 +565,14 @@ def verify_carry_identity(
     repeated across q; route B multiplies g by one copy of D_n laid out
     ``(dim, size(n-1), |T_n|)``.  A step value depends only on (d, next
     state), so the products are formed once for each pair some transition
-    reaches; those values and both domains pass ``exact_dtype`` once, and the
-    step table is filled straight in the dtype it answers.  ``exact_dtype``
-    refuses values at 2**30, and when every value lies in (-2**15, 2**15) it
-    answers int32, where every group law stays exact
-    (c+c'+a·b' < 2**15 + 2**15 + 2**30 < 2**31).  The blocks multiply gathers
-    and views of these arrays with the unchecked ``mul_rows`` in that dtype.
+    reaches.  Every block operand is a gather or a view of those step values,
+    D_{n-1} and D_n, so these rows pass ``exact_dtype`` once, and the step
+    table and domain columns are formed straight in the dtype it answers:
+    ``exact_dtype`` refuses values at 2**30 and answers the narrowest of
+    int16, int32 and int64 holding the coordinate-wise largest magnitude M
+    and the group law's product of M with itself, which bounds every product
+    the blocks form.  The blocks multiply with the unchecked ``mul_rows`` in
+    that dtype.
     Returns a summary with the mismatch count (must be zero), the number of
     pairs, a nonabelian conjugation witness when one exists, and spot-check
     results comparing the vectorized and scalar paths; it does not depend on
@@ -597,9 +605,6 @@ def verify_carry_identity(
         None,
     )
 
-    def columns(arr: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(arr.T)
-
     def as_rows(cols: np.ndarray) -> np.ndarray:
         return np.moveaxis(cols, 0, -1)  # a (dim, ...) array viewed as rows
 
@@ -615,31 +620,50 @@ def verify_carry_identity(
     reached[pair_of] = True
     pair_digit, pair_state = np.divmod(np.flatnonzero(reached), len(carry_elems))
     pair_step = g.mul_rows(alphabet[pair_digit], carry_elems[pair_state])
-    low_cols = columns(ds.domain_array(n - 1))
-    # D_n[h_low + low·q] at (h_low, q): q innermost, like the step table's rows.
-    dom_cols = np.ascontiguousarray(ds.domain_array(n).reshape(na, low, g.dim).transpose(2, 1, 0))
     # Every product operand below is a gather or a view of the step values and
-    # the two domains, so they are checked once.  The step table is then filled
-    # straight in the narrowest exact dtype, as (dim, S·|T_n|, |T_n|): row
-    # s·|T_n| + p holds every q.
-    dt = g.exact_dtype(pair_step, low_cols, dom_cols)
+    # the two domains, so they are checked once, and the operands are formed
+    # straight in the narrowest exact dtype.
+    dt = g.exact_dtype(pair_step, ds.domain_array(n - 1), ds.domain_array(n))
+    low_cols = np.ascontiguousarray(ds.domain_array(n - 1).T, dtype=dt)
+    # D_n[h_low + low·q] at (h_low, q): q innermost, like the step table's rows.
+    dom_cols = np.ascontiguousarray(ds.domain_array(n).reshape(na, low, g.dim).transpose(2, 1, 0), dtype=dt)
+    # The step table is (dim, S·|T_n|, |T_n|): row s·|T_n| + p holds every q.
     table = np.zeros((g.dim, len(reached)), dtype=dt)
     table[:, reached] = pair_step.T  # zero where no transition reaches
     del pair_digit, pair_state, pair_step
     step = table.take(pair_of, axis=1).reshape(g.dim, -1, na)
     del table, pair_of  # the blocks below hold only the step table
-    low_cols, dom_cols = (a.astype(dt, copy=False) for a in (low_cols, dom_cols))
     right = as_rows(dom_cols[:, None, None])  # at (1, 1, h_low, q)
+
+    # Route A's prefixes.  A level-(n-1) rank is a + size(n-2)·d, so the rank
+    # and state of a prefix pair are one level-(n-1) transition from those of
+    # its pair of D_{n-2} ranks, which ``batch_product`` gives once per call.
+    # Level 1's prefixes are D_0's, and take no transition.
+    base = max(n - 2, 0)
+    low2 = ds.size(base)
+    na1 = low // low2
+    base_ranks = np.arange(low2)
+    base_rank, base_state = (
+        t.reshape(low2, low2)
+        for t in auto.batch_product(np.repeat(base_ranks, low2), np.tile(base_ranks, low2), base)
+    )
+    if n == 1:
+        digit1 = state1 = np.zeros(1, dtype=np.int64)
+    else:
+        digit1, state1 = auto.trans_digit[n - 2].reshape(-1), auto.trans_state[n - 2].reshape(-1)
     prefix = np.arange(low)
+    db, b = np.divmod(prefix, low2)  # right prefixes b + size(n-2)·db
     rows = max(1, chunk // size)  # left factors per block
-    width = min(rows, low)  # left prefixes per block and per batch_product call
+    width = min(rows, low)  # left prefixes per block and per group
     tops = max(1, rows // low)  # top digits per block
     for g0 in range(0, low, width):
         g_low = prefix[g0 : g0 + width]
-        pre_rank, pre_state = auto.batch_product(np.repeat(g_low, low), np.tile(prefix, len(g_low)), n - 1)
+        da, a = np.divmod(g_low, low2)  # left prefixes a + size(n-2)·da
+        flat = ((base_state[a][:, b] * na1 + da[:, None]) * na1 + db).reshape(-1)
+        pre_rank = base_rank[a][:, b].reshape(-1) + low2 * digit1.take(flat)
         # D_{n-1}[r] at (1, g_low, h_low, q), repeated across q once per group.
         head = np.repeat(low_cols.take(pre_rank, axis=1), na, axis=1).reshape(g.dim, 1, len(g_low), low, na)
-        pre_row = pre_state.reshape(len(g_low), low) * na  # step row of (s, 0)
+        pre_row = state1.take(flat).reshape(len(g_low), low) * na  # step row of (s, 0)
         for p0 in range(0, na, tops):
             p = np.arange(p0, min(p0 + tops, na))
             row = pre_row + p[:, None, None]  # step row of (s, p) at (p, g_low, h_low)

@@ -10,8 +10,9 @@ digit-expansion machinery.
 
 All scalar arithmetic is plain Python integers (arbitrary precision).  The
 vectorized helpers operate on int64 arrays and refuse inputs large enough to
-overflow instead of wrapping; ``exact_dtype`` names the int32 range where a
-caller may multiply in half the bytes.
+overflow instead of wrapping; ``exact_dtype`` names the narrowest of int16,
+int32 and int64 in which a caller may multiply given rows, reading the bound
+off the group's own law.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ Elem = int | tuple[int, ...]
 # Guard for vectorized int64 paths: products of two in-range values plus sums
 # stay below 2**62.
 _VEC_BOUND = 1 << 30
-# Values in (-2**15, 2**15) multiply exactly in int32 under every group law:
-# a+a' stays below 2**16, and c+c'+a·b' below 2**15 + 2**15 + 2**30 < 2**31.
-_NARROW_BOUND = 1 << 15
 # Number of distinct values an int64 key (rank or packed row) can take.
 _KEY_LIMIT = 1 << 63
 
@@ -149,33 +147,40 @@ class GroupContext(ABC):
     def check_bounds(self, *arrays: np.ndarray) -> None:
         """Refuse arrays with a value outside (-2**30, 2**30), where int64 row products stay exact.
 
-        ``exact_dtype`` runs this check too, and narrows to int32 below 2**15.
+        ``exact_dtype`` runs this check too, then narrows by the group law.
         """
         for a in arrays:
             if a.size and (a.max() >= _VEC_BOUND or a.min() <= -_VEC_BOUND):
                 raise OverflowError("vectorized path refused: values too large")
 
-    def exact_dtype(self, *arrays: np.ndarray) -> type:
-        """The narrowest dtype in which ``mul_rows`` of these arrays' values is exact.
+    def exact_dtype(self, *rows: np.ndarray) -> type:
+        """The narrowest of int16, int32 and int64 in which ``mul_rows`` of these rows is exact.
 
-        ``check_bounds`` runs first, so a value at 2**30 is refused.  The answer
-        is int32 when every value lies in (-2**15, 2**15): there a+a' stays
-        below 2**16 and c+c'+a·b' below 2**15 + 2**15 + 2**30 < 2**31.  It is
-        int64 otherwise.
+        ``check_bounds`` runs first, so a value at 2**30 is refused.  ``rows``
+        are element rows, coordinates on the last axis.  M is the largest
+        magnitude of each coordinate over all of them, and the answer is the
+        narrowest dtype holding M and ``mul(M, M)``.  Each shipped law is
+        monotone in magnitudes, |a+a'| <= |a|+|a'| and
+        |c+c'+a·b'| <= |c|+|c'|+|a|·|b'|, so ``mul(M, M)`` bounds every product
+        of two such rows and every partial sum ``mul_rows`` forms on the way.
         """
-        self.check_bounds(*arrays)
-        for a in arrays:
-            if a.size and (a.max() >= _NARROW_BOUND or a.min() <= -_NARROW_BOUND):
-                return np.int64
-        return np.int32
+        self.check_bounds(*rows)
+        top = np.zeros(self.dim, dtype=np.int64)
+        for r in rows:
+            if r.size:
+                r = r.reshape(-1, self.dim)
+                top = np.maximum(top, np.maximum(r.max(axis=0), -r.min(axis=0)))
+        m = self.from_array(top[None])[0]
+        need = max(top.max(), self.to_array([self.mul(m, m)]).max())
+        return next(dt for dt in (np.int16, np.int32, np.int64) if need <= np.iinfo(dt).max)
 
     @abstractmethod
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise products, unchecked: the caller has passed both operands to ``check_bounds``.
 
         Coordinates are the last axis; the leading axes broadcast.  The products
-        take the operands' dtype, which is exact for int32 operands that passed
-        ``exact_dtype``.
+        take the operands' dtype, which is exact when the operands hold rows
+        that passed ``exact_dtype`` and are cast to the dtype it answered.
         """
 
     @abstractmethod

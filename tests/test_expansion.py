@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odowin import groups, presets
+from odowin import presets
 from odowin.expansion import (
     _CLOSURE_ROWS,
     CarryRange,
@@ -229,6 +229,13 @@ def test_radix_digits_reject_levels_outside_the_domains():
     for n in (-1, 4, 10):
         with pytest.raises(ConstructionError, match=f"level {n} outside the built levels 0..3"):
             ds.radix_digits(5, n)
+    # A rank outside 0..size(n)-1 must not wrap into another cylinder: 8 would
+    # read as rank 0 and -1 as rank 7 at level 2, as an int or in an array.
+    assert ds.size(2) == 8 and ds.radix_digits(7, 2) == [1, 3]
+    for bad, shown in ((8, "8..8"), (-1, "-1..-1"), (np.array([0, 8]), "0..8"), (np.array([-1, 7]), "-1..7")):
+        with pytest.raises(ConstructionError) as exc:
+            ds.radix_digits(bad, 2)
+        assert str(exc.value) == f"ranks {shown} outside 0..7 at level 2"
 
 
 def test_products_reject_ranks_outside_the_level():
@@ -542,37 +549,52 @@ def test_two_route_rejects_levels_outside_the_domains():
         assert str(exc.value) == f"carry identity asked for level {n}, built levels are 1..3"
 
 
+def record_dtypes(monkeypatch, grp) -> list:
+    """The dtypes that ``exact_dtype`` of ``grp``'s class answers from now on, in call order."""
+    dtypes = []
+    exact_dtype = type(grp).exact_dtype
+
+    def recorded(self, *rows):
+        dtypes.append(exact_dtype(self, *rows))
+        return dtypes[-1]
+
+    monkeypatch.setattr(type(grp), "exact_dtype", recorded)
+    return dtypes
+
+
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
 def test_two_route_report_is_independent_of_blocks(name, monkeypatch):
     # chunk=1 is one left factor per block; 3·size(n)+5 is three, which does
     # not divide size(n); 3·size(n-1)·size(n) is three top digits per block,
     # which does not divide |T_n|, so the last block holds fewer; level 1 has
-    # a 1×1 prefix table.  These domains and
-    # step tables lie below 2**15, so the blocks run in int32; with the narrow
-    # bound at 0 they run in int64.
+    # a 1×1 prefix table.  These domains and step tables run in int16; with
+    # ``exact_dtype`` made to answer int32, then int64, the report is the same.
     ds = presets.domains(name, 3)
+    dtypes = record_dtypes(monkeypatch, ds.group)
     for n in (1, 2, 3):
         want = verify_carry_identity(ds, n)
         assert want["pairs"] == ds.size(n) ** 2 and want["mismatches"] == 0
-        assert ds.group.exact_dtype(ds.domain_array(n)) is np.int32
+        assert dtypes[-1] is np.int16
         chunks = (1, 3 * ds.size(n) + 5, 3 * ds.size(n - 1) * ds.size(n))
         assert (ds.size(n) // ds.size(n - 1)) % 3 != 0
         for chunk in chunks:
             assert verify_carry_identity(ds, n, chunk=chunk) == want
-        with monkeypatch.context() as m:
-            m.setattr(groups, "_NARROW_BOUND", 0)
-            assert ds.group.exact_dtype(ds.domain_array(n)) is np.int64
-            for chunk in (1 << 15,) + chunks:
-                assert verify_carry_identity(ds, n, chunk=chunk) == want
+        for wider in (np.int32, np.int64):
+            with monkeypatch.context() as m:
+                m.setattr(type(ds.group), "exact_dtype", lambda self, *rows, dt=wider: dt)
+                for chunk in (1 << 15,) + chunks:
+                    assert verify_carry_identity(ds, n, chunk=chunk) == want
 
 
-def test_two_route_memory_is_bounded_by_blocks():
-    # The oracle forms prefix tables in blocks, fills its step table straight
-    # in int32 and multiplies in int32, so on heis-pow2's 16.8M level-4 pairs
-    # its own working memory stays under 3 MiB; whole D_3 × D_3 prefix tables
-    # took 18.9 MB, and a step table formed in one product 5.3 MB.
+def test_two_route_memory_is_bounded_by_blocks(monkeypatch):
+    # The oracle steps its prefix pairs from one D_2 × D_2 table, fills its
+    # step table straight in int16 and multiplies in int16, so on heis-pow2's
+    # 16.8M level-4 pairs its own working memory stays under 3 MiB; whole
+    # D_3 × D_3 prefix tables took 18.9 MB, and a step table formed in one
+    # product 5.3 MB.
     ds = presets.domains("heis-pow2", 4)
     ds.automaton(4)  # the cached automaton belongs to the domains, not to the call
+    dtypes = record_dtypes(monkeypatch, ds.group)
     tracemalloc.start()
     try:
         rep = verify_carry_identity(ds, 4, rng_spot_checks=0)
@@ -580,6 +602,7 @@ def test_two_route_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert rep["pairs"] == ds.size(4) ** 2 and rep["mismatches"] == 0
+    assert dtypes == [np.int16]
     assert peak < 3 << 20
 
 
@@ -757,19 +780,11 @@ def test_two_route_counts_carries_outside_the_subgroup(d3_truth, monkeypatch):
     n = 3
     ds, prods, truth = d3_truth
     grp, auto = ds.group, ds.automaton(n)
-    dtypes = []  # the oracle's working dtype, call by call
-    exact_dtype = type(grp).exact_dtype
-
-    def recorded(self, *arrays):
-        dtypes.append(exact_dtype(self, *arrays))
-        return dtypes[-1]
-
-    monkeypatch.setattr(type(grp), "exact_dtype", recorded)
+    dtypes = record_dtypes(monkeypatch, grp)  # the oracle's working dtype, call by call
     entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
     digits, states = auto.trans_digit[n - 1], auto.trans_state[n - 1]
     target = states[entry]
     carry, ctx = auto.states[n][target]
-    gamma = grp.from_array(np.full((1, grp.dim), ds.modulus(n), dtype=np.int64))[0]
     outside = ds.alphabet(n)[1]
 
     def oracle_equals_scalar_count():
@@ -799,12 +814,19 @@ def test_two_route_counts_carries_outside_the_subgroup(d3_truth, monkeypatch):
         auto.states[n].pop()
         states[entry], digits[entry] = target, old_digit
 
-    # One state's carry moved by an element of Γ_n, by the element of Γ_n
-    # whose coordinates are all m_n·2**12 = 2**15, which puts the step table
-    # past the int32 range, and by one element outside Γ_n.
+    # One state's carry moved by elements of Γ_n whose coordinates are all
+    # m_n, m_n·2**12 = 2**15 and, on Heisenberg, m_n·2**13 = 2**16, which put the
+    # step table's law bound in int16, int32 and int64, and by one element
+    # outside Γ_n.
     assert ds.modulus(n) << 12 == 1 << 15
-    wide = grp.from_array(np.full((1, grp.dim), ds.modulus(n) << 12, dtype=np.int64))[0]
-    for delta, dtype in ((gamma, np.int32), (wide, np.int64), (outside, np.int32)):
+
+    def gamma(shift):  # the element of Γ_n whose coordinates are all m_n·2**shift
+        return grp.from_array(np.full((1, grp.dim), ds.modulus(n) << shift, dtype=np.int64))[0]
+
+    cases = [(gamma(0), np.int16), (gamma(12), np.int32), (outside, np.int16)]
+    if not grp.abelian:  # on Z2, int64 is out of reach below the 2**30 refusal
+        cases.append((gamma(13), np.int64))
+    for delta, dtype in cases:
         auto.states[n][target] = (grp.mul(carry, delta), ctx)
         try:
             oracle_equals_scalar_count()

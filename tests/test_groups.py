@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odowin.groups import (
-    _NARROW_BOUND,
     _VEC_BOUND,
     ConstructionError,
     HeisenbergGroup,
@@ -258,41 +257,78 @@ def test_mul_rows_is_vec_mul_without_the_bound_check(ctx):
             op()
 
 
+# Edges of the law-derived dtype rule, per group: (M, answer), M the largest
+# magnitude of each coordinate.  The answer is the narrowest of int16, int32 and
+# int64 holding M and mul(M, M).  On Z and Z2, mul(M, M) = 2M, so int64 is
+# unreachable below the 2**30 refusal: 2·(2**30 - 1) < 2**31.  On Heisenberg
+# mul(M, M) = (2A, 2B, 2C + A·B).
+DTYPE_EDGES = {
+    "Z": [((16_383,), np.int16), ((16_384,), np.int32), ((_VEC_BOUND - 1,), np.int32)],
+    "Z2": [
+        ((16_383, 16_383), np.int16),
+        ((16_384, 0), np.int32),
+        ((0, 16_384), np.int32),
+        ((_VEC_BOUND - 1, _VEC_BOUND - 1), np.int32),
+    ],
+    "Heisenberg": [
+        ((1, 1, 16_383), np.int16),  # 2C + A·B = 32,767
+        ((1, 2, 16_383), np.int32),  # 2C + A·B = 32,768
+        ((0, 0, 16_383), np.int16),  # a = b = 0: c up to 16,383 stays int16
+        ((0, 0, 16_384), np.int32),
+        ((16_383, 0, 0), np.int16),  # 2A = 32,766
+        ((16_384, 0, 0), np.int32),  # 2A = 32,768
+        ((32_767, 32_769, 1 << 29), np.int32),  # 2C + A·B = 2**31 - 1
+        ((1 << 15, 1 << 15, 1 << 29), np.int64),  # 2C + A·B = 2**31
+        ((1 << 16, 1 << 16, 0), np.int64),  # A·B = 2**32
+    ],
+}
+
+
 @pytest.mark.parametrize("ctx", [Z, Z2, H], ids=lambda c: c.name)
 def test_exact_dtype_narrows_below_two_to_the_fifteen(ctx):
-    # int32 while every value lies in (-2**15, 2**15), int64 from 2**15 on,
-    # refused from 2**30 on as check_bounds refuses it; empty arrays add nothing.
+    # int16 while M and mul(M, M) lie below 2**15, int32 below 2**31, int64
+    # beyond; refused from 2**30 on as check_bounds refuses it.  M is taken per
+    # coordinate over every row of every array, whatever the leading axes and
+    # the signs; empty arrays add nothing.
     empty = np.empty((0, ctx.dim), dtype=np.int64)
     zero = ctx.to_array([ctx.identity])
-    assert _NARROW_BOUND == 1 << 15
-    assert ctx.exact_dtype() is ctx.exact_dtype(empty) is np.int32
-    for sign in (1, -1):
-        for top, want in ((_NARROW_BOUND - 1, np.int32), (_NARROW_BOUND, np.int64),
-                          (_VEC_BOUND - 1, np.int64)):
+    assert ctx.exact_dtype() is ctx.exact_dtype(empty) is np.int16
+    for top, want in DTYPE_EDGES[ctx.name]:
+        for signs in itertools.product((1, -1), repeat=ctx.dim):
+            edge = np.array([[s * t for s, t in zip(signs, top)]], dtype=np.int64)
+            assert ctx.exact_dtype(empty, zero, edge) is want, (top, signs)
+            assert ctx.exact_dtype(edge.astype(want)) is want, (top, signs)
+            apart = np.diag(edge[0])  # row i holds coordinate i alone
+            assert ctx.exact_dtype(zero, apart[None]) is want, (top, signs)
+    for i in range(ctx.dim):
+        for sign in (1, -1):
             edge = zero.copy()
-            edge[0, -1] = sign * top
-            assert ctx.exact_dtype(empty, zero, edge) is want, (sign, top)
-            assert ctx.exact_dtype(edge.astype(want)) is want, (sign, top)
-        edge[0, -1] = sign * _VEC_BOUND
-        with pytest.raises(OverflowError, match="values too large"):
-            ctx.exact_dtype(zero, edge)
+            edge[0, i] = sign * _VEC_BOUND
+            with pytest.raises(OverflowError, match="values too large"):
+                ctx.exact_dtype(zero, edge)
 
 
 @pytest.mark.parametrize("ctx", [Z, Z2, H], ids=lambda c: c.name)
-def test_mul_rows_in_int32_is_exact_below_the_narrow_bound(ctx):
-    # Every sign pattern of ±(2**15 - 1) and 0 against every other: the int32
-    # products equal the int64 products and the scalar law.
-    top = _NARROW_BOUND - 1
-    coords = [top, -top, 0]
-    elems = [e[0] if ctx.dim == 1 else e for e in itertools.product(coords, repeat=ctx.dim)]
-    wide = ctx.to_array(elems)
-    assert ctx.exact_dtype(wide) is np.int32
-    narrow = wide.astype(np.int32)
-    rows = ctx.mul_rows(narrow[:, None], narrow[None, :])
-    assert rows.dtype == np.int32
-    assert np.array_equal(rows, ctx.mul_rows(wide[:, None], wide[None, :]))
-    pairs = itertools.product(elems, repeat=2)
-    assert ctx.from_array(rows.reshape(-1, ctx.dim)) == [ctx.mul(a, b) for a, b in pairs]
+def test_mul_rows_is_exact_in_the_answered_dtype(ctx):
+    # At each edge, every sign pattern of ±M and 0 against every other: the
+    # products in the answered dtype equal the int64 products and the scalar
+    # law, and in the next narrower dtype some product wraps.
+    narrower = {np.int32: np.int16, np.int64: np.int32}
+    for top, want in DTYPE_EDGES[ctx.name]:
+        coords = [(t, -t, 0) for t in top]
+        elems = [e[0] if ctx.dim == 1 else e for e in itertools.product(*coords)]
+        wide = ctx.to_array(elems)
+        assert ctx.exact_dtype(wide) is want, top
+        exact = ctx.mul_rows(wide[:, None], wide[None, :])
+        narrow = wide.astype(want)
+        rows = ctx.mul_rows(narrow[:, None], narrow[None, :])
+        assert rows.dtype == want
+        assert np.array_equal(rows, exact), top
+        pairs = itertools.product(elems, repeat=2)
+        assert ctx.from_array(rows.reshape(-1, ctx.dim)) == [ctx.mul(a, b) for a, b in pairs]
+        if want in narrower:
+            tight = wide.astype(narrower[want])
+            assert not np.array_equal(ctx.mul_rows(tight[:, None], tight[None, :]), exact), top
 
 
 def test_row_keys_keep_lexicographic_order():
