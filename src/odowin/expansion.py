@@ -21,12 +21,12 @@ where p_j, q_j are the level-j digits of the factors, s is the level-(j-1)
 head of the right factor, and d_1 is the identity.  The level-j digit of the
 product is head_j(c_j).  Each carry d_j ranges over a finite set K_j computed
 here by exact closure of the reachable (carry, conjugation-context) states,
-with a witness pair recorded for every reachable carry.
+with a witness pair for every reachable carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,20 +48,33 @@ REPORT_ENTRY_BYTES = 200
 _CLOSURE_ROWS = 1 << 14
 
 
-@dataclass
 class CarryRange:
     """Exact per-level carry value sets K_j with realizing witnesses.
 
     ``sets[j-1]`` lists K_j in canonical order.  ``witnesses[j-1]`` maps each
     carry to a pair of digit-index strings (for the two factors) whose product
-    computation produces that carry entering level j.
+    computation produces that carry entering level j; they are spelled from
+    the automaton's parent pointers when first read.
     """
 
-    sets: list[list[Elem]]
-    witnesses: list[dict[Elem, tuple[tuple[int, ...], tuple[int, ...]]]]
+    def __init__(self, sets: list[list[Elem]], auto: "CarryAutomaton"):
+        self.sets = sets
+        self._auto = auto
 
     def level(self, j: int) -> list[Elem]:
         return self.sets[j - 1]
+
+    @cached_property
+    def witnesses(self) -> list[dict[Elem, tuple[tuple[int, ...], tuple[int, ...]]]]:
+        """Per level, each carry in order of first occurrence with the witness of its first state."""
+        auto, out = self._auto, []
+        for j in range(len(self.sets)):
+            carry = auto.carry_rows(j)
+            first, _ = _first_occurrence(carry)
+            g_idx, h_idx = auto.digit_strings(j, first)
+            elems = auto.ds.group.from_array(carry[first])
+            out.append({c: (tuple(a), tuple(b)) for c, a, b in zip(elems, g_idx.tolist(), h_idx.tolist())})
+        return out
 
 
 class DomainSequence:
@@ -102,7 +115,7 @@ class DomainSequence:
 
     def modulus(self, n: int) -> int:
         """m_n, with m_0 = 1."""
-        if not 0 <= n <= self.levels:
+        if not 0 <= n <= len(self.moduli):
             raise ConstructionError(f"level {n} outside the built levels 0..{self.levels}")
         return self.moduli[n - 1] if n else 1
 
@@ -254,7 +267,7 @@ class DomainSequence:
         size = self.size(n)
         if not 0 <= rank < size:
             raise ConstructionError(f"rank {rank} outside 0..{size - 1} at level {n}")
-        return self.group.from_array(self._dom[n][[rank]])[0]
+        return self.group.from_array(self._dom[n][rank : rank + 1])[0]
 
     def rank_of(self, g: Elem, n: int) -> int:
         return int(self._rep_rank[n][self.group.residue_rank(g, self.modulus(n))])
@@ -300,11 +313,19 @@ class CarryAutomaton:
     sets are the exact ranges of the per-level carry maps on pairs of
     expandable elements.
 
+    ``states[j-1]`` holds the states entering level j as one int64 array:
+    a row per state, the carry's coordinates then the context's (none for an
+    abelian group).  ``trans_digit[j-1]`` and ``trans_state[j-1]`` are the
+    level-j tables indexed (state, p, q), and ``first_transition[j-1][s]``
+    is the level-j transition (s'·|T_j| + p)·|T_j| + q at which
+    ``states[j][s]`` first occurs: a parent pointer, so a state's witness,
+    the digit-index strings of two factors reaching it, is spelled by
+    following them back.
+
     Each level is closed with int64 row arithmetic over blocks of whole source
     states, at most ``_CLOSURE_ROWS`` transition rows (state, p, q) per block
     unless one state alone has more.  New states are numbered in order of
-    first occurrence over the transitions in (state, p, q) order, and the
-    witness of a state is the transition where it first occurs.
+    first occurrence over the transitions in (state, p, q) order.
     """
 
     def __init__(self, ds: DomainSequence, levels: int, prev: "CarryAutomaton | None"):
@@ -320,109 +341,118 @@ class CarryAutomaton:
         g = ds.group
         if prev is None:
             start = 0
-            self.states = [[(g.identity, g.context_identity())]]
-            # state_witnesses[j-1][s]: digit-index strings of two factors reaching state s
-            self.state_witnesses = [[((), ())]]
-            self.trans_digit, self.trans_state = [], []
+            ctx = g.context_identity()
+            ctx_row = np.array([() if ctx is None else ctx], dtype=np.int64)
+            self.states = [np.hstack([g.to_array([g.identity]), ctx_row])]
+            self.first_transition, self.trans_digit, self.trans_state = [], [], []
+            sets = [[g.identity]]
         else:
             start = min(prev.levels, levels)
             self.states = prev.states[: start + 1]
-            self.state_witnesses = prev.state_witnesses[: start + 1]
+            self.first_transition = prev.first_transition[:start]
             self.trans_digit = prev.trans_digit[:start]
             self.trans_state = prev.trans_state[:start]
-
-        cur = self.states[start]
-        carry = g.to_array([c for c, _ in cur])
-        ctx = np.array([() if x is None else x for _, x in cur], dtype=np.int64)
+            sets = prev.carry_range.sets[: start + 1]
         for j in range(start + 1, levels + 1):
-            carry, ctx = self._close_level(j, carry, ctx)
+            self._close_level(j)
+            carry = self.carry_rows(j)
+            _, first = np.unique(row_keys(carry), return_index=True)  # sorted as sort_key sorts
+            sets.append(g.from_array(carry[first]))
+        self.carry_range = CarryRange(sets, self)
 
-        witnesses: list[dict[Elem, tuple[tuple[int, ...], tuple[int, ...]]]] = []
-        for lvl, wits in zip(self.states, self.state_witnesses):
-            wit_j: dict[Elem, tuple] = {}
-            for (carry, _ctx), w in zip(lvl, wits):
-                wit_j.setdefault(carry, w)
-            witnesses.append(wit_j)
-        self.carry_range = CarryRange(
-            sets=[sorted({c for c, _ in lvl}, key=g.sort_key) for lvl in self.states],
-            witnesses=witnesses,
-        )
+    def _close_level(self, j: int) -> None:
+        """Append level j's tables and parent pointers and the states entering level j+1.
 
-    def _close_level(
-        self, j: int, carry: np.ndarray, ctx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Append level j's tables and states; return the new states' carry and context rows.
-
-        ``carry`` and ``ctx`` hold the rows of the states entering level j.
+        The inputs pass ``check_bounds`` once, and each block's products once
+        before the next ``mul_rows``, which refuses what ``vec_mul`` would.
         """
         ds, g = self.ds, self.ds.group
+        src = self.states[j - 1]
+        carry, ctx = src[:, : g.dim], src[:, g.dim :]
         place = ds.size(j - 1)
         alpha = ds.domain_array(j)[::place]  # the digit T_j[i] has rank i·size(j-1)
         alpha_inv = g.vec_inv(alpha)
-        na2 = len(alpha) ** 2
-        total = len(carry) * na2
-        tdig = np.empty(total, dtype=np.int64)
-        tstate = np.empty(total, dtype=np.int64)
+        g.check_bounds(src, alpha_inv)
+        na = len(alpha)
+        tdig = np.empty((len(src), na, na), dtype=np.int64)
+        tstate = np.empty_like(tdig)
         block_rows, block_first = [], []  # per block: its distinct new states, first transitions
         found = 0
-        step = max(1, _CLOSURE_ROWS // na2) * na2
-        for lo in range(0, total, step):
-            flat = np.arange(lo, min(lo + step, total))
-            s, pq = np.divmod(flat, na2)
-            p, q = np.divmod(pq, len(alpha))
-            c = g.vec_mul(g.vec_mul(carry[s], g.vec_conj_in_context(ctx[s], alpha[p])), alpha[q])
+        per = max(1, _CLOSURE_ROWS // na**2)  # source states per block
+        for lo in range(0, len(src), per):
+            hi = min(lo + per, len(src))
+            # c = carry·(s^{-1}·p·s)·q at (state, p, q), q innermost.
+            c = g.conj_rows(ctx[lo:hi, None], alpha)
+            g.check_bounds(c)
+            c = g.mul_rows(carry[lo:hi, None], c)
+            g.check_bounds(c)
+            c = g.mul_rows(c[:, :, None], alpha).reshape(-1, g.dim)
             # c lies in Γ_{j-1}, so its level-j head is the digit T_j[i] at rank
-            # i·size(j-1), and the carry is T_j[i]^{-1}·c.
+            # i·size(j-1), and the carry is T_j[i]^{-1}·c; ``vec_rank`` checks c.
             i = ds.vec_rank(c, j) // place
-            rows = np.hstack([g.vec_mul(alpha_inv[i], c), g.vec_context_step(ctx[s], alpha[q])])
+            rows = np.empty((hi - lo, na, na, src.shape[1]), dtype=np.int64)
+            rows[..., g.dim :] = g.vec_context_step(ctx[lo:hi, None, None], alpha)
+            rows = rows.reshape(len(c), -1)
+            rows[:, : g.dim] = g.mul_rows(alpha_inv[i], c)
             first, number = _first_occurrence(rows)
-            tdig[flat] = i
-            tstate[flat] = number + found
+            tdig[lo:hi] = i.reshape(hi - lo, na, na)
+            tstate[lo:hi] = (number + found).reshape(hi - lo, na, na)
             found += len(first)
             block_rows.append(rows[first])
-            block_first.append(flat[first])
+            block_first.append(first + lo * na * na)
         # Blocks run in transition order, so numbering the blocks' distinct
         # states by first occurrence numbers the level's states the same way.
         rows = np.concatenate(block_rows)
         first, number = _first_occurrence(rows)
-        rows, at = rows[first], np.concatenate(block_first)[first]
-        shape = (len(carry), len(alpha), len(alpha))
-        self.trans_digit.append(tdig.reshape(shape))
-        self.trans_state.append(number[tstate].reshape(shape))
-
-        carry, ctx = rows[:, : g.dim], rows[:, g.dim :]
-        ctxs = [None] * len(rows) if g.abelian else [tuple(x) for x in ctx.tolist()]
-        self.states.append(list(zip(g.from_array(carry), ctxs)))
-        wit = self.state_witnesses[j - 1]
-        s, pq = np.divmod(at, na2)
-        p, q = np.divmod(pq, len(alpha))
-        self.state_witnesses.append(
-            [
-                (wit[si][0] + (pi,), wit[si][1] + (qi,))
-                for si, pi, qi in zip(s.tolist(), p.tolist(), q.tolist())
-            ]
-        )
-        return carry, ctx
+        self.trans_digit.append(tdig)
+        self.trans_state.append(number[tstate])
+        self.first_transition.append(np.concatenate(block_first)[first])
+        self.states.append(rows[first])
 
     def _check_level(self, n: int) -> None:
         if not 0 <= n <= self.levels:
             raise ConstructionError(f"automaton built to levels 0..{self.levels}, need {n}")
+
+    def carry_rows(self, n: int) -> np.ndarray:
+        """The carries entering level n+1 as element rows, by state: a view of ``states[n]``."""
+        self._check_level(n)
+        return self.states[n][:, : self.ds.group.dim]
+
+    def digit_strings(self, n: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Digit-index strings, (len(states), n) each, of two factors first reaching ``states[n][states]``."""
+        self._check_level(n)
+        g_idx = np.zeros((len(states), n), dtype=np.int64)
+        h_idx = np.zeros_like(g_idx)
+        for j in range(n, 0, -1):
+            na = self.trans_digit[j - 1].shape[1]
+            states, pq = np.divmod(self.first_transition[j - 1][states], na * na)
+            g_idx[:, j - 1], h_idx[:, j - 1] = np.divmod(pq, na)
+        return g_idx, h_idx
 
     # -- scalar evaluation ----------------------------------------------------
 
     def product_digit_indices(
         self, g_idx: Sequence[int], h_idx: Sequence[int], n: int
     ) -> tuple[tuple[int, ...], Elem]:
-        """Digit indices of the product prefix and the carry entering level n+1."""
+        """Digit indices of the product prefix and the carry entering level n+1.
+
+        A missing digit index is 0; one outside the level's alphabet is refused.
+        """
         self._check_level(n)
         state = 0
         out = []
         for j in range(1, n + 1):
             pi = g_idx[j - 1] if j <= len(g_idx) else 0
             qi = h_idx[j - 1] if j <= len(h_idx) else 0
+            na = self.trans_digit[j - 1].shape[1]
+            for i in (pi, qi):
+                if not 0 <= i < na:
+                    raise ConstructionError(
+                        f"digit index {i} outside 0..{na - 1} at level {j}, whose alphabet has {na} digits"
+                    )
             out.append(int(self.trans_digit[j - 1][state, pi, qi]))
             state = int(self.trans_state[j - 1][state, pi, qi])
-        return tuple(out), self.states[n][state][0]
+        return tuple(out), self.ds.group.from_array(self.carry_rows(n)[state : state + 1])[0]
 
     # -- vectorized evaluation ---------------------------------------------------
 
@@ -464,15 +494,23 @@ def check_rows(n: int, rows: int, dim: int) -> None:
 
 
 def _check_ranks(size: int, n: int, *ranks) -> None:
-    """Reject level-n ranks (ints or int64 arrays) outside 0..size-1."""
-    for r in map(np.asarray, ranks):
-        if r.size and (r.min() < 0 or r.max() >= size):
-            raise ConstructionError(f"ranks {r.min()}..{r.max()} outside 0..{size - 1} at level {n}")
+    """Reject level-n ranks (ints or int64 arrays) outside 0..size-1; an int is checked as an int."""
+    for r in ranks:
+        if isinstance(r, int):
+            lo = hi = r
+        elif np.size(r):
+            lo, hi = np.min(r), np.max(r)
+        else:
+            continue
+        if lo < 0 or hi >= size:
+            raise ConstructionError(f"ranks {lo}..{hi} outside 0..{size - 1} at level {n}")
 
 
 def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the distinct rows in order of first occurrence, and each row's number among them."""
-    _, first, inverse = np.unique(row_keys(rows), return_index=True, return_inverse=True)
+    distinct, inverse = np.unique(row_keys(rows), return_inverse=True)
+    first = np.full(len(distinct), len(rows))  # each distinct row's first index, by one scatter
+    np.minimum.at(first, inverse, np.arange(len(rows)))
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(len(order))
@@ -482,6 +520,29 @@ def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- digit strings and carries ------------------------------------------------
 # A digit string is a tuple of alphabet elements, level 1 first, as ``DomainSequence.digits``
 # and ``digit_prefix`` return it.
+
+
+def _conjugation_witness(auto: CarryAutomaton, n: int) -> dict | None:
+    """The first (level, state, digit), levels 1..n, whose conjugated digit differs from the raw digit.
+
+    Only a nonabelian group has one.
+    """
+    ds, g = auto.ds, auto.ds.group
+    for j in range(1, n + 1):
+        ctx = auto.states[j - 1][:, g.dim :]
+        alpha = g.to_array(ds.alphabet(j))
+        g.check_bounds(ctx, alpha)
+        conj = g.conj_rows(ctx[:, None], alpha)
+        moved = np.flatnonzero((conj != alpha).any(axis=-1))
+        if moved.size:
+            s, p = divmod(int(moved[0]), len(alpha))
+            return {
+                "level": j,
+                "context": tuple(ctx[s].tolist()),
+                "digit": ds.alphabet(j)[p],
+                "conjugated": g.from_array(conj[s, p][None])[0],
+            }
+    return None
 
 
 def reconstruct(ds: DomainSequence, digits: Sequence[Elem], carry: Elem | None = None) -> Elem:
@@ -520,8 +581,7 @@ def carry_ranges(ds: DomainSequence, up_to: int) -> CarryRange:
     if up_to < 1 or up_to > ds.levels + 1:
         raise ConstructionError(f"carry ranges available for 1..{ds.levels + 1}")
     auto = ds.automaton(up_to - 1)
-    rng = auto.carry_range
-    return CarryRange(sets=rng.sets[:up_to], witnesses=rng.witnesses[:up_to])
+    return CarryRange(auto.carry_range.sets[:up_to], auto)
 
 
 def verify_carry_identity(
@@ -572,7 +632,8 @@ def verify_carry_identity(
     int16, int32 and int64 holding the coordinate-wise largest magnitude M
     and the group law's product of M with itself, which bounds every product
     the blocks form.  The blocks multiply with the unchecked ``mul_rows`` in
-    that dtype.
+    that dtype.  The carries and the conjugation witness's contexts are read
+    off the automaton's state rows; no witness digit string is built.
     Returns a summary with the mismatch count (must be zero), the number of
     pairs, a nonabelian conjugation witness when one exists, and spot-check
     results comparing the vectorized and scalar paths; it does not depend on
@@ -592,25 +653,14 @@ def verify_carry_identity(
 
     mismatches = 0
     total = 0
-    # Conjugation witness: the first state/digit combination whose conjugated
-    # digit differs from the raw digit (only possible in nonabelian groups).
-    witness_alpha = next(
-        (
-            {"level": j, "context": ctx, "digit": p, "conjugated": cp}
-            for j in range(1, n + 1)
-            for _carry, ctx in auto.states[j - 1]
-            for p in ds.alphabet(j)
-            if (cp := g.conj_in_context(ctx, p)) != p
-        ),
-        None,
-    )
+    witness_alpha = _conjugation_witness(auto, n)
 
     def as_rows(cols: np.ndarray) -> np.ndarray:
-        return np.moveaxis(cols, 0, -1)  # a (dim, ...) array viewed as rows
+        return cols.transpose(*range(1, cols.ndim), 0)  # a (dim, ...) array viewed as rows
 
     # A step value T_n[d]·c depends only on the digit d and the next state, so
     # it is formed once for each (d, next state) pair that some transition reaches.
-    carry_elems = g.to_array([c for c, _ctx in auto.states[n]])  # by state index
+    carry_elems = auto.carry_rows(n)  # by state index
     alphabet = g.to_array(ds.alphabet(n))
     g.check_bounds(alphabet, carry_elems)
     step_state = auto.trans_state[n - 1].reshape(-1)

@@ -10,7 +10,7 @@ import pytest
 from odowin import presets
 from odowin.expansion import (
     _CLOSURE_ROWS,
-    CarryRange,
+    CarryAutomaton,
     DomainSequence,
     carry_mul,
     carry_ranges,
@@ -45,7 +45,8 @@ def reference_closure(ds, levels):
 
     States are numbered in the order the (state, p, q) loop first reaches
     them; each records the digit-index strings of its first transition.
-    Returns (states, state_witnesses, trans_digit, trans_state, carry_range).
+    Returns (states, state_witnesses, trans_digit, trans_state, carry sets,
+    carry witnesses).
     """
     g = ds.group
     states = [[(g.identity, g.context_identity())]]
@@ -85,17 +86,33 @@ def reference_closure(ds, levels):
             wit_j.setdefault(carry, w)
         witnesses.append(wit_j)
     sets = [sorted({c for c, _ in lvl}, key=g.sort_key) for lvl in states]
-    return states, state_witnesses, trans_digit, trans_state, CarryRange(sets, witnesses)
+    return states, state_witnesses, trans_digit, trans_state, sets, witnesses
+
+
+def state_pairs(auto, j):
+    """The states entering level j+1 as (carry, context) pairs, read off the state rows."""
+    g, rows = auto.ds.group, auto.states[j]
+    assert rows.dtype == np.int64 and rows.shape[1] == g.dim + (0 if g.abelian else 2)
+    ctxs = [None] * len(rows) if g.abelian else [tuple(x) for x in rows[:, g.dim :].tolist()]
+    return list(zip(g.from_array(auto.carry_rows(j)), ctxs))
+
+
+def state_witnesses(auto, j):
+    """Each level-j state's witness, spelled from the parent pointers."""
+    g_idx, h_idx = auto.digit_strings(j, np.arange(len(auto.states[j])))
+    return [(tuple(a), tuple(b)) for a, b in zip(g_idx.tolist(), h_idx.tolist())]
 
 
 def assert_matches_reference(auto, ref):
-    states, state_witnesses, trans_digit, trans_state, carry_range = ref
+    states, witnesses, trans_digit, trans_state, sets, carry_witnesses = ref
+    levels = range(auto.levels + 1)
     # Compared as flags, so a failure does not make pytest diff huge values.
     # repr also tells element types apart (np.int64 prints as np.int64(...)).
     for name, got, want in (
-        ("states", auto.states, states),
-        ("witnesses", auto.state_witnesses, state_witnesses),
-        ("carry range", auto.carry_range, carry_range),
+        ("states", [state_pairs(auto, j) for j in levels], states),
+        ("witnesses", [state_witnesses(auto, j) for j in levels], witnesses),
+        ("carry sets", auto.carry_range.sets, sets),
+        ("carry witnesses", auto.carry_range.witnesses, carry_witnesses),
     ):
         same = got == want and repr(got) == repr(want)
         assert same, f"{name} differ from the reference closure"
@@ -481,21 +498,34 @@ def test_carry_soundness_sampled(ds_heis):
             assert carry in set(rng.level(j))
 
 
+def level_arrays(auto):
+    """Every per-level array of an automaton: state rows, parent pointers, transition tables."""
+    return auto.states + auto.first_transition + auto.trans_digit + auto.trans_state
+
+
 def test_automaton_extends_and_cuts_back():
     # pop_level cuts a deeper automaton back and a later level extends it; the
-    # result equals one closure from level 1: tables, state order, witnesses
+    # cut and the grown automaton hold their parent's arrays for the levels
+    # they share, and the result equals one closure from level 1: tables,
+    # state rows and order, parent pointers, carry sets and witnesses
     for name in ("z-carry", "heis-pow2"):
         ds = presets.domains(name, 4)
-        ds.automaton(4)
+        deep = ds.automaton(4)
         ds.pop_level()
         ds.pop_level()
-        assert ds.automaton(2).levels == 2
+        cut = ds.automaton(2)
+        assert cut.levels == 2
         ds.append_level(presets.chain(name).modulus(3))
         grown, fresh = ds.automaton(3), presets.domains(name, 3).automaton(3)
-        assert grown.states == fresh.states
-        assert grown.carry_range == fresh.carry_range
-        for a, b in zip(grown.trans_digit + grown.trans_state, fresh.trans_digit + fresh.trans_state):
-            assert np.array_equal(a, b)
+        for parent, child in ((deep, cut), (cut, grown)):
+            for tables in ("states", "first_transition", "trans_digit", "trans_state"):
+                shared = 3 if tables == "states" else 2  # levels 0..2, transitions into 1..2
+                assert all(a is b for a, b in zip(getattr(child, tables)[:shared], getattr(parent, tables)))
+        assert len(level_arrays(grown)) == len(level_arrays(fresh)) == 4 + 3 * 3
+        for a, b in zip(level_arrays(grown), level_arrays(fresh)):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+        assert grown.carry_range.sets == fresh.carry_range.sets
+        assert grown.carry_range.witnesses == fresh.carry_range.witnesses
 
 
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
@@ -516,6 +546,61 @@ def test_automaton_rejects_levels_outside_its_tables():
             auto.product_digit_indices((0, 0), (0, 0), n)
     assert auto.product_digit_indices((), (), 0) == ((), 0)
     assert [a.tolist() for a in auto.batch_product(ranks, ranks, 0)] == [[0, 0], [0, 0]]
+
+
+def test_product_digit_indices_reject_digits_outside_the_alphabet():
+    # -1 must not wrap into the last digit, nor |T_j| fail as a raw IndexError
+    ds = presets.domains("z-carry", 3)
+    auto = ds.automaton(3)
+    assert len(ds.alphabet(1)) == 2 and len(ds.alphabet(2)) == 4
+    assert auto.product_digit_indices((1,), (0,), 1) == ((1,), 0)
+    for g_idx, h_idx, n, bad, level, size in (
+        ((-1,), (0,), 1, -1, 1, 2),
+        ((0,), (2,), 1, 2, 1, 2),
+        ((0, 4), (0, 0), 2, 4, 2, 4),
+        ((0, 0), (1, -1), 3, -1, 2, 4),
+    ):
+        with pytest.raises(ConstructionError) as exc:
+            auto.product_digit_indices(g_idx, h_idx, n)
+        assert str(exc.value) == (
+            f"digit index {bad} outside 0..{size - 1} at level {level}, whose alphabet has {size} digits"
+        )
+
+
+@pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
+def test_closure_refuses_products_past_the_bound(name):
+    # The closure checks its state rows once per level and each block's
+    # products before the next unchecked product, so it refuses what chained
+    # ``vec_mul`` calls refuse.  Every state entering level 2 is set to one
+    # row (carry, then context).  With coordinates just under 2**30, a
+    # carry·(s^{-1}·p·s) or, on Heisenberg, a conjugate s^{-1}·p·s reaches
+    # 2**30.  In the last case the context (-2**29, 0) takes a digit with
+    # b = 2 to the conjugate (p_a, 2, p_c + 2**30), past the bound, but the
+    # carry's a = -2**29 brings every later product back under it, so only
+    # the conjugate's own check refuses it.
+    ds = presets.domains(name, 2)
+    g = ds.group
+    big, half = (1 << 30) - 1, 1 << 29
+    rows = [[big] * g.dim]
+    if not g.abelian:
+        rows = [[big, big, big, 0, 0], [0, 0, 0, big, big], [-half, 0, 10, -half, 0]]
+    for row in rows:
+        auto = CarryAutomaton(ds, 1, None)
+        auto.states[1][:] = row
+        with pytest.raises(OverflowError, match="values too large"):
+            CarryAutomaton(ds, 2, auto)
+
+
+def test_two_route_builds_no_witness_strings(monkeypatch):
+    # The oracle reads state rows and tables; witnesses are spelled only when read.
+    def refuse(*args):
+        raise AssertionError("witness strings built")
+
+    monkeypatch.setattr(CarryAutomaton, "digit_strings", refuse)
+    ds = presets.domains("heis-pow2", 4)
+    rep = verify_carry_identity(ds, 4)
+    assert rep["mismatches"] == rep["spot_check_failures"] == 0 and rep["alpha_witness"]
+    assert "witnesses" not in vars(ds.automaton(4).carry_range)
 
 
 def test_closure_matches_reference_across_row_blocks():
@@ -615,8 +700,7 @@ def test_two_route_refuses_a_step_table_value_at_the_bound(name):
     ds = presets.domains(name, n)
     g, auto = ds.group, ds.automaton(n)
     s = auto.trans_state[n - 1].reshape(-1)[np.flatnonzero(auto.trans_digit[n - 1])[0]]
-    big = g.from_array(np.full((1, g.dim), (1 << 30) - 1, dtype=np.int64))[0]
-    auto.states[n][s] = (big, auto.states[n][s][1])
+    auto.states[n][s, : g.dim] = (1 << 30) - 1
     with pytest.raises(OverflowError, match="values too large"):
         verify_carry_identity(ds, n, rng_spot_checks=0)
 
@@ -646,7 +730,7 @@ def reference_two_route_mismatches(ds, n, chunk=1 << 15):
     size, low = ds.size(n), ds.size(n - 1)
     na = size // low
     dom = ds.domain_array(n)
-    carry_elems = g.to_array([c for c, _ctx in auto.states[n]])
+    carry_elems = auto.carry_rows(n)
     in_gamma = g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0
     prefix = np.arange(low)
     pre_rank, pre_state = auto.batch_product(np.repeat(prefix, low), np.tile(prefix, low), n - 1)
@@ -754,7 +838,7 @@ def test_two_route_counts_corrupted_step_row_edges_exactly(name):
     ds = presets.domains(name, n)
     auto = ds.automaton(n)
     _prods, truth = scalar_truth(ds, n)
-    carries = [c for c, _ctx in auto.states[n]]
+    carries = ds.group.from_array(auto.carry_rows(n))
     last = len(ds.alphabet(n)) - 1
     for table, wrong in (
         (auto.trans_digit[n - 1], lambda d: (d + 1) % len(ds.alphabet(n))),
@@ -784,7 +868,8 @@ def test_two_route_counts_carries_outside_the_subgroup(d3_truth, monkeypatch):
     entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
     digits, states = auto.trans_digit[n - 1], auto.trans_state[n - 1]
     target = states[entry]
-    carry, ctx = auto.states[n][target]
+    rows = auto.states[n]
+    carry = grp.from_array(auto.carry_rows(n)[target : target + 1])[0]
     outside = ds.alphabet(n)[1]
 
     def oracle_equals_scalar_count():
@@ -799,19 +884,22 @@ def test_two_route_counts_carries_outside_the_subgroup(d3_truth, monkeypatch):
     # the carry tells these pairs apart.
     old_digit = int(digits[entry])
     digits[entry] = (old_digit + 1) % len(ds.alphabet(n))
-    gw, hw = auto.state_witnesses[n - 1][-1]  # a pair of prefixes reaching the last state
+    last = np.array([len(auto.states[n - 1]) - 1])
+    gw, hw = (tuple(w[0].tolist()) for w in auto.digit_strings(n - 1, last))  # prefixes reaching it
     ia, ib = gw + (1,), hw + (len(ds.alphabet(n)) - 1,)
     wrong, _ = auto.product_digit_indices(ia, ib, n)
     head = reconstruct(ds, [ds.alphabet(j + 1)[i] for j, i in enumerate(wrong)])
-    auto.states[n].append((grp.mul(grp.inv(head), prods[ia, ib]), ctx))
-    states[entry] = len(auto.states[n]) - 1
+    new = rows[target].copy()  # the new state keeps the target's context
+    new[: grp.dim] = grp.to_array([grp.mul(grp.inv(head), prods[ia, ib])])[0]
+    auto.states[n] = np.vstack([rows, new])
+    states[entry] = len(rows)
     try:
         for k in oracle_equals_scalar_count():
             out, c = auto.product_digit_indices(*k, n)
             assert reconstruct(ds, [ds.alphabet(j + 1)[i] for j, i in enumerate(out)], c) == prods[k]
             assert ds.head(c, n) != grp.identity  # the carry lies outside Γ_n
     finally:
-        auto.states[n].pop()
+        auto.states[n] = rows
         states[entry], digits[entry] = target, old_digit
 
     # One state's carry moved by elements of Γ_n whose coordinates are all
@@ -827,9 +915,9 @@ def test_two_route_counts_carries_outside_the_subgroup(d3_truth, monkeypatch):
     if not grp.abelian:  # on Z2, int64 is out of reach below the 2**30 refusal
         cases.append((gamma(13), np.int64))
     for delta, dtype in cases:
-        auto.states[n][target] = (grp.mul(carry, delta), ctx)
+        rows[target, : grp.dim] = grp.to_array([grp.mul(carry, delta)])[0]
         try:
             oracle_equals_scalar_count()
             assert dtypes[-1] is dtype
         finally:
-            auto.states[n][target] = (carry, ctx)
+            rows[target, : grp.dim] = grp.to_array([carry])[0]

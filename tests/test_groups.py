@@ -175,7 +175,7 @@ def test_vectorized_matches_scalar():
         # contexts of the elements as right-hand heads, one row each
         ctxs = [ctx.context_step(ctx.context_identity(), e) for e in elems]
         ctx_arr = np.array([() if c is None else c for c in ctxs], dtype=np.int64)
-        conj = ctx.from_array(ctx.vec_conj_in_context(ctx_arr, arr[::-1].copy()))
+        conj = ctx.from_array(ctx.conj_rows(ctx_arr, arr[::-1].copy()))
         step = ctx.vec_context_step(ctx_arr, arr[::-1].copy())
         for i, c in enumerate(ctxs):
             e = elems[len(elems) - 1 - i]
