@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import expansion
 from .fibers import birkhoff_stats, critical_point, enumerate_fiber
@@ -78,20 +79,26 @@ def _text(text: str) -> str:
     return text
 
 
-def _layout(items, depth: int, brackets: str) -> str:
-    """Encoded items (``"key": value`` in an object) in the layout ``json.dumps(indent=2)``
-    gives a list or dict at this depth."""
-    items = list(items)
-    if not items:
-        return brackets
+def _layout(items: Iterable[str], depth: int, brackets: str) -> Iterator[str]:
+    """Pieces of encoded items (``"key": value`` in an object) in the layout
+    ``json.dumps(indent=2)`` gives a list or dict at this depth, one per ``WRITE_BLOCK`` items."""
     pad = "\n" + "  " * (depth + 1)
-    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
+    sep, head, items = f",{pad}", brackets[0] + pad, iter(items)
+    while block := list(itertools.islice(items, expansion.WRITE_BLOCK)):
+        yield head + sep.join(block)
+        head = sep
+    yield "\n" + "  " * depth + brackets[1] if head is sep else brackets
 
 
-def _object(encoded: dict[str, str], depth: int) -> str:
-    """A dict of encoded values as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
-    return _layout((f"{encode_basestring_ascii(k)}: {v}" for k, v in sorted(encoded.items())),
-                   depth, "{}")
+def _object(encoded: dict[str, str | Iterable[str]], depth: int) -> Iterator[str]:
+    """Pieces of a dict of encoded values, each one str or an iterable of pieces, as
+    ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    pad = "\n" + "  " * (depth + 1)
+    for i, key in enumerate(sorted(encoded)):
+        yield f"{',' if i else '{'}{pad}{encode_basestring_ascii(key)}: "
+        value = encoded[key]
+        yield from (value,) if isinstance(value, str) else value
+    yield "\n" + "  " * depth + "}" if encoded else "{}"
 
 
 def _jsonable(x):
@@ -176,12 +183,24 @@ def _load_window(path: str) -> Window:
         raise ConfigError(f"cannot parse window file {path}: {exc}")
 
 
-def _write(path: Path, data: str | bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(data, bytes):
-        path.write_bytes(data)
-    else:
-        path.write_text(data)
+def _write(out: str | Path | None, pieces: Iterable[str]) -> None:
+    """Write the pieces to the file ``out``, making its parent directories, or to stdout.
+
+    A text stream encodes each write whole, so a long piece is written in slices.
+    """
+    def put(stream):
+        for piece in pieces:
+            for i in range(0, len(piece), 1 << 16):
+                stream.write(piece[i : i + (1 << 16)])
+
+    if out is None:
+        return put(sys.stdout)
+    try:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        with open(out, "w") as f:
+            put(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from None
 
 
 def _folner_entry(win: Window, n: int) -> dict:
@@ -219,8 +238,8 @@ def cmd_build(args) -> int:
     }
     # The report is complete before either file is written: a refused level writes nothing.
     out = Path(args.out or "window-out")
-    _write(out / "window.txt", serialize_window(win))
-    _write(out / "build_report.json", json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    _write(out / "window.txt", [serialize_window(win)])
+    _write(out / "build_report.json", [json.dumps(_jsonable(report), indent=2, sort_keys=True), "\n"])
     print(f"window written to {out / 'window.txt'}")
     for n in range(1, win.cap + 1):
         print(f"  level {n}: boundary layer measure {boundary_measure(win, n)}")
@@ -252,13 +271,10 @@ def cmd_emit(args) -> int:
     xi = _shift_point(win, args)
     level = args.patch_level if args.patch_level is not None else win.cap - 1
     patch = emit_patch(win, xi, patch_level=level)
-    text = patch_jsonl(win, patch)
+    _write(args.out, [patch_jsonl(win, patch)])
     if args.out:
-        _write(Path(args.out), text)
         print(f"patch written to {args.out} ({len(patch.ranks)} positions, "
               f"{len(patch.undecided())} undecided)")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -267,9 +283,8 @@ def cmd_render(args) -> int:
     xi = _shift_point(win, args)
     level = args.patch_level if args.patch_level is not None else win.cap
     patch = emit_patch(win, xi, patch_level=level)
-    data = patch_pgm(win, patch, level)
-    out = Path(args.out or "patch.pgm")
-    _write(out, data)
+    out = args.out or "patch.pgm"
+    _write(out, [patch_pgm(win, patch, level).decode()])
     print(f"image written to {out}")
     return 0
 
@@ -291,8 +306,9 @@ def cmd_fiber(args) -> int:
     distinct = fib.distinct()
     g = win.group
     # Written by hand in the json.dumps(indent=2, sort_keys=True) layout, whose pure-Python
-    # encoder would take most of the command.  Each hitter is formatted once, the classes
-    # are slices of the report-order texts, and the keys are sorted once for all candidates.
+    # encoder would take most of the command, and streamed in blocks.  Each hitter is
+    # formatted once, the classes are slices of the report-order texts, and the keys are
+    # sorted once for all candidates.
     hitters = g.fmt_rows(fib.patch.rows[fib.hitters])
     bounds = [0, *itertools.accumulate(len(c) for c in fib.report.classes)]
     order = sorted(range(len(hitters)), key=hitters.__getitem__)
@@ -310,18 +326,17 @@ def cmd_fiber(args) -> int:
         "candidates": json.dumps(len(fib.candidates)),
         "distinct": json.dumps(distinct),
         "labels": _layout(map(encode_basestring_ascii, fib.labels), 1, "[]"),
+        # A memoryview yields a row's int8 codes one at a time: no row is listed whole.
         "values_on_hitters": _object({
-            label: _layout(map(str.__add__, keys, map(value.__getitem__, row)), 2, "{}")
-            for label, row in zip(fib.labels, fib.candidates[:, order].tolist())
+            label: _layout(map(str.__add__, keys, map(value.__getitem__, memoryview(row))),
+                           2, "{}")
+            for label, row in zip(fib.labels, fib.candidates[:, order])
         }, 1),
     }
-    text = _object(report, 0) + "\n"
+    _write(args.out, itertools.chain(_object(report, 0), ["\n"]))
     if args.out:
-        _write(Path(args.out), text)
         print(f"fiber report written to {args.out} "
               f"({len(fib.candidates)} candidates, {distinct} distinct)")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -334,12 +349,9 @@ def cmd_stats(args) -> int:
     stats = birkhoff_stats(win, xi, levels)
     ok = all(row["census_match"] for row in stats.values())
     report = {"window": win.window_id, "levels": stats, "census_match": ok}
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    _write(args.out, [json.dumps(_jsonable(report), indent=2, sort_keys=True), "\n"])
     if args.out:
-        _write(Path(args.out), text)
         print(f"stats written to {args.out} (census match: {ok})")
-    else:
-        sys.stdout.write(text)
     return 0 if ok else 1
 
 

@@ -37,11 +37,15 @@ from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, row_ke
 # of dim coordinates), or a product of element rows formed in one step.
 ARRAY_BUDGET = 1 << 30
 
-# Bytes per candidate-hitter value at the peak of writing the ``odowin fiber`` report,
-# measured with tracemalloc over a zero-hitter report: about 65 on 144 candidates x
-# 364 hitters, and 184 on 2 x 21,840, where only two candidates share each hitter's
-# texts.  The report is held to ARRAY_BUDGET.
+# Bytes allowed per candidate-hitter value of the ``odowin fiber`` report.  Held whole,
+# the report peaked at up to 184 a value (2 x 21,840, tracemalloc); streamed in
+# WRITE_BLOCK blocks it takes far less, and the figure also bounds the report's file.
+# The report is held to ARRAY_BUDGET.
 REPORT_ENTRY_BYTES = 200
+
+# Entries (records, list items, object members) a writer formats and joins at once,
+# so the ``emit`` and ``fiber`` texts are built in blocks of bounded size.
+WRITE_BLOCK = 1 << 10
 
 # Transition rows the closure forms at once; a block holds whole source states,
 # at least one, so a level needs O(max(budget, #alphabet²)) scratch memory.

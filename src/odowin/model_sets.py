@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import expansion
 from .groups import ConstructionError, Elem, GroupContext, PrecisionError
 from .odometer import OdometerPoint, embed, rank_of_point
 from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window, boundary_measure
@@ -157,25 +158,34 @@ def regularity(win: Window, n: int) -> Fraction:
 
 
 def patch_jsonl(win: Window, patch: SymbolicPatch) -> str:
-    """One line per position: ``{"digits":[...],"element":...,"value":1|0|"?"}``, no spaces."""
-    ds, n = win.ds, win.cap
-    alpha = [ds.group.fmt_rows(ds.group.to_array(ds.alphabet(j)), "[]") for j in range(1, n + 1)]
-    # Digit text of every level-j prefix, by rank, up to the deepest level whose
-    # domain is no larger than the patch (or T_1); deeper digits go per record.
-    limit = max(len(patch.ranks), len(alpha[0]))
-    prefix, j = alpha[0], 1
-    while j < n and ds.size(j + 1) <= limit:
-        prefix = [f"{p},{a}" for a in alpha[j] for p in prefix]
+    """One line per position: ``{"digits":[...],"element":...,"value":1|0|"?"}``, no spaces.
+
+    The text is built ``WRITE_BLOCK`` records at a time, each block joined once.  A
+    record's digits are read from tables of digit texts, one per run of consecutive
+    levels, each table at most ``WRITE_BLOCK`` long (or one level's alphabet).
+    """
+    ds, g, n, block = win.ds, win.group, win.cap, expansion.WRITE_BLOCK
+    alpha = [g.fmt_rows(g.to_array(ds.alphabet(j)), "[]") for j in range(1, n + 1)]
+    runs, j = [], 0  # (size below the run, digit combinations in it, their texts by index)
+    while j < n:
+        low, table = ds.size(j), alpha[j]
         j += 1
-    digits = [prefix[r] for r in (patch.ranks % ds.size(j)).tolist()]
-    for level, idx in enumerate(ds.radix_digits(patch.ranks, n)[j:], start=j):
-        digits = [f"{p},{alpha[level][i]}" for p, i in zip(digits, idx.tolist())]
+        while j < n and len(table) * len(alpha[j]) <= block:
+            table = [f"{p},{a}" for a in alpha[j] for p in table]
+            j += 1
+        runs.append((low, len(table), table))
     text = {c: '"?"' if v is None else str(v) for c, v in VALUE_OF_CODE.items()}
-    lines = [
-        f'{{"digits":[{d}],"element":{g},"value":{text[c]}}}'
-        for d, g, c in zip(digits, ds.group.fmt_rows(patch.rows, "[]"), patch.codes.tolist())
-    ]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for s in range(0, len(patch.ranks), block):
+        ranks = patch.ranks[s : s + block]
+        digits = zip(*(map(table.__getitem__, (ranks // low % size).tolist())
+                       for low, size, table in runs))
+        blocks.append("".join(
+            f'{{"digits":[{",".join(d)}],"element":{e},"value":{text[c]}}}\n'
+            for d, e, c in zip(digits, g.fmt_rows(patch.rows[s : s + block], "[]"),
+                               patch.codes[s : s + block].tolist())
+        ))
+    return "".join(blocks) or "\n"
 
 
 def patch_pgm(win: Window, patch: SymbolicPatch, level: int) -> bytes:

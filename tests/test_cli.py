@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -326,7 +327,11 @@ def _fiber_report_oracle(win, xi, level):
 
 
 def test_fiber_report_matches_json_dumps(tmp_path, w_irr, w_k, w_kt, w_z2, w_heis, w_heis_k2,
-                                         w_heis_kt2):
+                                         w_heis_kt2, monkeypatch):
+    # at the shipped block size and at blocks of 1, 2, 3 and 7 entries
+    from odowin import expansion
+
+    blocks = (expansion.WRITE_BLOCK, 1, 2, 3, 7)
     z2_k2 = build_k(w_z2, 2, 2)
     windows = {
         "z-perf": w_irr, "z-k2": w_k[2], "z-ktilde3": w_kt[3],
@@ -344,9 +349,12 @@ def test_fiber_report_matches_json_dumps(tmp_path, w_irr, w_k, w_kt, w_z2, w_hei
             for level in sorted({0, 1, win.cap - 1, win.cap}):
                 out = tmp_path / "fiber.json"
                 argv = ["fiber", str(path), *flags, "--patch-level", str(level), "--out", str(out)]
-                assert main(argv) == 0, argv
-                text = out.read_text()
-                assert text == _fiber_report_oracle(win, xi, level), argv
+                want = _fiber_report_oracle(win, xi, level)
+                for block in blocks:
+                    monkeypatch.setattr(expansion, "WRITE_BLOCK", block)
+                    assert main(argv) == 0, argv
+                    text = out.read_text()
+                    assert text == want, (argv, block)
                 report = json.loads(text)
                 if [] in report["classes"].values() and not report["full_coverage"]:
                     seen.add("empty class")
@@ -355,6 +363,60 @@ def test_fiber_report_matches_json_dumps(tmp_path, w_irr, w_k, w_kt, w_z2, w_hei
                 if any("-drop-" in label for label in report["labels"]):
                     seen.add("drops")
     assert seen == {"empty class", "no hitters", "drops"}
+
+
+def test_fiber_memory_is_bounded_by_blocks(tmp_path, cfg):
+    # The report is written to the file a block of entries at a time: on the z-irregular
+    # window (2 candidates x 21,840 hitters, a 1.09 MB report) the command peaks at
+    # 5.9 MiB, 4.4 MiB of which parsing and the fiber enumeration reach before writing.
+    # The whole report held as nested texts, joined and copied, peaked at 9.7 MiB.
+    main(["build", "--config", cfg("w.cfg", IRR_CFG), "--out", str(tmp_path / "w")])
+    out = tmp_path / "fiber.json"
+    argv = ["fiber", str(tmp_path / "w" / "window.txt"), "--seed", "1", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values = json.loads(out.read_text())["values_on_hitters"].values()
+    assert [len(v) for v in values] == [21840, 21840]
+    assert peak < 7 << 20
+
+
+def test_unwritable_out_exits_two(tmp_path, cfg, capsys):
+    # an --out that is a directory, a regular file where build wants a directory, or a
+    # path under a regular file: one stderr line naming it, no stdout, nothing written
+    main(["build", "--config", cfg("w.cfg", Z2_CFG), "--out", str(tmp_path / "w")])
+    win = str(tmp_path / "w" / "window.txt")
+    folder, file = tmp_path / "folder", tmp_path / "file"
+    folder.mkdir()
+    file.write_text("kept\n")
+    build = ["build", "--config", str(tmp_path / "w.cfg")]
+    cases = [(build, file), (build, file / "w")]
+    for name in ("emit", "fiber", "stats", "render"):
+        cases += [([name, win, "--seed", "1"], folder), ([name, win, "--seed", "1"], file / "x")]
+    capsys.readouterr()
+    for argv, out in cases:
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and f"cannot write {out}" in err[0], argv
+        assert captured.out == "", argv
+    assert file.read_text() == "kept\n" and not any(folder.iterdir())
+
+
+def test_stdout_and_out_write_the_same_bytes(tmp_path, cfg, capsys):
+    main(["build", "--config", cfg("w.cfg", FIBER_CFG), "--out", str(tmp_path / "w")])
+    win = str(tmp_path / "w" / "window.txt")
+    for argv in (["emit", win, "--patch-level", "6"], ["fiber", win, "--seed", "1"],
+                 ["stats", win, "--seed", "1"]):
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        printed = capsys.readouterr().out
+        out = tmp_path / f"{argv[0]}.out"
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        assert printed.encode() == out.read_bytes(), argv
 
 
 def test_preset_must_agree_with_group_name(tmp_path, cfg, capsys):

@@ -1,6 +1,7 @@
 """Array emission, periodicity partitions, and regularity."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -200,9 +201,19 @@ def _jsonl_oracle(win, patch):
     return "\n".join(lines) + "\n"
 
 
-def test_jsonl_matches_json_dumps(w_irr, w_z2, w_heis):
+def test_jsonl_matches_json_dumps(w_irr, w_z2, w_heis, monkeypatch):
+    # at the shipped block size and at blocks of 1, 2, 3 and 7 records, whose edges fall
+    # inside the patches and whose digit tables hold one or two levels each
+    from odowin import expansion
     from odowin.fibers import critical_point
     from odowin.odometer import sample_point
+
+    shipped = expansion.WRITE_BLOCK
+
+    def check(patch, want):
+        for block in (shipped, 1, 2, 3, 7):
+            monkeypatch.setattr(expansion, "WRITE_BLOCK", block)
+            assert patch_jsonl(win, patch) == want, block
 
     explicit = {
         "Z": [-3, -100, 5, 0, -1],
@@ -217,16 +228,32 @@ def test_jsonl_matches_json_dumps(w_irr, w_z2, w_heis):
                 emit_patch(win, xi),
                 emit_patch(win, xi, patch_level=1),
                 emit_patch(win, xi, patch=explicit[win.group.name]),
-                # negative coordinates and ranks spread over the whole cap level:
-                # the digit table reaches level cap - 1 and the cap digit goes per record
+                # negative coordinates and ranks spread over the whole cap level
                 emit_patch(win, xi, patch=[g_inv(g) for g in win.ds.domain_list(win.cap - 1)]),
-                # shorter than T_1: the digit table holds level 1 only
+                # shorter than T_1
                 emit_patch(win, xi, patch=explicit[win.group.name][:2]),
             ):
-                assert patch_jsonl(win, patch) == _jsonl_oracle(win, patch)
-            assert patch_jsonl(win, emit_patch(win, xi, patch=[])) == "\n"
+                check(patch, _jsonl_oracle(win, patch))
+            check(emit_patch(win, xi, patch=[]), "\n")
     crit = emit_patch(w_z2, critical_point(w_z2), patch_level=1)
     assert '"value":"?"' in patch_jsonl(w_z2, crit)
+
+
+def test_jsonl_memory_is_bounded_by_blocks(w_k):
+    # The text is built a block of records at a time, from digit tables no longer than a
+    # block, and joined once: on the z-fiber k=2 window's 36,000-position cap-6 patch
+    # (2.16 MB of text) the peak is 4.1 MiB, about twice the text.  A 36,000-entry digit
+    # table beside whole lists of digits, elements and lines, their join and its "\n"
+    # copy took 11.1 MiB.
+    patch = emit_patch(w_k[2], patch_level=6)
+    tracemalloc.start()
+    try:
+        text = patch_jsonl(w_k[2], patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(patch.ranks) == 36000
+    assert peak <= 2.5 * len(text)
 
 
 def test_default_and_explicit_patch_routes_agree(w_irr, w_z2, w_heis):
