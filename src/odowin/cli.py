@@ -4,7 +4,8 @@ Configuration is flat key = value text (INI sections); exact rationals are
 written ``p/q``.  Every sampled quantity requires an explicit seed, and
 identical configurations produce byte-identical artifacts.
 
-Exit codes: 0 all pass, 1 verification failure, 2 configuration error.
+Exit codes: 0 all pass (also when the reader closes stdout early), 1 verification
+failure, 2 configuration error or an unwritable output.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import configparser
 import functools
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -316,7 +318,8 @@ def cmd_fiber(args) -> int:
     value = {c: json.dumps(v) for c, v in VALUE_OF_CODE.items()}
     report = {
         "window": json.dumps(win.window_id),
-        "shift_digits": _layout((encode_basestring_ascii(g.fmt(d)) for d in xi.digits), 1, "[]"),
+        "shift_digits": _layout((encode_basestring_ascii(g.fmt(d))
+                                 for d in win.ds.spell(xi.rank, xi.precision)), 1, "[]"),
         "patch_level": json.dumps(level),
         "classes": _object({
             f"S{j}": _layout(map(encode_basestring_ascii, hitters[a:b]), 2, "[]")
@@ -389,12 +392,22 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # Looked up at call time, so a wrapper installed on a command is the one called.
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # so a failing stdout fails here, not at exit
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Every file a command names reports its own failure, so this is stdout's.  Its
+        # unwritten text goes to the null device, not to a second failure at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 0  # the reader closed the pipe and keeps what it read
+        print(f"cannot write to stdout: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,6 +26,7 @@ with a witness pair for every reachable carry.
 
 from __future__ import annotations
 
+import random
 from functools import cached_property
 from typing import Sequence
 
@@ -46,6 +47,10 @@ REPORT_ENTRY_BYTES = 200
 # Entries (records, list items, object members) a writer formats and joins at once,
 # so the ``emit`` and ``fiber`` texts are built in blocks of bounded size.
 WRITE_BLOCK = 1 << 10
+
+# Rank pairs the carry oracle also checks one by one; a fixed seed keeps its report fixed.
+SPOT_CHECKS = 200
+SPOT_CHECK_SEED = 20_240_601
 
 # Transition rows the closure forms at once; a block holds whole source states,
 # at least one, so a level needs O(max(budget, #alphabet²)) scratch memory.
@@ -245,9 +250,11 @@ class DomainSequence:
 
     def digit_prefix(self, g: Elem, n: int) -> tuple[Elem, ...]:
         """Digits of head(g, n): defined for every group element."""
-        return tuple(
-            self.alphabets[j][i] for j, i in enumerate(self.radix_digits(self.rank_of(g, n), n))
-        )
+        return self.spell(self.rank_of(g, n), n)
+
+    def spell(self, rank: int, n: int) -> tuple[Elem, ...]:
+        """The digit string of the level-n rank ``rank``, level 1 first."""
+        return tuple(self.alphabets[j][i] for j, i in enumerate(self.radix_digits(rank, n)))
 
     # -- rank arithmetic --------------------------------------------------------
     # D_n is built as D_{n-1}·T_n in the order rank = d_rank + size(n-1)·t_index,
@@ -260,7 +267,7 @@ class DomainSequence:
 
         A level outside 0..levels, or a rank outside 0..size(n)-1, is refused.
         """
-        _check_ranks(self.size(n), n, rank)
+        check_ranks(self.size(n), n, rank)
         out = []
         for alphabet in self.alphabets[:n]:
             rank, i = divmod(rank, len(alphabet))
@@ -290,7 +297,7 @@ class DomainSequence:
         which the two-route oracle checks on every pair of D_n.
         """
         dom = self.domain_array(n)
-        _check_ranks(len(dom), n, a, b)
+        check_ranks(len(dom), n, a, b)
         return self.vec_rank(self.group.vec_mul(dom[a], dom[b]).reshape(-1, self.group.dim), n)
 
     def vec_digit_indices(self, arr: np.ndarray, n: int) -> np.ndarray:
@@ -470,7 +477,7 @@ class CarryAutomaton:
         two-route oracle; shifts use ``DomainSequence.product_ranks``.
         """
         self._check_level(n)
-        _check_ranks(self.ds.size(n), n, g_rank, h_rank)
+        check_ranks(self.ds.size(n), n, g_rank, h_rank)
         state = np.zeros(len(g_rank), dtype=np.int64)
         out = np.zeros(len(g_rank), dtype=np.int64)
         for j in range(1, n + 1):
@@ -497,7 +504,7 @@ def check_rows(n: int, rows: int, dim: int) -> None:
                                 f"is over the {ARRAY_BUDGET}-byte budget")
 
 
-def _check_ranks(size: int, n: int, *ranks) -> None:
+def check_ranks(size: int, n: int, *ranks) -> None:
     """Reject level-n ranks (ints or int64 arrays) outside 0..size-1; an int is checked as an int."""
     for r in ranks:
         if isinstance(r, int):
@@ -588,12 +595,7 @@ def carry_ranges(ds: DomainSequence, up_to: int) -> CarryRange:
     return CarryRange(auto.carry_range.sets[:up_to], auto)
 
 
-def verify_carry_identity(
-    ds: DomainSequence,
-    level: int,
-    chunk: int = 1 << 15,
-    rng_spot_checks: int = 200,
-) -> dict:
+def verify_carry_identity(ds: DomainSequence, level: int, chunk: int = 1 << 15) -> dict:
     """Exhaustive two-route check of the carry recursion on D_level × D_level.
 
     A level-n rank is r + size(n-1)·d with r a D_{n-1} rank and d a level-n
@@ -638,13 +640,13 @@ def verify_carry_identity(
     the blocks form.  The blocks multiply with the unchecked ``mul_rows`` in
     that dtype.  The carries and the conjugation witness's contexts are read
     off the automaton's state rows; no witness digit string is built.
-    Returns a summary with the mismatch count (must be zero), the number of
-    pairs, a nonabelian conjugation witness when one exists, and spot-check
-    results comparing the vectorized and scalar paths; it does not depend on
-    ``chunk``.
+    ``SPOT_CHECKS`` seeded rank pairs run through one ``batch_product`` call and
+    are checked one by one against g·h by the group law: its ``rank_of`` and
+    ``tail``, and the spelled product digits times the carry.  Returns a summary
+    with the mismatch count (must be zero), the number of pairs, a nonabelian
+    conjugation witness when one exists, and the spot-check failure count; it
+    does not depend on ``chunk``.
     """
-    import random
-
     if not 1 <= level <= ds.levels:
         raise ConstructionError(
             f"carry identity asked for level {level}, built levels are 1..{ds.levels}"
@@ -731,17 +733,15 @@ def verify_carry_identity(
             total += ok.size
             del route_a, route_b  # free this block's products before the next block forms its own
 
-    rng = random.Random(20_240_601)  # a fixed seed keeps the report deterministic
+    rng = random.Random(SPOT_CHECK_SEED)
+    spot = np.array([rng.randrange(size) for _ in range(2 * SPOT_CHECKS)])  # pairs (a, b) in turn
+    spot_rank, spot_state = auto.batch_product(spot[0::2], spot[1::2], n)
+    factors, carries = g.from_array(ds.domain_array(n)[spot]), g.from_array(carry_elems[spot_state])
     spot_bad = 0
-    for _ in range(rng_spot_checks):
-        a = ds.element_of_rank(rng.randrange(size), n)
-        b = ds.element_of_rank(rng.randrange(size), n)
-        prefix, carry = carry_mul(ds, ds.digit_prefix(a, n), ds.digit_prefix(b, n), n)
-        prod = g.mul(a, b)
-        if prefix != ds.digit_prefix(prod, n) or carry != ds.tail(prod, n):
-            spot_bad += 1
-        if reconstruct(ds, prefix, carry) != prod:
-            spot_bad += 1
+    for x, y, rank, carry in zip(factors[0::2], factors[1::2], spot_rank.tolist(), carries):
+        prod = g.mul(x, y)
+        spot_bad += rank != ds.rank_of(prod, n) or carry != ds.tail(prod, n)
+        spot_bad += reconstruct(ds, ds.spell(rank, n), carry) != prod
     return {
         "pairs": total,
         "mismatches": mismatches,

@@ -83,8 +83,8 @@ def critical_point(win: Window) -> OdometerPoint:
     The identity's shifted orbit point then sits on the boundary layer at
     every built level.
     """
-    return OdometerPoint(tuple(win.ds.alphabet(n)[codes.index(CLS_PENDING)]
-                               for n, codes in enumerate(win.spec.partitions, start=1)))
+    return OdometerPoint(sum(codes.index(CLS_PENDING) * win.ds.size(n - 1)
+                             for n, codes in enumerate(win.spec.partitions, start=1)), win.cap)
 
 
 def boundary_hitters_exact(win: Window, xi: OdometerPoint) -> list[tuple[Elem, int]]:
@@ -161,7 +161,7 @@ class TRegionResult:
     """Cylinder-level certificate scan of a translate-intersection region."""
 
     eps_level: int
-    certificates: list[tuple[int, ...]]  # digit index strings of fully contained cylinders
+    certificates: list[int]  # level-cap ranks of fully contained cylinders, ascending
     excluded: int                        # cylinders provably disjoint from the region
     undecided: int
     mismatched_undecided: int            # |N|=|M|=1 only: unresolved with unequal classes
@@ -209,10 +209,9 @@ def t_region(
     mismatched = 0
     if len(accept) == 1 and len(reject) == 1:
         mismatched = int((undecided & (checks[0][0] != checks[1][0])).sum())
-    certified = zip(*(d.tolist() for d in ds.radix_digits(zetas[cert], n)))
     return TRegionResult(
         eps_level,
-        sorted(certified),
+        zetas[cert].tolist(),
         int(excl.sum()),
         int(undecided.sum()),
         mismatched,

@@ -69,18 +69,6 @@ def classify(win: Window, x: OdometerPoint) -> tuple[int, int]:
     return code, level
 
 
-def shifted_orbit_ranks(win: Window, ranks: np.ndarray, xi: OdometerPoint) -> np.ndarray:
-    """Level-cap ranks of embed(g)·ξ, one per level-cap rank of a position g.
-
-    Each is the head of the product of the level-cap heads of g and ξ, which
-    is exact because Γ_cap is normal.
-    """
-    n = win.cap
-    if xi.precision < n:
-        raise PrecisionError(f"shift point needs precision >= {n}")
-    return win.ds.product_ranks(ranks, rank_of_point(win.ds, xi, n), n)
-
-
 def patch_cylinders(
     win: Window, patch: Sequence[Elem] | None, patch_level: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -102,8 +90,12 @@ def patch_cylinders(
 def shifted_patch(
     win: Window, xi: OdometerPoint, rows: np.ndarray, ranks: np.ndarray
 ) -> tuple[SymbolicPatch, np.ndarray]:
-    """The patch on these rows and the level-cap ranks of its shifted orbit points."""
-    orbit = shifted_orbit_ranks(win, ranks, xi)
+    """The patch on these rows and the level-cap ranks of its shifted orbit points.
+
+    The orbit point of a position g is embed(g)·ξ, whose level-cap rank is the head
+    of the product of the level-cap heads of g and ξ: exact because Γ_cap is normal.
+    """
+    orbit = win.ds.product_ranks(ranks, rank_of_point(win.ds, xi, win.cap), win.cap)
     codes = win.tree.vec_classify(orbit)
     return SymbolicPatch(win.group, rows, ranks, codes), orbit
 

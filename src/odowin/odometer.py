@@ -1,10 +1,10 @@
 """Completion points at finite precision: cylinders, metric, measure, arithmetic.
 
-A point of the profinite completion is represented by its digit string to some
-finite precision; the canonical embedding of a group element g is the digit
-string of its level-n head, which is defined for every g (heads always exist,
-even when g itself has no finite expansion).  All operations declare the
-precision of their output and never invent digits.
+A point of the profinite completion known to precision n is one coset of Γ_n,
+held as its rank in D_n, whose level-m prefix is ``rank % size(m)``.  The canonical
+embedding of g is the rank of its level-n head, defined for every g (heads always
+exist, even when g has no finite expansion).  All operations declare the precision
+of their output and never invent digits; digits are spelled only where printed.
 """
 
 from __future__ import annotations
@@ -13,20 +13,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expansion import DomainSequence, carry_mul, reconstruct
+import numpy as np
+
+from .expansion import DomainSequence, check_ranks
 from .groups import Elem, PrecisionError, SubgroupChain
 
 
 @dataclass(frozen=True)
 class OdometerPoint:
-    """Truncated digit string; ``rational_for`` marks embedded group elements."""
+    """A point by its rank in D_precision; ``rational_for`` marks embedded group elements."""
 
-    digits: tuple[Elem, ...]
+    rank: int
+    precision: int
     rational_for: Elem | None = None
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def embed(ds: DomainSequence, g: Elem, precision: int) -> OdometerPoint:
     """Canonical embedding of g, truncated to the given digit precision."""
     if precision > ds.levels:
         raise PrecisionError(f"only {ds.levels} digit levels are built")
-    return OdometerPoint(ds.digit_prefix(g, precision), rational_for=g)
+    return OdometerPoint(ds.rank_of(g, precision), precision, rational_for=g)
 
 
 def sample_point(ds: DomainSequence, rng_seed: int, n: int) -> OdometerPoint:
@@ -64,22 +63,21 @@ def sample_point(ds: DomainSequence, rng_seed: int, n: int) -> OdometerPoint:
     if n > ds.levels:
         raise PrecisionError(f"only {ds.levels} digit levels are built")
     rng = random.Random(rng_seed)
-    digits = tuple(
-        ds.alphabet(j)[rng.randrange(len(ds.alphabet(j)))] for j in range(1, n + 1)
-    )
-    return OdometerPoint(digits)
-
-
-def head_of_point(ds: DomainSequence, x: OdometerPoint, n: int) -> Elem:
-    """Product of the first n digits; lies in D_n."""
-    if n > x.precision:
-        raise PrecisionError(f"point has precision {x.precision}, need {n}")
-    return reconstruct(ds, x.digits[:n])
+    rank = sum(rng.randrange(len(ds.alphabet(j))) * ds.size(j - 1) for j in range(1, n + 1))
+    return OdometerPoint(rank, n)
 
 
 def rank_of_point(ds: DomainSequence, x: OdometerPoint, n: int) -> int:
-    """Domain rank of the level-n cylinder around x."""
-    return ds.rank_of(head_of_point(ds, x, n), n)
+    """Domain rank of the level-n cylinder around x; a rank outside its level is refused."""
+    if n > x.precision:
+        raise PrecisionError(f"point has precision {x.precision}, need {n}")
+    check_ranks(ds.size(x.precision), x.precision, x.rank)
+    return x.rank % ds.size(n)
+
+
+def head_of_point(ds: DomainSequence, x: OdometerPoint, n: int) -> Elem:
+    """The element of D_n at the point's level-n rank."""
+    return ds.element_of_rank(rank_of_point(ds, x, n), n)
 
 
 def cylinder_of(ds: DomainSequence, x: OdometerPoint, level: int) -> Cylinder:
@@ -99,8 +97,9 @@ def metric(ds: DomainSequence, x: OdometerPoint, y: OdometerPoint) -> MetricResu
     points never yield a silent zero.
     """
     shared = min(x.precision, y.precision)
+    diff = rank_of_point(ds, x, shared) - rank_of_point(ds, y, shared)
     for j in range(1, shared + 1):
-        if x.digits[j - 1] != y.digits[j - 1]:
+        if diff % ds.size(j):  # the level-j prefixes differ
             return MetricResult("separated", Fraction(1, 2**j), j)
     if x.rational_for is not None and y.rational_for is not None:
         if x.rational_for == y.rational_for:
@@ -122,32 +121,26 @@ def points_equal(ds: DomainSequence, x: OdometerPoint, y: OdometerPoint) -> bool
 
 
 def odo_mul(ds: DomainSequence, x: OdometerPoint, y: OdometerPoint, n: int) -> OdometerPoint:
-    """Digits of the product to level n, via the carry recursion.
+    """The product to level n, via the carry recursion.
 
-    Exact: level-n digits of a product depend only on level-n digits of the
-    factors.
+    Exact: the level-n rank of a product depends only on the level-n ranks of
+    the factors.
     """
-    if x.precision < n or y.precision < n:
-        raise PrecisionError(
-            f"product to level {n} needs both factors at precision >= {n} "
-            f"(have {x.precision} and {y.precision})"
-        )
-    digits, _carry = carry_mul(ds, x.digits, y.digits, n)
+    ranks = np.array([rank_of_point(ds, x, n), rank_of_point(ds, y, n)])
+    rank, _state = ds.automaton(n).batch_product(ranks[:1], ranks[1:], n)
     rat = None
     if x.rational_for is not None and y.rational_for is not None:
         rat = ds.group.mul(x.rational_for, y.rational_for)
-    return OdometerPoint(digits, rational_for=rat)
+    return OdometerPoint(int(rank[0]), n, rational_for=rat)
 
 
 def odo_inv(ds: DomainSequence, x: OdometerPoint, n: int) -> OdometerPoint:
-    """Digits of the inverse to level n.
+    """The inverse to level n.
 
     The level-n head of the inverse is the head of the inverse of the level-n
-    head, so the digits are read off the representative of the inverse coset.
+    head, so the rank is that of the inverse coset.
     """
-    if x.precision < n:
-        raise PrecisionError(f"point has precision {x.precision}, need {n}")
     g = ds.group
-    rep = ds.head(g.inv(head_of_point(ds, x, n)), n)
+    rank = ds.rank_of(g.inv(head_of_point(ds, x, n)), n)
     rat = None if x.rational_for is None else g.inv(x.rational_for)
-    return OdometerPoint(ds.digit_prefix(rep, n), rational_for=rat)
+    return OdometerPoint(rank, n, rational_for=rat)

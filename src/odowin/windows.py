@@ -438,11 +438,10 @@ def build_perf(
     partitions: list[tuple[int, ...]] = []
     log: list[str] = []
     pointer = 0
-    last_fail = ""
     for n in range(1, cap + 1):
         a_n = a_list[n - 1]
         threshold = boundary_fraction_threshold(delta, n)
-        accepted = False
+        last_fail = ""
         while pointer < len(raw):
             m = raw[pointer]
             pointer += 1
@@ -463,7 +462,6 @@ def build_perf(
                     f"level {n}: modulus {m}, alphabet {total}, carry-safe {len(safe)}, "
                     f"boundary {n_boundary} (fraction {ratio} >= {float(threshold):.6g})"
                 )
-                accepted = True
                 break
             last_fail = (
                 f"level {n} at modulus {m}: carry-safe digits {len(safe)}, need "
@@ -472,10 +470,10 @@ def build_perf(
             log.append("telescoped past modulus "
                        f"{m}: {last_fail}")
             ds.pop_level()
-        if not accepted:
-            raise ConstructionError(
-                f"chain exhausted before level {cap}; last failing inequality: {last_fail}"
-            )
+        else:  # no modulus was accepted at level n
+            raise ConstructionError(f"chain exhausted at level {n}: " + (
+                f"last failing inequality: {last_fail}" if last_fail else "no modulus left to try"
+            ))
 
     spec = WindowSpec(
         kind="perf",

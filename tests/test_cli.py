@@ -1,7 +1,10 @@
 """Command-line behavior: determinism, round trips, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odowin
 from odowin.cli import main
 from odowin.fibers import critical_point, enumerate_fiber
 from odowin.groups import ConstructionError
@@ -311,7 +315,9 @@ def _fiber_report_oracle(win, xi, level):
     hitters = [g.fmt(h) for h in rep.hitters()]
     report = {
         "window": win.window_id,
-        "shift_digits": [g.fmt(d) for d in xi.digits],
+        # digit j of a level-n rank is its mixed-radix digit of place value size(j-1)
+        "shift_digits": [g.fmt(win.ds.alphabet(j)[xi.rank // win.ds.size(j - 1) % len(win.ds.alphabet(j))])
+                         for j in range(1, xi.precision + 1)],
         "patch_level": level,
         "classes": {f"S{j + 1}": [g.fmt(e) for e in cls] for j, cls in enumerate(rep.classes)},
         "full_coverage": rep.full_coverage(),
@@ -417,6 +423,59 @@ def test_stdout_and_out_write_the_same_bytes(tmp_path, cfg, capsys):
         out = tmp_path / f"{argv[0]}.out"
         assert main([*argv, "--out", str(out)]) == 0, argv
         assert printed.encode() == out.read_bytes(), argv
+
+
+def _odowin(argv, **kwargs):
+    """Start ``python -m odowin.cli`` with this package on its path."""
+    src = str(Path(odowin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "odowin.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path, cfg):
+    # A reader that stops after 100 bytes of a 36,000-record patch (as ``| head -c 100``):
+    # no traceback, nothing on stderr, exit 0.
+    main(["build", "--config", cfg("w.cfg", FIBER_CFG), "--out", str(tmp_path / "w")])
+    with _odowin(["emit", str(tmp_path / "w" / "window.txt"), "--patch-level", "6"],
+                 stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.read(100).startswith(b'{"digits":[')
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0 and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_stdout_exits_two(tmp_path, cfg):
+    # A stdout that takes no bytes: one stderr line and exit 2, both for a long write
+    # (emit) and for a short report that fails only when it is flushed (verify).
+    main(["build", "--config", cfg("w.cfg", FIBER_CFG), "--out", str(tmp_path / "w")])
+    win = str(tmp_path / "w" / "window.txt")
+    for argv in (["emit", win, "--patch-level", "6"], ["verify", win]):
+        with open("/dev/full", "w") as full, _odowin(argv, stdout=full) as proc:
+            err = proc.stderr.read().decode().splitlines()
+        assert proc.returncode == 2, argv
+        assert len(err) == 1 and err[0].startswith("cannot write to stdout:"), (argv, err)
+        assert "No space left on device" in err[0], argv
+
+
+def test_exhausted_chain_names_its_level(tmp_path, cfg, capsys):
+    # The level where the moduli ran out, with that level's last failing inequality,
+    # or with none left to try at all.
+    cases = {
+        # the 2·2^k chain of length 16 runs out at level 4, short of cap 6 (at length
+        # 24 it runs out at level 5, after building a 2^24-element domain)
+        IRR_CFG.replace("cap = 3", "cap = 6").replace("length = 24", "length = 16"):
+            "chain exhausted at level 4: last failing inequality: level 4 at modulus 65536: "
+            "carry-safe digits 1, need boundary fraction (1 - 3)/2 >= 0.957603",
+        # six moduli, each taken by one of the first six levels
+        FIBER_CFG.replace("cap = 6", "cap = 7"): "chain exhausted at level 7: no modulus left to try",
+    }
+    for i, (text, message) in enumerate(cases.items()):
+        capsys.readouterr()
+        assert main(["build", "--config", cfg(f"{i}.cfg", text), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+        assert not (tmp_path / "x").exists()
 
 
 def test_preset_must_agree_with_group_name(tmp_path, cfg, capsys):

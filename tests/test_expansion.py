@@ -10,6 +10,8 @@ import pytest
 from odowin import presets
 from odowin.expansion import (
     _CLOSURE_ROWS,
+    SPOT_CHECK_SEED,
+    SPOT_CHECKS,
     CarryAutomaton,
     DomainSequence,
     carry_mul,
@@ -622,7 +624,7 @@ def test_closure_extended_and_cut_back_matches_reference():
 
 
 def test_two_route_identity_small(ds_z_carry):
-    rep = verify_carry_identity(ds_z_carry, 3, rng_spot_checks=50)
+    rep = verify_carry_identity(ds_z_carry, 3)
     assert rep["mismatches"] == 0 and rep["spot_check_failures"] == 0
 
 
@@ -682,7 +684,7 @@ def test_two_route_memory_is_bounded_by_blocks(monkeypatch):
     dtypes = record_dtypes(monkeypatch, ds.group)
     tracemalloc.start()
     try:
-        rep = verify_carry_identity(ds, 4, rng_spot_checks=0)
+        rep = verify_carry_identity(ds, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -702,7 +704,7 @@ def test_two_route_refuses_a_step_table_value_at_the_bound(name):
     s = auto.trans_state[n - 1].reshape(-1)[np.flatnonzero(auto.trans_digit[n - 1])[0]]
     auto.states[n][s, : g.dim] = (1 << 30) - 1
     with pytest.raises(OverflowError, match="values too large"):
-        verify_carry_identity(ds, n, rng_spot_checks=0)
+        verify_carry_identity(ds, n)
 
 
 @pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
@@ -760,7 +762,7 @@ def test_two_route_matches_reference_loop(name, n):
     ds = presets.domains(name, n)
     auto = ds.automaton(n)
     entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
-    assert verify_carry_identity(ds, n, rng_spot_checks=0)["mismatches"] == 0
+    assert verify_carry_identity(ds, n)["mismatches"] == 0
     assert reference_two_route_mismatches(ds, n) == 0
     for table, choices in (
         (auto.trans_digit[n - 1], len(ds.alphabet(n))),
@@ -772,59 +774,91 @@ def test_two_route_matches_reference_loop(name, n):
             want = reference_two_route_mismatches(ds, n)
             assert want > 0
             for chunk in (1, 1 << 15):
-                got = verify_carry_identity(ds, n, chunk=chunk, rng_spot_checks=0)
+                got = verify_carry_identity(ds, n, chunk=chunk)
                 assert got["mismatches"] == want
         finally:
             table[entry] = old
 
 
 def scalar_truth(ds, n):
-    """Scalar products and truth over D_n × D_n.
+    """Scalar products and truth over D_n × D_n, pairs of ranks (a, b) in row-major order.
 
-    Returns (products, truth): products maps each pair of digit-index strings
-    to g·h, truth maps it to the product's digit indices and tail.
+    Returns (products, rank, tail): products maps each pair to D_n[a]·D_n[b] by
+    the group law, and ``rank`` and ``tail`` hold, pair by pair in that order,
+    the product's head rank and its tail as an element row.
     """
     grp, dom = ds.group, ds.domain_list(n)
+    prods = {(a, b): grp.mul(x, y) for a, x in enumerate(dom) for b, y in enumerate(dom)}
+    rank = np.array([ds.rank_of(x, n) for x in prods.values()])
+    tail = grp.to_array([ds.tail(x, n) for x in prods.values()])
+    return prods, rank, tail
 
-    def digit_indices(x):
-        return tuple(ds.radix_digits(ds.rank_of(x, n), n))
 
-    idx = [digit_indices(x) for x in dom]
-    prods = {(ia, ib): grp.mul(a, b) for a, ia in zip(dom, idx) for b, ib in zip(dom, idx)}
-    truth = {k: (digit_indices(x), ds.tail(x, n)) for k, x in prods.items()}
-    return prods, truth
+def automaton_mismatches(ds, truth, n):
+    """Pairs, as indices into the truth's row-major order, whose product rank or
+    carry by the carry recursion differs from the scalar truth.
+
+    One ``batch_product`` walk over every pair reads each level's tables by
+    flat index; the two-route oracle reads its last two levels through its own
+    step table and prefix gathers, so the walk shares no code with route A at
+    a corrupted level above 1.
+    """
+    _prods, rank, tail = truth
+    auto = ds.automaton(n)
+    got, state = auto.batch_product(*np.divmod(np.arange(len(rank)), ds.size(n)), n)
+    return np.flatnonzero((got != rank) | (auto.carry_rows(n)[state] != tail).any(axis=1))
+
+
+def reference_spot_check_failures(ds, n):
+    """The oracle's spot-check failure count, pair by pair through ``carry_mul``'s scalar walk."""
+    rng, grp, bad = random.Random(SPOT_CHECK_SEED), ds.group, 0
+    for _ in range(SPOT_CHECKS):
+        a = ds.element_of_rank(rng.randrange(ds.size(n)), n)
+        b = ds.element_of_rank(rng.randrange(ds.size(n)), n)
+        prefix, carry = carry_mul(ds, ds.digit_prefix(a, n), ds.digit_prefix(b, n), n)
+        prod = grp.mul(a, b)
+        bad += prefix != ds.digit_prefix(prod, n) or carry != ds.tail(prod, n)
+        bad += reconstruct(ds, prefix, carry) != prod
+    return bad
 
 
 @pytest.fixture(scope="module")
 def d3_truth(request):
-    """Scalar truth over D_3 × D_3 of one preset, computed once per module: (domains, products, truth)."""
+    """Scalar truth over D_3 × D_3 of one preset, computed once per module: (domains, truth)."""
     ds = presets.domains(request.param, 3)
-    return (ds, *scalar_truth(ds, 3))
+    return ds, scalar_truth(ds, 3)
 
 
 @pytest.mark.parametrize("d3_truth", ["z-carry", "z2-pow2", "heis-pow2"], indirect=True)
 def test_two_route_counts_corrupted_tables_exactly(d3_truth):
     # One wrong transition at a prefix level or at the last level: the
-    # oracle's mismatch count equals a scalar count over every pair of D_3.
+    # oracle's mismatch count equals a scalar count over every pair of D_3,
+    # and its spot-check failures equal a pair-by-pair scalar replay.
     n = 3
-    ds, _prods, truth = d3_truth
+    ds, truth = d3_truth
     auto = ds.automaton(n)
+    assert len(automaton_mismatches(ds, truth, n)) == 0
+    assert verify_carry_identity(ds, n)["spot_check_failures"] == 0
     entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
+    spotted = 0
     for tables, choices in (
         (auto.trans_digit, lambda j: len(ds.alphabet(j))),
         (auto.trans_state, lambda j: len(auto.states[j])),
     ):
-        for j in (2, n):
-            old = tables[j - 1][entry]
-            tables[j - 1][entry] = (old + 1) % choices(j)
+        for j, at in ((1, (0, 1, 1)), (2, entry), (n, entry)):
+            old = tables[j - 1][at]
+            tables[j - 1][at] = (old + 1) % choices(j)
             try:
-                want = sum(
-                    auto.product_digit_indices(ia, ib, n) != got for (ia, ib), got in truth.items()
-                )
-                assert want > 0
-                assert verify_carry_identity(ds, n, rng_spot_checks=0)["mismatches"] == want
+                rep = verify_carry_identity(ds, n)
+                if j > 1:
+                    want = len(automaton_mismatches(ds, truth, n))
+                    assert want > 0
+                    assert rep["mismatches"] == want
+                assert rep["spot_check_failures"] == reference_spot_check_failures(ds, n)
+                spotted += rep["spot_check_failures"] > 0
             finally:
-                tables[j - 1][entry] = old
+                tables[j - 1][at] = old
+    assert spotted  # some corruption shows in the spot checks
 
 
 @pytest.mark.parametrize("name", ["z2-pow2", "heis-pow2"])
@@ -837,7 +871,7 @@ def test_two_route_counts_corrupted_step_row_edges_exactly(name):
     n = 2
     ds = presets.domains(name, n)
     auto = ds.automaton(n)
-    _prods, truth = scalar_truth(ds, n)
+    truth = scalar_truth(ds, n)
     carries = ds.group.from_array(auto.carry_rows(n))
     last = len(ds.alphabet(n)) - 1
     for table, wrong in (
@@ -848,9 +882,9 @@ def test_two_route_counts_corrupted_step_row_edges_exactly(name):
             old = table[entry]
             table[entry] = wrong(old)
             try:
-                want = sum(auto.product_digit_indices(*k, n) != got for k, got in truth.items())
+                want = len(automaton_mismatches(ds, truth, n))
                 assert want > 0, entry
-                got = verify_carry_identity(ds, n, rng_spot_checks=0)["mismatches"]
+                got = verify_carry_identity(ds, n)["mismatches"]
                 assert got == want, entry
             finally:
                 table[entry] = old
@@ -862,7 +896,8 @@ def test_two_route_counts_carries_outside_the_subgroup(d3_truth, monkeypatch):
     # Each case changes the carry reached through one level-n transition; the
     # oracle's mismatch count must equal a scalar count over every pair of D_3.
     n = 3
-    ds, prods, truth = d3_truth
+    ds, truth = d3_truth
+    prods = truth[0]
     grp, auto = ds.group, ds.automaton(n)
     dtypes = record_dtypes(monkeypatch, grp)  # the oracle's working dtype, call by call
     entry = (-1, 1, -1)  # last state, digit 1 on the left, last digit on the right
@@ -873,10 +908,10 @@ def test_two_route_counts_carries_outside_the_subgroup(d3_truth, monkeypatch):
     outside = ds.alphabet(n)[1]
 
     def oracle_equals_scalar_count():
-        bad = [k for k, want in truth.items() if auto.product_digit_indices(*k, n) != want]
-        assert bad
-        assert verify_carry_identity(ds, n, rng_spot_checks=0)["mismatches"] == len(bad)
-        return bad
+        bad = automaton_mismatches(ds, truth, n)
+        assert len(bad)
+        assert verify_carry_identity(ds, n)["mismatches"] == len(bad)
+        return list(zip(*(r.tolist() for r in np.divmod(bad, ds.size(n)))))  # rank pairs
 
     # Compensating corruption: a wrong top digit gives a wrong head rank r',
     # and the transition moves to a new state whose carry is D_n[r']^{-1}·(g·h),
@@ -889,14 +924,15 @@ def test_two_route_counts_carries_outside_the_subgroup(d3_truth, monkeypatch):
     ia, ib = gw + (1,), hw + (len(ds.alphabet(n)) - 1,)
     wrong, _ = auto.product_digit_indices(ia, ib, n)
     head = reconstruct(ds, [ds.alphabet(j + 1)[i] for j, i in enumerate(wrong)])
+    pair = tuple(sum(i * ds.size(j) for j, i in enumerate(idx)) for idx in (ia, ib))  # their ranks
     new = rows[target].copy()  # the new state keeps the target's context
-    new[: grp.dim] = grp.to_array([grp.mul(grp.inv(head), prods[ia, ib])])[0]
+    new[: grp.dim] = grp.to_array([grp.mul(grp.inv(head), prods[pair])])[0]
     auto.states[n] = np.vstack([rows, new])
     states[entry] = len(rows)
     try:
-        for k in oracle_equals_scalar_count():
-            out, c = auto.product_digit_indices(*k, n)
-            assert reconstruct(ds, [ds.alphabet(j + 1)[i] for j, i in enumerate(out)], c) == prods[k]
+        for a, b in oracle_equals_scalar_count():
+            out, c = auto.product_digit_indices(ds.radix_digits(a, n), ds.radix_digits(b, n), n)
+            assert reconstruct(ds, [ds.alphabet(j + 1)[i] for j, i in enumerate(out)], c) == prods[a, b]
             assert ds.head(c, n) != grp.identity  # the carry lies outside Γ_n
     finally:
         auto.states[n] = rows

@@ -14,8 +14,8 @@ from odowin.fibers import (
     similarity_classes,
     t_region,
 )
-from odowin.model_sets import classify, emit_patch, shifted_orbit_ranks
-from odowin.odometer import embed, odo_mul, sample_point
+from odowin.model_sets import classify, emit_patch
+from odowin.odometer import embed, odo_mul, rank_of_point, sample_point
 from odowin.windows import CLS_IN, CLS_OUT, CLS_PENDING, boundary_measure
 
 
@@ -35,6 +35,14 @@ def test_critical_point_is_boundary(w_fiber, w_k):
     for win in (w_fiber, w_k[3]):
         xi = critical_point(win)
         assert classify(win, xi) == (CLS_PENDING, win.cap)
+
+
+def test_critical_point_spells_the_first_boundary_digits(w_irr, w_fiber, w_k, w_kt, w_z2, w_heis):
+    for win in (w_irr, w_fiber, w_k[3], w_kt[2], w_z2, w_heis):
+        xi = critical_point(win)
+        first = tuple(win.ds.alphabet(n)[codes.index(CLS_PENDING)]
+                      for n, codes in enumerate(win.spec.partitions, start=1))
+        assert xi.precision == win.cap and win.ds.spell(xi.rank, win.cap) == first
 
 
 def test_haar_criticality_frequency(w_irr):
@@ -282,7 +290,7 @@ def _reference_fiber(win, xi, patch):
     distinct count, all on the cap-level default patch when ``patch`` is None.
     """
     base = emit_patch(win, xi, patch, patch_level=win.cap)
-    orbit = shifted_orbit_ranks(win, base.ranks, xi)
+    orbit = win.ds.product_ranks(base.ranks, rank_of_point(win.ds, xi, win.cap), win.cap)
     pending = np.flatnonzero(base.codes == CLS_PENDING)
     sectors = win.spec.sector_of(orbit[pending]).tolist()
     key = win.group.sort_key

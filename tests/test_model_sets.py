@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from odowin.expansion import reconstruct
 from odowin.groups import ConstructionError
 from odowin.model_sets import (
     classify,
@@ -25,9 +26,8 @@ def test_classify_examples(w_irr):
     a1 = ds.alphabet(1)[w_irr.spec.partitions[0].index(CLS_IN)]
     cls, level = classify(w_irr, embed(ds, a1, w_irr.cap))
     assert cls == CLS_IN and level == 1
-    all_boundary = OdometerPoint(tuple(
-        ds.alphabet(n)[p.index(CLS_PENDING)] for n, p in enumerate(w_irr.spec.partitions, start=1)
-    ))
+    digits = [ds.alphabet(n)[p.index(CLS_PENDING)] for n, p in enumerate(w_irr.spec.partitions, start=1)]
+    all_boundary = OdometerPoint(ds.rank_of(reconstruct(ds, digits), w_irr.cap), w_irr.cap)
     assert classify(w_irr, all_boundary) == (CLS_PENDING, w_irr.cap)
 
 
