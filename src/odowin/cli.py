@@ -22,6 +22,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import expansion
 from .fibers import birkhoff_stats, critical_point, enumerate_fiber
 from .groups import ConstructionError, group_by_name, geometric_moduli
@@ -276,7 +278,7 @@ def cmd_emit(args) -> int:
     _write(args.out, [patch_jsonl(win, patch)])
     if args.out:
         print(f"patch written to {args.out} ({len(patch.ranks)} positions, "
-              f"{len(patch.undecided())} undecided)")
+              f"{np.count_nonzero(patch.codes == CLS_PENDING)} undecided)")
     return 0
 
 

@@ -131,11 +131,14 @@ class DomainSequence:
     def index(self, n: int) -> int:
         return self.modulus(n) ** self.group.dim
 
-    def append_level(self, modulus: int) -> None:
-        """Extend by one level with the canonical transversal mod ``modulus``.
+    def next_alphabet(self, modulus: int) -> tuple[list[Elem], np.ndarray]:
+        """The digit alphabet of level ``levels + 1`` mod ``modulus``, as elements and rows.
 
-        D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d] is one broadcast product.  A
-        level over ``ARRAY_BUDGET`` is refused before its transversal is listed.
+        No domain is formed, so a modulus can be probed before it is built.  The
+        refusals that need no domain run here, for ``append_level`` too: a
+        modulus that is not a proper multiple of the top one, a domain over
+        ``ARRAY_BUDGET``, and a transversal that does not start with the
+        identity or leaves the previous subgroup.
         """
         g = self.group
         n = self.levels + 1
@@ -161,6 +164,18 @@ class DomainSequence:
                 f"level {n}: transversal element {g.fmt(alphabet[outside[0]])} "
                 "not in the previous subgroup"
             )
+        return alphabet, t_arr
+
+    def append_level(self, modulus: int) -> None:
+        """Extend by one level with the canonical transversal mod ``modulus``.
+
+        D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d] is one broadcast product.  A
+        level over ``ARRAY_BUDGET`` is refused before its transversal is listed.
+        """
+        g = self.group
+        n = self.levels + 1
+        alphabet, t_arr = self.next_alphabet(modulus)
+        index = modulus ** g.dim
         prev = self._dom[-1]
         dom = g.vec_mul(prev[None], t_arr[:, None]).reshape(-1, g.dim)
         rr = g.vec_residue_rank(dom, modulus)
@@ -183,13 +198,6 @@ class DomainSequence:
         self.alphabets.append(tuple(alphabet))
         self._dom.append(dom)
         self._rep_rank.append(first)
-
-    def pop_level(self) -> None:
-        """Drop the top level; a carry automaton deeper than the domains is cut back."""
-        for per_level in (self.moduli, self.alphabets, self._dom, self._rep_rank):
-            per_level.pop()
-        if self._automaton is not None and self._automaton.levels > self.levels:
-            self._automaton = CarryAutomaton(self, self.levels, self._automaton)
 
     # -- basic queries --------------------------------------------------------
 
@@ -327,7 +335,9 @@ class CarryAutomaton:
     ``states[j-1]`` holds the states entering level j as one int64 array:
     a row per state, the carry's coordinates then the context's (none for an
     abelian group).  ``trans_digit[j-1]`` and ``trans_state[j-1]`` are the
-    level-j tables indexed (state, p, q), and ``first_transition[j-1][s]``
+    level-j tables indexed (state, p, q), each in the narrowest unsigned type
+    holding its entries (``table_dtype``) and read through ``step``, which
+    widens them.  ``first_transition[j-1][s]``
     is the level-j transition (s'·|T_j| + p)·|T_j| + q at which
     ``states[j][s]`` first occurs: a parent pointer, so a state's witness,
     the digit-index strings of two factors reaching it, is spelled by
@@ -342,8 +352,8 @@ class CarryAutomaton:
     def __init__(self, ds: DomainSequence, levels: int, prev: "CarryAutomaton | None"):
         """Close the states through ``levels``, continuing from ``prev`` when given.
 
-        ``prev`` must be built on the same domains; its levels up to ``levels``
-        are reused as they are, so a deeper ``prev`` is cut back.
+        ``prev`` must be built on the same domains, to fewer levels; its levels
+        are reused as they are.
         """
         if levels > ds.levels:
             raise ConstructionError("automaton cannot exceed built domain levels")
@@ -358,12 +368,12 @@ class CarryAutomaton:
             self.first_transition, self.trans_digit, self.trans_state = [], [], []
             sets = [[g.identity]]
         else:
-            start = min(prev.levels, levels)
-            self.states = prev.states[: start + 1]
-            self.first_transition = prev.first_transition[:start]
-            self.trans_digit = prev.trans_digit[:start]
-            self.trans_state = prev.trans_state[:start]
-            sets = prev.carry_range.sets[: start + 1]
+            start = prev.levels
+            self.states = list(prev.states)
+            self.first_transition = list(prev.first_transition)
+            self.trans_digit = list(prev.trans_digit)
+            self.trans_state = list(prev.trans_state)
+            sets = list(prev.carry_range.sets)
         for j in range(start + 1, levels + 1):
             self._close_level(j)
             carry = self.carry_rows(j)
@@ -385,8 +395,8 @@ class CarryAutomaton:
         alpha_inv = g.vec_inv(alpha)
         g.check_bounds(src, alpha_inv)
         na = len(alpha)
-        tdig = np.empty((len(src), na, na), dtype=np.int64)
-        tstate = np.empty_like(tdig)
+        tdig = np.empty((len(src), na, na), dtype=table_dtype(na - 1))
+        tstate = np.empty((len(src), na, na), dtype=np.int64)
         block_rows, block_first = [], []  # per block: its distinct new states, first transitions
         found = 0
         per = max(1, _CLOSURE_ROWS // na**2)  # source states per block
@@ -416,7 +426,7 @@ class CarryAutomaton:
         rows = np.concatenate(block_rows)
         first, number = _first_occurrence(rows)
         self.trans_digit.append(tdig)
-        self.trans_state.append(number[tstate])
+        self.trans_state.append(number.astype(table_dtype(len(first) - 1))[tstate])
         self.first_transition.append(np.concatenate(block_first)[first])
         self.states.append(rows[first])
 
@@ -440,6 +450,19 @@ class CarryAutomaton:
             g_idx[:, j - 1], h_idx[:, j - 1] = np.divmod(pq, na)
         return g_idx, h_idx
 
+    def step(self, j: int, flat):
+        """Product digit indices and next states of the level-j transitions ``flat``.
+
+        ``flat`` indexes the flattened tables, (state·|T_j| + p)·|T_j| + q: an
+        integer gives two ints, an index array or a slice two int64 arrays.
+        NumPy keeps a narrow unsigned type through arithmetic with an int, and
+        wraps, so the tables are read only here, widened.
+        """
+        digit, state = self.trans_digit[j - 1].reshape(-1), self.trans_state[j - 1].reshape(-1)
+        if isinstance(flat, (int, np.integer)):
+            return digit.item(flat), state.item(flat)
+        return digit[flat].astype(np.int64), state[flat].astype(np.int64)
+
     # -- scalar evaluation ----------------------------------------------------
 
     def product_digit_indices(
@@ -461,8 +484,8 @@ class CarryAutomaton:
                     raise ConstructionError(
                         f"digit index {i} outside 0..{na - 1} at level {j}, whose alphabet has {na} digits"
                     )
-            out.append(int(self.trans_digit[j - 1][state, pi, qi]))
-            state = int(self.trans_state[j - 1][state, pi, qi])
+            digit, state = self.step(j, (state * na + pi) * na + qi)
+            out.append(digit)
         return tuple(out), self.ds.group.from_array(self.carry_rows(n)[state : state + 1])[0]
 
     # -- vectorized evaluation ---------------------------------------------------
@@ -484,10 +507,14 @@ class CarryAutomaton:
             na = len(self.ds.alphabet(j))
             g_rank, pi = np.divmod(g_rank, na)
             h_rank, qi = np.divmod(h_rank, na)
-            flat = (state * na + pi) * na + qi
-            out += self.trans_digit[j - 1].reshape(-1)[flat] * self.ds.size(j - 1)
-            state = self.trans_state[j - 1].reshape(-1)[flat]
+            digit, state = self.step(j, (state * na + pi) * na + qi)
+            out += digit * self.ds.size(j - 1)
         return out, state
+
+
+def table_dtype(top: int) -> np.dtype:
+    """The narrowest unsigned type holding 0..top: a transition table holds digit indices or state numbers."""
+    return np.min_scalar_type(top)
 
 
 def over_budget(rows: int, dim: int) -> int:
@@ -669,9 +696,10 @@ def verify_carry_identity(ds: DomainSequence, level: int, chunk: int = 1 << 15) 
     carry_elems = auto.carry_rows(n)  # by state index
     alphabet = g.to_array(ds.alphabet(n))
     g.check_bounds(alphabet, carry_elems)
-    step_state = auto.trans_state[n - 1].reshape(-1)
+    step_digit, step_state = auto.step(n, slice(None))
     step_ok = (g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0)[step_state].reshape(-1, na)
-    pair_of = auto.trans_digit[n - 1].reshape(-1) * len(carry_elems) + step_state
+    pair_of = step_digit * len(carry_elems) + step_state
+    del step_digit, step_state
     reached = np.zeros(na * len(carry_elems), dtype=bool)
     reached[pair_of] = True
     pair_digit, pair_state = np.divmod(np.flatnonzero(reached), len(carry_elems))
@@ -703,10 +731,6 @@ def verify_carry_identity(ds: DomainSequence, level: int, chunk: int = 1 << 15) 
         t.reshape(low2, low2)
         for t in auto.batch_product(np.repeat(base_ranks, low2), np.tile(base_ranks, low2), base)
     )
-    if n == 1:
-        digit1 = state1 = np.zeros(1, dtype=np.int64)
-    else:
-        digit1, state1 = auto.trans_digit[n - 2].reshape(-1), auto.trans_state[n - 2].reshape(-1)
     prefix = np.arange(low)
     db, b = np.divmod(prefix, low2)  # right prefixes b + size(n-2)·db
     rows = max(1, chunk // size)  # left factors per block
@@ -716,10 +740,11 @@ def verify_carry_identity(ds: DomainSequence, level: int, chunk: int = 1 << 15) 
         g_low = prefix[g0 : g0 + width]
         da, a = np.divmod(g_low, low2)  # left prefixes a + size(n-2)·da
         flat = ((base_state[a][:, b] * na1 + da[:, None]) * na1 + db).reshape(-1)
-        pre_rank = base_rank[a][:, b].reshape(-1) + low2 * digit1.take(flat)
+        pre_digit, pre_state = auto.step(n - 1, flat) if n > 1 else (np.zeros_like(flat),) * 2
+        pre_rank = base_rank[a][:, b].reshape(-1) + low2 * pre_digit
         # D_{n-1}[r] at (1, g_low, h_low, q), repeated across q once per group.
         head = np.repeat(low_cols.take(pre_rank, axis=1), na, axis=1).reshape(g.dim, 1, len(g_low), low, na)
-        pre_row = state1.take(flat).reshape(len(g_low), low) * na  # step row of (s, 0)
+        pre_row = pre_state.reshape(len(g_low), low) * na  # step row of (s, 0)
         for p0 in range(0, na, tops):
             p = np.arange(p0, min(p0 + tops, na))
             row = pre_row + p[:, None, None]  # step row of (s, p) at (p, g_low, h_low)

@@ -30,7 +30,6 @@ digit index.  Group elements appear only in the window file's text.
 from __future__ import annotations
 
 import configparser
-import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -314,6 +313,8 @@ class Window:
 
     @property
     def window_id(self) -> str:
+        import hashlib  # loads OpenSSL, which only the commands printing this id need
+
         digest = hashlib.sha256(serialize_window(self).encode()).hexdigest()
         return f"{self.spec.kind}-{digest[:12]}"
 
@@ -334,12 +335,20 @@ class Report:
 # -- van Hove boundaries ------------------------------------------------------
 
 
-def translate_mask(ds: DomainSequence, left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
-    """Mask of left[i]·right[j] ∈ D_n for element rows; a product in D_n is its own head."""
-    g = ds.group
+def translate_mask(g: GroupContext, left: np.ndarray, right: np.ndarray, alphabet: np.ndarray,
+                   modulus: int, n: int) -> np.ndarray:
+    """Mask of left[i]·right[j] ∈ D_n for element rows of Γ_{n-1}, given T_n mod ``modulus``.
+
+    Such a product lies in Γ_{n-1}, and D_n ∩ Γ_{n-1} = T_n, so it lies in D_n
+    exactly when it is the ``alphabet`` row of its residue mod ``modulus``.
+    D_n is never formed, so a modulus is probed before its level is built.
+    """
     check_rows(n, len(left) * len(right), g.dim)
     prod = g.vec_mul(left[:, None], right[None]).reshape(-1, g.dim)
-    inside = np.all(ds.domain_array(n)[ds.vec_rank(prod, n)] == prod, axis=1)
+    residues = g.vec_residue_rank(alphabet, modulus)
+    order = np.argsort(residues)
+    at = np.searchsorted(residues, g.vec_residue_rank(prod, modulus), sorter=order)
+    inside = np.all(alphabet[order[at % len(order)]] == prod, axis=1)
     return inside.reshape(len(left), len(right))
 
 
@@ -386,11 +395,11 @@ def vanhove_boundary(ds: DomainSequence, probe: Sequence[Elem], n: int) -> list[
     return g.from_array(rows[bnd][np.argsort(keys[bnd])])
 
 
-def carry_safe_digits(ds: DomainSequence, carries: Sequence[Elem], n: int) -> np.ndarray:
+def carry_safe_digits(g: GroupContext, carries: Sequence[Elem], alphabet: np.ndarray, modulus: int,
+                      n: int) -> np.ndarray:
     """Mask over the level-n digit indices of the t with carries·t inside D_n (eligible boundary
-    digits)."""
-    g = ds.group
-    return translate_mask(ds, g.to_array(carries), g.to_array(ds.alphabet(n)), n).all(axis=0)
+    digits), given T_n = ``alphabet`` mod ``modulus``."""
+    return translate_mask(g, g.to_array(carries), alphabet, alphabet, modulus, n).all(axis=0)
 
 
 def folner_ratio(ds: DomainSequence, carries: Sequence[Elem], n: int) -> Fraction:
@@ -419,7 +428,8 @@ def build_perf(
 
     Each level must offer enough carry-safe digits to keep ``a_n`` of them out
     of the boundary part while the boundary fraction stays above the exact
-    per-level threshold; raw levels are merged until both hold.
+    per-level threshold; raw levels are merged until both hold.  A modulus is
+    probed against its alphabet, and only the accepted one has its domain built.
     """
     _check_epsilon(epsilon)
     if delta is None:
@@ -445,13 +455,14 @@ def build_perf(
         while pointer < len(raw):
             m = raw[pointer]
             pointer += 1
-            ds.append_level(m)
+            _, alphabet = ds.next_alphabet(m)
             carries = carry_ranges(ds, n).level(n)
-            safe = np.flatnonzero(carry_safe_digits(ds, carries, n))
-            total = len(ds.alphabet(n))
+            safe = np.flatnonzero(carry_safe_digits(group, carries, alphabet, m, n))
+            total = len(alphabet)
             n_boundary = len(safe) - a_n
             ratio = Fraction(max(n_boundary, 0), total)
             if n_boundary >= 1 and ratio >= threshold:
+                ds.append_level(m)
                 # The first a_n safe digits stay off the boundary; the first digit
                 # off it after the identity (digit 0) is the exterior one.
                 codes = np.full(total, CLS_IN, np.int8)
@@ -469,7 +480,6 @@ def build_perf(
             )
             log.append("telescoped past modulus "
                        f"{m}: {last_fail}")
-            ds.pop_level()
         else:  # no modulus was accepted at level n
             raise ConstructionError(f"chain exhausted at level {n}: " + (
                 f"last failing inequality: {last_fail}" if last_fail else "no modulus left to try"
@@ -636,6 +646,7 @@ def check_genericity(win: Window) -> Report:
         depth[idx != 0] = n
     late = escape > np.minimum(depth + 2, spec.cap + 1)
     tail_certified = int(alive.sum())
+    levels, counts = np.unique(escape, return_counts=True)
     ok = not late.any()
     lines.append(
         f"{'PASS' if ok else 'FAIL'}: identity never a boundary digit; "
@@ -645,9 +656,7 @@ def check_genericity(win: Window) -> Report:
     data.update(
         {
             "tail_certified": tail_certified,
-            "escape_histogram": {
-                int(lv): int((escape == lv).sum()) for lv in sorted(set(escape.tolist()))
-            },
+            "escape_histogram": dict(zip(levels.tolist(), counts.tolist())),
         }
     )
     return Report("genericity", ok, lines, data)
@@ -698,8 +707,9 @@ def check_self_similarity(win: Window) -> Report:
     for n, codes in enumerate(spec.partitions, start=1):
         level_carries = carries.level(n)
         boundary = np.flatnonzero(np.array(codes) == CLS_PENDING)
-        inside = translate_mask(ds, g.to_array(level_carries),
-                                g.to_array(ds.alphabet(n))[boundary], n)
+        alphabet = g.to_array(ds.alphabet(n))
+        inside = translate_mask(g, g.to_array(level_carries), alphabet[boundary], alphabet,
+                                ds.modulus(n), n)
         bad = np.flatnonzero(~inside.all(axis=0))
         if bad.size:  # the first failing digit's first failing carry: argmin finds a False
             k, c = level_carries[np.argmin(inside[:, bad[0]])], ds.alphabet(n)[boundary[bad[0]]]

@@ -433,6 +433,29 @@ def _odowin(argv, **kwargs):
                             stderr=subprocess.PIPE, **kwargs)
 
 
+def test_only_the_window_id_loads_openssl(tmp_path, cfg):
+    # hashlib, and with it OpenSSL's _hashlib, is imported only for the window id that
+    # fiber and stats print: each command runs in a fresh process.
+    src = str(Path(odowin.__file__).resolve().parents[1])
+    config, out = cfg("w.cfg", Z2_CFG), tmp_path / "w"
+    win = str(out / "window.txt")
+    runs = {
+        "build": ["build", "--config", config, "--out", str(out)],
+        "verify": ["verify", win],
+        "emit": ["emit", win, "--out", str(tmp_path / "patch.jsonl")],
+        "render": ["render", win, "--out", str(tmp_path / "patch.pgm")],
+        "fiber": ["fiber", win, "--seed", "1", "--out", str(tmp_path / "fiber.json")],
+        "stats": ["stats", win, "--seed", "1", "--out", str(tmp_path / "stats.json")],
+    }
+    script = ("import sys, json; sys.path.insert(0, sys.argv[1]); from odowin.cli import main; "
+              "code = main(json.loads(sys.argv[2])); print(code, '_hashlib' in sys.modules)")
+    for name, argv in runs.items():
+        proc = subprocess.run([sys.executable, "-c", script, src, json.dumps(argv)],
+                              capture_output=True, text=True, check=True)
+        loads = name in ("fiber", "stats")
+        assert proc.stdout.splitlines()[-1] == f"0 {loads}", name
+
+
 def test_closed_stdout_pipe_ends_quietly(tmp_path, cfg):
     # A reader that stops after 100 bytes of a 36,000-record patch (as ``| head -c 100``):
     # no traceback, nothing on stderr, exit 0.
@@ -463,19 +486,32 @@ def test_exhausted_chain_names_its_level(tmp_path, cfg, capsys):
     # The level where the moduli ran out, with that level's last failing inequality,
     # or with none left to try at all.
     cases = {
-        # the 2·2^k chain of length 16 runs out at level 4, short of cap 6 (at length
-        # 24 it runs out at level 5, after building a 2^24-element domain)
+        # the 2·2^k chain of length 16 runs out at level 4, short of cap 6
         IRR_CFG.replace("cap = 3", "cap = 6").replace("length = 24", "length = 16"):
             "chain exhausted at level 4: last failing inequality: level 4 at modulus 65536: "
             "carry-safe digits 1, need boundary fraction (1 - 3)/2 >= 0.957603",
+        # at length 24 it runs out at level 5, at modulus 2^24
+        IRR_CFG.replace("cap = 3", "cap = 6"):
+            "chain exhausted at level 5: last failing inequality: level 5 at modulus 16777216: "
+            "carry-safe digits 3, need boundary fraction (3 - 3)/4 >= 0.978572",
         # six moduli, each taken by one of the first six levels
         FIBER_CFG.replace("cap = 6", "cap = 7"): "chain exhausted at level 7: no modulus left to try",
     }
     for i, (text, message) in enumerate(cases.items()):
         capsys.readouterr()
-        assert main(["build", "--config", cfg(f"{i}.cfg", text), "--out", str(tmp_path / "x")]) == 2
+        tracemalloc.start()
+        try:
+            assert main(["build", "--config", cfg(f"{i}.cfg", text), "--out", str(tmp_path / "x")]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
         assert not (tmp_path / "x").exists()
+        # A rejected modulus is probed against its alphabet and never built.  The
+        # length-24 chain peaks at 165 MiB building its accepted level 4 (2^22
+        # elements: the domain and its rank table alone hold 64 MiB); building
+        # each rejected domain, up to 2^24 elements, peaked at 721 MiB.
+        assert peak < 176 << 20
 
 
 def test_preset_must_agree_with_group_name(tmp_path, cfg, capsys):

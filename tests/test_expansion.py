@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odowin import presets
+from odowin import expansion, presets
 from odowin.expansion import (
     _CLOSURE_ROWS,
     SPOT_CHECK_SEED,
@@ -118,8 +118,9 @@ def assert_matches_reference(auto, ref):
     ):
         same = got == want and repr(got) == repr(want)
         assert same, f"{name} differ from the reference closure"
+    # The reference tables are int64; the automaton's are narrow, compared by value.
     for got, want in zip(auto.trans_digit + auto.trans_state, trans_digit + trans_state):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype.kind == "u" and np.array_equal(got, want)
     assert len(auto.trans_digit) == len(trans_digit) == auto.levels
 
 
@@ -505,27 +506,22 @@ def level_arrays(auto):
     return auto.states + auto.first_transition + auto.trans_digit + auto.trans_state
 
 
-def test_automaton_extends_and_cuts_back():
-    # pop_level cuts a deeper automaton back and a later level extends it; the
-    # cut and the grown automaton hold their parent's arrays for the levels
-    # they share, and the result equals one closure from level 1: tables,
-    # state rows and order, parent pointers, carry sets and witnesses
+def test_automaton_extends_sharing_levels():
+    # a later level extends the automaton; the grown automaton holds its
+    # parent's arrays for the levels they share, and the result equals one
+    # closure from level 1: tables and their types, state rows and order,
+    # parent pointers, carry sets and witnesses
     for name in ("z-carry", "heis-pow2"):
-        ds = presets.domains(name, 4)
-        deep = ds.automaton(4)
-        ds.pop_level()
-        ds.pop_level()
-        cut = ds.automaton(2)
-        assert cut.levels == 2
+        ds = presets.domains(name, 2)
+        short = ds.automaton(2)
         ds.append_level(presets.chain(name).modulus(3))
         grown, fresh = ds.automaton(3), presets.domains(name, 3).automaton(3)
-        for parent, child in ((deep, cut), (cut, grown)):
-            for tables in ("states", "first_transition", "trans_digit", "trans_state"):
-                shared = 3 if tables == "states" else 2  # levels 0..2, transitions into 1..2
-                assert all(a is b for a, b in zip(getattr(child, tables)[:shared], getattr(parent, tables)))
+        for tables in ("states", "first_transition", "trans_digit", "trans_state"):
+            shared = 3 if tables == "states" else 2  # levels 0..2, transitions into 1..2
+            assert all(a is b for a, b in zip(getattr(grown, tables)[:shared], getattr(short, tables)))
         assert len(level_arrays(grown)) == len(level_arrays(fresh)) == 4 + 3 * 3
         for a, b in zip(level_arrays(grown), level_arrays(fresh)):
-            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
         assert grown.carry_range.sets == fresh.carry_range.sets
         assert grown.carry_range.witnesses == fresh.carry_range.witnesses
 
@@ -612,15 +608,53 @@ def test_closure_matches_reference_across_row_blocks():
     assert_matches_reference(ds.automaton(2), ref)
 
 
-def test_closure_extended_and_cut_back_matches_reference():
+def test_closure_extended_matches_reference():
     for name in ("z-carry", "heis-pow2"):
-        ds = presets.domains(name, 4)
-        ds.automaton(4)
-        ds.pop_level()
-        ds.pop_level()
+        ds = presets.domains(name, 2)
         assert_matches_reference(ds.automaton(2), reference_closure(ds, 2))
         ds.append_level(presets.chain(name).modulus(3))
         assert_matches_reference(ds.automaton(3), reference_closure(ds, 3))
+
+
+def test_transition_tables_take_their_narrowest_type():
+    # heis-pow2's level-4 tables: 8 digits and 6,329 states entering level 5
+    auto = presets.domains("heis-pow2", 4).automaton(4)
+    assert len(auto.states[4]) == 6329
+    assert (auto.trans_digit[3].dtype, auto.trans_state[3].dtype) == (np.uint8, np.uint16)
+    for j in range(1, 5):
+        assert auto.trans_digit[j - 1].dtype == np.min_scalar_type(len(auto.ds.alphabet(j)) - 1)
+        assert auto.trans_state[j - 1].dtype == np.min_scalar_type(len(auto.states[j]) - 1)
+
+
+@pytest.mark.parametrize("name", ["z-carry", "z2-pow2", "heis-pow2"])
+def test_narrow_tables_read_as_int64_tables(name, monkeypatch):
+    # The readers widen the narrow tables, so with the type chooser forced to
+    # int64 every reader answers the same, down to the types of its values.
+    def readings():
+        ds = presets.domains(name, 4)
+        auto = ds.automaton(4)
+        rng = random.Random(7)
+        out = []
+        for n in range(1, 5):
+            a, b = (np.array([rng.randrange(ds.size(n)) for _ in range(512)]) for _ in range(2))
+            out.append(auto.batch_product(a, b, n))
+            out.append([auto.product_digit_indices(ds.radix_digits(x, n), ds.radix_digits(y, n), n)
+                        for x, y in zip(a[:64].tolist(), b[:64].tolist())])
+            out.append(auto.digit_strings(n, np.arange(len(auto.states[n]))))
+            out.append(verify_carry_identity(ds, n))
+        return auto, out
+
+    narrow, want = readings()
+    with monkeypatch.context() as m:
+        m.setattr(expansion, "table_dtype", lambda top: np.dtype(np.int64))
+        wide, got = readings()
+    assert all(t.dtype == np.int64 for t in wide.trans_digit + wide.trans_state)
+    assert all(t.dtype.kind == "u" for t in narrow.trans_digit + narrow.trans_state)
+    for w, g in zip(want, got):
+        if isinstance(w, tuple):  # arrays: batch_product and digit_strings
+            assert all(x.dtype == y.dtype == np.int64 and np.array_equal(x, y) for x, y in zip(w, g))
+        else:
+            assert w == g and repr(w) == repr(g)
 
 
 def test_two_route_identity_small(ds_z_carry):
@@ -737,8 +771,9 @@ def reference_two_route_mismatches(ds, n, chunk=1 << 15):
     prefix = np.arange(low)
     pre_rank, pre_state = auto.batch_product(np.repeat(prefix, low), np.tile(prefix, low), n - 1)
     pre_rank, pre_state = pre_rank.reshape(low, low), pre_state.reshape(low, low)
-    step_digit = auto.trans_digit[n - 1].reshape(-1)
-    step_state = auto.trans_state[n - 1].reshape(-1)
+    # The tables are narrow unsigned types, which wrap in arithmetic: widened first.
+    step_digit = auto.trans_digit[n - 1].reshape(-1).astype(np.int64)
+    step_state = auto.trans_state[n - 1].reshape(-1).astype(np.int64)
     q = np.repeat(np.arange(na), low)
     rows = max(1, chunk // size)
     mismatches = 0

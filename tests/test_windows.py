@@ -91,6 +91,27 @@ def test_builder_telescopes_and_bounds(w_irr):
         assert Z.identity not in boundary
 
 
+def test_builder_builds_only_accepted_moduli(monkeypatch):
+    # Each candidate is probed against its alphabet, and only an accepted one is
+    # built, so the next candidate is checked against the last accepted modulus:
+    # 48 and 480 follow the rejected 32 as multiples of 16, and 40 is refused.
+    built = []
+    append_level = DomainSequence.append_level
+
+    def recorded(self, modulus):
+        built.append(modulus)
+        append_level(self, modulus)
+
+    monkeypatch.setattr(DomainSequence, "append_level", recorded)
+    win = build_perf(Z, [16, 32, 48, 480], 2, epsilon=Fraction(1, 2))
+    assert built == win.ds.moduli == [16, 480]
+    assert [line.split(":")[0] for line in win.build_log] == [
+        "level 1", "telescoped past modulus 32", "telescoped past modulus 48", "level 2"]
+    with pytest.raises(ConstructionError) as exc:
+        build_perf(Z, [16, 32, 40], 2, epsilon=Fraction(1, 2))
+    assert str(exc.value) == "level 2: modulus 40 must be a proper multiple of 16"
+
+
 def test_builder_requires_a_of_three():
     with pytest.raises(ConstructionError, match="a_n"):
         build_perf(Z, geometric_moduli(2, 2, 10), 2, a_schedule=2, epsilon=Fraction(1, 2))
@@ -238,7 +259,7 @@ def test_carry_safe_equals_vanhove_complement(w_irr):
         carries = w_irr.carries.level(n)
         probe = [Z.inv(k) for k in carries]
         bnd = set(vanhove_boundary(ds, probe, n))
-        safe = carry_safe_digits(ds, carries, n)
+        safe = carry_safe_digits(Z, carries, Z.to_array(ds.alphabet(n)), ds.modulus(n), n)
         assert safe.tolist() == [t not in bnd for t in ds.alphabet(n)]
 
 
@@ -250,7 +271,8 @@ def test_translate_mask_matches_scalar_membership(request, name):
     outside = 0
     for n in range(1, win.cap + 1):
         carries, alphabet = win.carries.level(n), ds.alphabet(n)
-        mask = translate_mask(ds, g.to_array(carries), g.to_array(alphabet), n)
+        rows = g.to_array(alphabet)
+        mask = translate_mask(g, g.to_array(carries), rows, rows, ds.modulus(n), n)
         assert mask.tolist() == [[ds.head(g.mul(k, t), n) == g.mul(k, t) for t in alphabet]
                                  for k in carries]
         outside += int((~mask).sum())
