@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from .windows import (
     build_perf,
     folner_ratio,
     parse_window,
-    read_ini,
-    refuse_unread,
     serialize_window,
     verify_window,
 )
@@ -116,11 +114,32 @@ def _jsonable(x):
 
 
 def load_config(path: str) -> configparser.ConfigParser:
+    """A config file, read strictly and without interpolation.
+
+    Keys keep their case.  A repeated section, a repeated key in one section,
+    or a line that is not ``key = value`` raises a :class:`configparser.Error`.
+    No section header can spell the default section's name, so ``[DEFAULT]``
+    is an ordinary section and passes its keys to no other.
+    """
     try:
         text = Path(path).read_text()
     except OSError:
         raise ConfigError(f"cannot read config file {path}") from None
-    return read_ini(text, path)
+    ini = configparser.ConfigParser(interpolation=None, default_section="")
+    ini.optionxform = str  # keys are case-sensitive: ``CAP`` is not ``cap``
+    ini.read_string(text, path)
+    return ini
+
+
+def refuse_unread(cfg: configparser.ConfigParser, read: Mapping[str, set[str]],
+                  reader: str) -> None:
+    """Raise on a section that ``read`` lacks or a key its set lacks."""
+    for name in cfg.sections():
+        if name not in read:
+            raise ConfigError(f"{reader} reads no section [{name}]")
+        unread = sorted(set(cfg[name]) - read[name])
+        if unread:
+            raise ConfigError(f"{reader} reads no key {unread[0]!r} in [{name}]")
 
 
 def window_from_config(cfg: configparser.ConfigParser) -> Window:
@@ -128,14 +147,15 @@ def window_from_config(cfg: configparser.ConfigParser) -> Window:
     if len(sources) > 1:
         raise ConfigError(f"[chain] names {' and '.join(sources)}; give one")
     kind = cfg.get("window", "kind", fallback="perf")
+    # A config builds what it states: no section or key goes unread.
+    refuse_unread(cfg, {
+        "group": {"name"},
+        "chain": {*sources, *(("base", "ratio", "length") if sources == ["rule"] else ())},
+        "window": {"kind", "cap", "a", "epsilon", "delta",
+                   *(("k", "sector_level") if kind != "perf" else ()),
+                   *(("e_rule",) if kind == "ktilde" else ())},
+    }, f"a {kind} build")
     try:
-        # A config builds what it states: no section or key goes unread.
-        refuse_unread(cfg, {
-            "group": {"name"},
-            "chain": {*sources, *(("base", "ratio", "length") if sources == ["rule"] else ())},
-            "window": {"kind", "cap", "sector_level", "k", "a", "epsilon", "delta",
-                       *(("e_rule",) if kind == "ktilde" else ())},
-        }, f"a {kind} build")
         group = group_by_name(cfg.get("group", "name", fallback="Z"))
     except ConstructionError as exc:
         raise ConfigError(str(exc))

@@ -134,11 +134,13 @@ class DomainSequence:
     def next_alphabet(self, modulus: int) -> tuple[list[Elem], np.ndarray]:
         """The digit alphabet of level ``levels + 1`` mod ``modulus``, as elements and rows.
 
-        No domain is formed, so a modulus can be probed before it is built.  The
-        refusals that need no domain run here, for ``append_level`` too: a
-        modulus that is not a proper multiple of the top one, a domain over
-        ``ARRAY_BUDGET``, and a transversal that does not start with the
-        identity or leaves the previous subgroup.
+        No domain is formed, so a modulus can be probed before it is built.  Every
+        refusal runs here, for ``append_level`` too: a modulus that is not a proper
+        multiple of the top one, a domain over ``ARRAY_BUDGET``, and a transversal
+        that does not start with the identity, leaves the previous subgroup, holds
+        two elements of one coset, or has too few elements.  With T_n ⊆ Γ_{n-1} in
+        distinct cosets of Γ_n and size(n-1)·|T_n| the index, D_n = D_{n-1}·T_n is
+        a transversal, as D_{n-1} is one.
         """
         g = self.group
         n = self.levels + 1
@@ -164,6 +166,14 @@ class DomainSequence:
                 f"level {n}: transversal element {g.fmt(alphabet[outside[0]])} "
                 "not in the previous subgroup"
             )
+        first: dict[int, int] = {}  # residue -> its first digit index
+        for i, r in enumerate(g.vec_residue_rank(t_arr, modulus).tolist()):
+            if first.setdefault(r, i) != i:
+                raise ConstructionError(f"level {n}: duplicate coset for {g.fmt(alphabet[i])} "
+                                        f"and {g.fmt(alphabet[first[r]])}")
+        if self.size(n - 1) * len(alphabet) != index:
+            raise ConstructionError(f"level {n}: domain has {self.size(n - 1) * len(alphabet)} "
+                                    f"elements, index is {index}")
         return alphabet, t_arr
 
     def append_level(self, modulus: int) -> None:
@@ -173,31 +183,16 @@ class DomainSequence:
         level over ``ARRAY_BUDGET`` is refused before its transversal is listed.
         """
         g = self.group
-        n = self.levels + 1
         alphabet, t_arr = self.next_alphabet(modulus)
         index = modulus ** g.dim
-        prev = self._dom[-1]
-        dom = g.vec_mul(prev[None], t_arr[:, None]).reshape(-1, g.dim)
-        rr = g.vec_residue_rank(dom, modulus)
-        ranks = np.arange(len(rr))
-        first = np.full(index, len(rr))  # residue -> its first rank, by one scatter
-        np.minimum.at(first, rr, ranks)
-        owner = first[rr]  # first rank with the same residue
-        dup = np.flatnonzero(owner != ranks)
-        if dup.size:
-            later, earlier = g.from_array(dom[[dup[0], owner[dup[0]]]])
-            raise ConstructionError(
-                f"level {n}: duplicate coset for {g.fmt(later)} and {g.fmt(earlier)}"
-            )
-        if len(dom) != index:
-            raise ConstructionError(
-                f"level {n}: domain has {len(dom)} elements, index is {index}"
-            )
-        # Every residue occurs once, so ``first`` is the residue -> rank table.
+        dom = g.vec_mul(self._dom[-1][None], t_arr[:, None]).reshape(-1, g.dim)
+        residues = g.vec_residue_rank(dom, modulus)
+        table = np.empty(index, dtype=np.int64)  # residue -> rank: D_n is a transversal
+        table[residues] = np.arange(index)
         self.moduli.append(modulus)
         self.alphabets.append(tuple(alphabet))
         self._dom.append(dom)
-        self._rep_rank.append(first)
+        self._rep_rank.append(table)
 
     # -- basic queries --------------------------------------------------------
 

@@ -29,7 +29,7 @@ digit index.  Group elements appear only in the window file's text.
 
 from __future__ import annotations
 
-import configparser
+import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -137,7 +137,20 @@ class WindowSpec:
         _check_delta(self.delta)
         # Structural only: genericity of the identity digit is a verification
         # concern, so adversarial partitions stay buildable.
+        if len(self.partitions) != self.cap:
+            raise ConstructionError(
+                f"need a partition for each of the {self.cap} levels (got {len(self.partitions)})"
+            )
         for n, codes in enumerate(self.partitions, start=1):
+            digits = len(ds.alphabet(n))
+            if len(codes) != digits:
+                raise ConstructionError(f"level {n}: need a class code for each of the {digits} "
+                                        f"digits (got {len(codes)})")
+            for i, c in enumerate(codes):
+                if c not in (CLS_IN, CLS_OUT, CLS_PENDING):
+                    raise ConstructionError(f"level {n}: digit index {i} has class code {c}, not "
+                                            f"{CLS_IN}, {CLS_OUT} or {CLS_PENDING} (interior, "
+                                            "exterior or boundary)")
             if codes.count(CLS_OUT) != 1:
                 raise ConstructionError(f"level {n}: need exactly one exterior digit")
             if CLS_IN not in codes or CLS_PENDING not in codes:
@@ -785,75 +798,26 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(v) for v in s.split(","))
 
 
-def read_ini(text: str, source: str) -> configparser.ConfigParser:
-    """INI text, read strictly and without interpolation, as configs and window files are.
-
-    Keys keep their case.  A repeated section, a repeated key in one section,
-    or a line that is not ``key = value`` raises a :class:`configparser.Error`.
-    No section header can spell the default section's name, so ``[DEFAULT]``
-    is an ordinary section and passes its keys to no other.
-    """
-    ini = configparser.ConfigParser(interpolation=None, default_section="")
-    ini.optionxform = str  # keys are case-sensitive: ``CAP`` is not ``cap``
-    ini.read_string(text, source)
-    return ini
-
-
-def refuse_unread(ini: configparser.ConfigParser, read: Mapping[str, set[str]], reader: str,
-                  head: str = "") -> None:
-    """Raise on a section that ``read`` lacks or a key its set lacks; ``head`` is the header."""
-    for name in ini.sections():
-        where = "the header" if name == head else f"[{name}]"
-        if name not in read:
-            raise ConstructionError(f"{reader} reads no section {where}")
-        unread = sorted(set(ini[name]) - read[name])
-        if unread:
-            raise ConstructionError(f"{reader} reads no key {unread[0]!r} in {where}")
-
-
-def _number(text: str, refusal: str, parse=int, fmt=str):
-    """The value ``parse`` reads from ``text`` where ``fmt`` writes it back as ``text``;
-    else a ``ConstructionError`` with ``refusal``."""
-    try:
-        value = parse(text)
-        if fmt(value) == text:
-            return value
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ConstructionError(refusal)
-
-
-def _level_number(key: str) -> int:
-    """n of a ``level n`` puncture key, written as the window writes it."""
-    return _number(key, f"{key!r} does not name one level",
-                   lambda k: int(k.removeprefix("level ")), lambda n: f"level {n}")
-
-
-def _entry(section: Mapping[str, str], key: str, where: str = "the header") -> str:
-    """The value of a required key of a window file section."""
+def _entry(section: Mapping[str, str], key: str, where: str = "the header", parse=str):
+    """The value ``parse`` reads from a required key of a window file section."""
     if key not in section:
         raise ConstructionError(f"window file has no {key!r} key in {where}")
-    return section[key]
+    return _number(section[key], f"cannot read {key} = {section[key]} in {where}", parse)
 
 
-def _value(section: Mapping[str, str], key: str, where: str = "the header", parse=int, fmt=str):
-    """A required number (or list) of a window file section, written as the window writes it."""
-    text = _entry(section, key, where)
-    return _number(text, f"{key} = {text} in {where} is not written as a window writes it "
-                   "(plain decimal integers, fractions p/q in lowest terms, lists joined by ',')",
-                   parse=parse, fmt=fmt)
+def _number(text: str, refusal: str, parse=int):
+    """The value ``parse`` reads from ``text``; else a ``ConstructionError`` with ``refusal``."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConstructionError(refusal) from None
 
 
 _PARTS = ("interior", "exterior", "boundary")  # the digit list of CLS_IN, CLS_OUT, CLS_PENDING
 
 
-def _digit_lists(digits: Sequence[str], codes: Sequence[int]) -> list[str]:
-    """The interior, exterior and boundary lists of a level's digit texts, in alphabet order."""
-    return [";".join(t for t, c in zip(digits, codes) if c == code) for code in range(len(_PARTS))]
-
-
 def serialize_window(win: Window) -> str:
-    """Canonical text form; parsing it back rebuilds an identical window."""
+    """Canonical text form, the one text ``parse_window`` reads back as this window."""
     spec = win.spec
     g = win.group
     out = [
@@ -873,7 +837,8 @@ def serialize_window(win: Window) -> str:
         digits = [g.fmt(t) for t in win.ds.alphabet(n)]
         out.append(f"[level {n}]")
         out.append(f"alphabet = {';'.join(digits)}")
-        out += [f"{key} = {text}" for key, text in zip(_PARTS, _digit_lists(digits, codes))]
+        out += [f"{key} = {';'.join(t for t, c in zip(digits, codes) if c == code)}"
+                for code, key in enumerate(_PARTS)]
         if spec.level_class is not None:
             out.append(f"class = {spec.level_class[n - 1]}")
     if spec.sector_of_rank is not None:
@@ -886,89 +851,80 @@ def serialize_window(win: Window) -> str:
     return "\n".join(out) + "\n"
 
 
-def _level_codes(sec: Mapping[str, str], n: int, digits: Sequence[str]) -> tuple[int, ...]:
-    """The class code of each digit index, from a ``[level n]`` section's three digit lists.
+def _sections(text: str) -> dict[str, dict[str, str]]:
+    """The ``key = value`` lines of a text by ``[section]`` name, the lines before the first
+    section under ``""``.  Lenient: any other line is skipped and a repeated key keeps its
+    first value, as ``parse_window`` accepts only the text its window writes back."""
+    sections = {"": {}}
+    section = sections[""]
+    for line in map(str.strip, text.splitlines()):
+        if line.startswith("[") and line.endswith("]"):
+            section = sections.setdefault(line[1:-1], {})
+        elif "=" in line:
+            key, _, value = line.partition("=")
+            section.setdefault(key.strip(), value.strip())
+    return sections
 
-    The lists must be the ones the codes write back: every digit of the
-    alphabet listed once, each list in alphabet order.
-    """
-    lists = [_entry(sec, key, f"[level {n}]") for key in _PARTS]
-    code_of = {t: code for code, text in enumerate(lists) for t in text.split(";")}
-    codes = tuple(code_of.get(t, -1) for t in digits)
-    if -1 in codes or _digit_lists(digits, codes) != lists:
-        raise ConstructionError(f"level {n}: the interior, exterior and boundary lists must "
-                                "name each alphabet digit once, each list in alphabet order")
-    return codes
 
-
-_HEAD = "header"  # the section parse_window reads the header lines into
-_HEAD_KEYS = {"group", "kind", "cap", "moduli", "delta", "epsilon", "a_schedule", "k",
-              "sector_level", "e_rule"}
+def _first_difference(read: str, written: str) -> str:
+    """The first line where ``read`` departs from ``written``: its number, the line read and
+    the line written, each with its newline (``nothing`` past the last line)."""
+    pairs = itertools.zip_longest(read.splitlines(True), written.splitlines(True))
+    n, lines = next((n, pair) for n, pair in enumerate(pairs, start=1) if pair[0] != pair[1])
+    a, b = ("nothing" if line is None else repr(line) for line in lines)
+    return f"line {n} reads {a} where the window it describes writes {b}"
 
 
 def parse_window(text: str) -> Window:
-    """Rebuild a window from its canonical text form (exact round-trip).
+    """Rebuild a window from its canonical text form.
 
-    A section or key that no window reads is refused, as are digit lists
-    other than the ones the window writes back.
+    The lines are read leniently, the window their values describe is built (its
+    ``WindowSpec.validate`` refuses values that describe none), and the text is
+    accepted only if it is that window's ``serialize_window`` text; otherwise the
+    refusal names the first line that differs.
     """
-    fmt, _, rest = text.partition("\n")
-    if fmt.strip() != "format = odowin-window 1":
+    sections = _sections(text)
+    head = sections[""]
+    if head.get("format") != "odowin-window 1":
         raise ConstructionError("unrecognized window file format")
-    try:
-        # the header section takes the format line's place, so line numbers are the file's
-        ini = read_ini(f"[{_HEAD}]\n{rest}", "window file")
-    except configparser.Error as exc:
-        raise ConstructionError(" ".join(str(exc).split())) from None
-    head = ini[_HEAD]
-    punctures = ini["punctures"] if "punctures" in ini else {}
-    levels = [name for name in ini.sections() if name.startswith("level ")]
-    # Before any key is looked up, so a key in the wrong case is named, not missed.
-    refuse_unread(ini, {_HEAD: _HEAD_KEYS, "sectors": {"sector_of_rank"},
-                        "punctures": set(punctures),
-                        **dict.fromkeys(levels, {"alphabet", *_PARTS, "class"})},
-                  "a window", _HEAD)
     group = group_by_name(_entry(head, "group"))
-    cap = _value(head, "cap")
-    moduli = _value(head, "moduli", parse=_parse_ints, fmt=_fmt_ints)
-    chain = SubgroupChain(group, moduli)
-    ds = DomainSequence.build(chain, cap)
-    beyond = sorted(set(levels) - {f"level {n}" for n in range(1, cap + 1)})
-    if beyond:
-        raise ConstructionError(f"a window reads no section [{beyond[0]}]")
-    partitions = []
-    level_class = []
+    cap = _entry(head, "cap", parse=int)
+    moduli = _entry(head, "moduli", parse=_parse_ints)
+    ds = DomainSequence.build(SubgroupChain(group, moduli), cap)
+    partitions, level_class = [], []
     for n in range(1, cap + 1):
-        if f"level {n}" not in ini:
-            raise ConstructionError(f"window file missing level {n}")
-        sec = ini[f"level {n}"]
-        digits = [group.fmt(t) for t in ds.alphabet(n)]
-        if _entry(sec, "alphabet", f"[level {n}]") != ";".join(digits):
-            raise ConstructionError(f"level {n}: alphabet does not match the chain")
-        partitions.append(_level_codes(sec, n, digits))
+        sec, where = sections.get(f"level {n}", {}), f"[level {n}]"
+        # A digit in no list reads as code -1, which validate refuses.
+        code_of = {t: code for code, key in enumerate(_PARTS)
+                   for t in _entry(sec, key, where).split(";")}
+        partitions.append(tuple(code_of.get(t, -1)
+                                for t in _entry(sec, "alphabet", where).split(";")))
         if "class" in sec:
-            level_class.append(_value(sec, "class", f"[level {n}]"))
+            level_class.append(_entry(sec, "class", where, int))
+    punctures = sections.get("punctures", {})
     spec = WindowSpec(
         kind=_entry(head, "kind"),
         group_name=group.name,
         moduli=moduli,
         cap=cap,
-        delta=_value(head, "delta", parse=_parse_fraction, fmt=_fmt_fraction),
-        epsilon=_value(head, "epsilon", parse=_parse_fraction, fmt=_fmt_fraction),
-        a_schedule=_value(head, "a_schedule", parse=_parse_ints, fmt=_fmt_ints),
+        delta=_entry(head, "delta", parse=_parse_fraction),
+        epsilon=_entry(head, "epsilon", parse=_parse_fraction),
+        a_schedule=_entry(head, "a_schedule", parse=_parse_ints),
         partitions=tuple(partitions),
-        k=_value(head, "k"),
-        sector_level=_value(head, "sector_level"),
-        sector_of_rank=(
-            _value(ini["sectors"], "sector_of_rank", "[sectors]", _parse_ints, _fmt_ints)
-            if "sectors" in ini
-            else None
-        ),
+        k=_entry(head, "k", parse=int),
+        sector_level=_entry(head, "sector_level", parse=int),
+        sector_of_rank=(_entry(sections["sectors"], "sector_of_rank", "[sectors]", _parse_ints)
+                        if "sectors" in sections else None),
         level_class=tuple(level_class) if level_class else None,
         e_rule="" if (rule := _entry(head, "e_rule")) == "none" else rule,
         punctures=tuple(
-            (_level_number(key), _value(punctures, key, "[punctures]", _parse_ints, _fmt_ints))
+            (_number(key.removeprefix("level "), f"{key!r} in [punctures] names no level"),
+             _entry(punctures, key, "[punctures]", _parse_ints))
             for key in punctures
         ),
     )
-    return Window(spec, ds)
+    win = Window(spec, ds)
+    written = serialize_window(win)
+    if written != text:
+        raise ConstructionError(_first_difference(text, written))
+    return win

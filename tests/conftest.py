@@ -164,6 +164,15 @@ def malformed_windows(w_fiber, w_kt):
         "delta-negative": text.replace("delta = 104/1\n", "delta = -5/1\n"),
         # keys are case-sensitive
         "cap-upper-case": text.replace("cap = 6\n", "CAP = 6\n"),
+        # text that reads as the window but is not the text it writes
+        "comment-line": text.replace("[level 1]\n", "# hand note\n[level 1]\n"),
+        "blank-line": text.replace("[level 1]\n", "\n[level 1]\n"),
+        "trailing-spaces": text.replace("cap = 6\n", "cap = 6  \n"),
+        "header-keys-swapped": re.sub(r"^(group = .*\n)(kind = .*\n)", r"\2\1", text, flags=re.M),
+        "levels-swapped": re.sub(r"(\[level 2\]\n[^\[]*)(\[level 3\]\n[^\[]*)", r"\2\1", text),
+        "no-final-newline": text.removesuffix("\n"),
+        "cap-unspaced": text.replace("cap = 6\n", "cap=6\n"),
+        "cap-colon": text.replace("cap = 6\n", "cap: 6\n"),
     }
     assert len(set(edits.values())) == len(edits)
     assert text not in edits.values()

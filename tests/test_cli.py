@@ -1,5 +1,6 @@
 """Command-line behavior: determinism, round trips, exit codes."""
 
+import itertools
 import json
 import os
 import re
@@ -79,6 +80,12 @@ sector_level = 1
 cap = 2
 delta = 40
 """
+
+
+def as_perf(text):
+    """The config as a perf build, which reads no k or sector_level."""
+    text = re.sub(r"^(k|sector_level) = .*\n", "", text, flags=re.M)
+    return re.sub(r"^kind = .*$", "kind = perf", text, flags=re.M)
 
 
 @pytest.fixture()
@@ -189,6 +196,9 @@ def test_config_errors_exit_two(tmp_path, cfg, capsys):
         "key.cfg": Z2_CFG.replace("cap = 3", "cap = 3\ncolour = red"),
         "e_rule-on-k.cfg": FIBER_CFG + "e_rule = strict\n",
         "e_rule-on-perf.cfg": Z2_CFG + "e_rule = dovetail\n",
+        "k-on-perf.cfg": Z2_CFG + "k = 3\n",
+        "k-zero-on-perf.cfg": Z2_CFG + "k = 0\n",
+        "sector-level-on-perf.cfg": Z2_CFG + "sector_level = 2\n",
         "preset-and-moduli.cfg": FIBER_CFG.replace("[chain]\n", "[chain]\npreset = z-fiber\n"),
         "base-without-rule.cfg": FIBER_CFG.replace("[chain]\n", "[chain]\nbase = 2\n"),
         # more a_n than levels: a list gives one a_n per level
@@ -248,8 +258,8 @@ def test_bad_flags_exit_two(tmp_path, cfg, capsys, monkeypatch):
 def test_oversized_level_exits_two(tmp_path, cfg, capsys, w_heis):
     # a level whose domain would exceed the byte budget is refused before it is built;
     # the build telescopes past 64 and does not skip 512
-    deep = HEIS_CFG.replace("moduli = 2,8", "moduli = 2,8,64,512").replace(
-        "kind = ktilde", "kind = perf").replace("cap = 2", "cap = 3")
+    deep = as_perf(HEIS_CFG).replace("moduli = 2,8", "moduli = 2,8,64,512").replace(
+        "cap = 2", "cap = 3")
     wfile = tmp_path / "heis.txt"
     wfile.write_text(serialize_window(w_heis).replace("moduli = 2,8\n", "moduli = 2,512\n"))
     capsys.readouterr()
@@ -536,37 +546,48 @@ def test_malformed_window_exits_two(tmp_path, capsys, malformed_windows):
         assert len(capsys.readouterr().err.splitlines()) == 1, label
 
 
-def test_non_canonical_number_is_named(tmp_path, capsys, malformed_windows):
-    # a window file number that is not written as the window writes it names its key
-    path = tmp_path / "window.txt"
-    for label, named in (
-        ("delta-not-in-lowest-terms", "delta = 208/2 in the header"),
-        ("k-leading-zero", "k = 03 in the header"),
-        ("class-plus-sign", "class = +1 in [level 1]"),
-        ("moduli-spaced", "moduli = 8, 48,"),
-        ("puncture-level-leading-zero", "'level 04' does not name one level"),
-    ):
-        path.write_text(malformed_windows[label])
-        assert main(["verify", str(path)]) == 2, label
-        err = capsys.readouterr().err
-        assert named in err and len(err.splitlines()) == 1, label
+def _first_changed_line(edited: str, text: str) -> str:
+    """The refusal naming the first line of ``edited`` that differs from ``text``, the
+    window's own text: its number, the line read and the line written, with newlines."""
+    pairs = itertools.zip_longest(edited.splitlines(True), text.splitlines(True))
+    n, (read, written) = next((n, p) for n, p in enumerate(pairs, start=1) if p[0] != p[1])
+    shown = ["nothing" if line is None else repr(line) for line in (read, written)]
+    return f"line {n} reads {shown[0]} where the window it describes writes {shown[1]}"
 
 
-def test_unread_section_or_key_is_named(tmp_path, cfg, capsys, malformed_windows):
-    # a window file or config whose section or key nothing reads names it in its one line
-    path = tmp_path / "window.txt"
-    for label, named in (
-        ("unknown-header-key", "key 'colour' in the header"),
-        ("unknown-level-key", "key 'note' in [level 2]"),
-        ("unknown-section", "section [notes]"),
-        ("level-beyond-cap", "section [level 7]"),
-        ("default-section", "section [DEFAULT]"),
-        ("cap-upper-case", "key 'CAP' in the header"),
-    ):
+def test_non_canonical_number_is_named(tmp_path, capsys, w_kt, malformed_windows):
+    # a number not written as the window writes it is refused on one line naming its line
+    path, canonical = tmp_path / "window.txt", serialize_window(w_kt[3])
+    for label in ("delta-not-in-lowest-terms", "k-leading-zero", "class-plus-sign",
+                  "moduli-spaced", "puncture-level-leading-zero"):
         path.write_text(malformed_windows[label])
         assert main(["verify", str(path)]) == 2, label
-        err = capsys.readouterr().err
-        assert f"a window reads no {named}" in err and len(err.splitlines()) == 1, label
+        want = _first_changed_line(malformed_windows[label], canonical)
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot parse window file {path}: {want}"], label
+    assert _first_changed_line(malformed_windows["delta-not-in-lowest-terms"], canonical) == (
+        "line 6 reads 'delta = 208/2\\n' where the window it describes writes 'delta = 104/1\\n'")
+
+
+def test_unread_section_or_key_is_named(tmp_path, cfg, capsys, w_kt, malformed_windows):
+    # a window file line that its window does not write there is named by its number and
+    # text; a config's unread section or key by its name; each on one line
+    path, canonical = tmp_path / "window.txt", serialize_window(w_kt[3])
+    for label in ("unknown-header-key", "unknown-level-key", "unknown-section",
+                  "level-beyond-cap", "default-section", "comment-line", "blank-line",
+                  "trailing-spaces", "header-keys-swapped", "levels-swapped",
+                  "no-final-newline", "cap-unspaced"):
+        path.write_text(malformed_windows[label])
+        assert main(["verify", str(path)]) == 2, label
+        want = _first_changed_line(malformed_windows[label], canonical)
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot parse window file {path}: {want}"], label
+    for label in ("cap-upper-case", "cap-colon"):  # no line reads as the cap
+        path.write_text(malformed_windows[label])
+        assert main(["verify", str(path)]) == 2, label
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot parse window file {path}: window file has no 'cap' "
+            "key in the header"], label
     for text, named in (
         (Z2_CFG.replace("cap = 3", "cap = 3\ncolour = red"), "a perf build reads no key 'colour'"),
         (FIBER_CFG + "e_rule = strict\n", "a k build reads no key 'e_rule' in [window]"),
@@ -604,7 +625,7 @@ def test_emit_identity_no_undecided(tmp_path, cfg):
 
 def test_fiber_command_counts(tmp_path, cfg):
     # a perf window with a critical shift has exactly two candidates
-    path = cfg("w.cfg", FIBER_CFG.replace("kind = k", "kind = perf"))
+    path = cfg("w.cfg", as_perf(FIBER_CFG))
     main(["build", "--config", path, "--out", str(tmp_path / "w")])
     out = tmp_path / "fiber.json"
     assert main(["fiber", str(tmp_path / "w" / "window.txt"), "--critical",
@@ -645,7 +666,7 @@ def test_strict_e_rule_key(tmp_path, cfg):
 
 
 def test_kind_and_cap_keys(tmp_path, cfg):
-    path = cfg("w.cfg", FIBER_CFG.replace("kind = k", "kind = perf").replace("cap = 6", "cap = 4"))
+    path = cfg("w.cfg", as_perf(FIBER_CFG).replace("cap = 6", "cap = 4"))
     main(["build", "--config", path, "--out", str(tmp_path / "w")])
     win = parse_window((tmp_path / "w" / "window.txt").read_text())
     assert win.spec.kind == "perf" and win.cap == 4

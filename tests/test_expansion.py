@@ -212,6 +212,23 @@ def test_append_level_rejections(moduli, reps, message):
     assert ds.levels == len(moduli) - 1  # a rejected level leaves nothing behind
 
 
+def test_append_level_memory_is_four_domains():
+    # D_n, its residues, np.arange and the residue -> rank table: four 32 MiB arrays for a
+    # 2^22-element level on Z after 16, 512 and 32768.  Checking the whole domain for
+    # duplicate cosets held a fifth (164 MiB); the transversal check runs on T_n alone.
+    ds = DomainSequence(Z)
+    for m in (16, 512, 32768):
+        ds.append_level(m)
+    tracemalloc.start()
+    try:
+        ds.append_level(1 << 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 136 << 20
+    assert np.array_equal(ds.vec_rank(ds.domain_array(4), 4), np.arange(1 << 22))
+
+
 def test_level_zero_is_the_whole_group(ds_z_dec):
     # m_0 = 1: every element lies in the single level-0 cylinder, of rank 0
     assert ds_z_dec.modulus(0) == 1 and ds_z_dec.index(0) == 1

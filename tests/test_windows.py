@@ -497,6 +497,26 @@ def test_ktilde_punctures(w_k, w_kt):
                 assert n_in >= 1
 
 
+def test_validate_refuses_malformed_partitions(w_fiber):
+    # one partition per level, one code per digit, each code CLS_IN, CLS_OUT or CLS_PENDING
+    spec, ds = w_fiber.spec, w_fiber.ds
+    level1 = spec.partitions[0]
+    stray = level1.index(CLS_PENDING)
+    cases = {
+        **{f"level 1: digit index {stray} has class code {c}, not 0, 1 or 2 (interior, exterior "
+           f"or boundary)": (level1[:stray] + (c,) + level1[stray + 1:], *spec.partitions[1:])
+           for c in (-1, 3, 7)},
+        f"need a partition for each of the {spec.cap} levels (got {spec.cap - 1})":
+            spec.partitions[:-1],
+        f"level 1: need a class code for each of the {len(level1)} digits (got "
+        f"{len(level1) + 1})": (level1 + (CLS_PENDING,), *spec.partitions[1:]),
+    }
+    for message, partitions in cases.items():
+        with pytest.raises(ConstructionError) as exc:
+            Window(replace(spec, partitions=partitions), ds)
+        assert str(exc.value) == message
+
+
 def test_ktilde_unknown_e_rule_is_refused_by_validate(w_k):
     with pytest.raises(ConstructionError, match=r"^e_rule banana does not fit a ktilde window "
                        r"\(ktilde: dovetail, strict, per-parent; perf and k: none\)$"):
