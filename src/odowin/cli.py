@@ -26,7 +26,8 @@ import numpy as np
 
 from . import expansion
 from .fibers import birkhoff_stats, critical_point, enumerate_fiber
-from .groups import ConstructionError, group_by_name, geometric_moduli
+from .groups import (ConstructionError, const_text, group_by_name, geometric_moduli,
+                     join_rows, ljust, str_text)
 from .model_sets import VALUE_OF_CODE, emit_patch, patch_jsonl, patch_pgm
 from .odometer import embed, sample_point
 from .presets import CHAINS
@@ -37,6 +38,7 @@ from .windows import (
     boundary_measure,
     build_kind,
     build_perf,
+    check_kind,
     folner_ratio,
     parse_window,
     serialize_window,
@@ -81,15 +83,24 @@ def _text(text: str) -> str:
     return text
 
 
-def _layout(items: Iterable[str], depth: int, brackets: str) -> Iterator[str]:
-    """Pieces of encoded items (``"key": value`` in an object) in the layout
-    ``json.dumps(indent=2)`` gives a list or dict at this depth, one per ``WRITE_BLOCK`` items."""
+def _rows_layout(depth: int, brackets: str,
+                 *columns: tuple[np.ndarray, np.ndarray]) -> Iterator[str]:
+    """Pieces of a list (or dict) in the layout ``json.dumps(indent=2)`` gives it at this
+    depth, one per ``WRITE_BLOCK`` items.  Each column is a text table and its row index
+    per item; an item's encoded text (``"key": value`` in a dict) is its rows side by side."""
     pad = "\n" + "  " * (depth + 1)
-    sep, head, items = f",{pad}", brackets[0] + pad, iter(items)
-    while block := list(itertools.islice(items, expansion.WRITE_BLOCK)):
-        yield head + sep.join(block)
-        head = sep
-    yield "\n" + "  " * depth + brackets[1] if head is sep else brackets
+    size, block = len(columns[0][1]), expansion.WRITE_BLOCK
+    for s in range(0, size, block):
+        text = join_rows(const_text("," + pad, min(block, size - s)),
+                         *(table.take(index[s : s + block], axis=0) for table, index in columns))
+        yield brackets[0] + text[1:] if s == 0 else text
+    yield "\n" + "  " * depth + brackets[1] if size else brackets
+
+
+def _quoted(table: np.ndarray) -> np.ndarray:
+    """JSON strings of the table's texts (which need no escapes), left-justified."""
+    quote = const_text('"', len(table))
+    return ljust(np.concatenate([quote, table, quote], axis=1))
 
 
 def _object(encoded: dict[str, str | Iterable[str]], depth: int) -> Iterator[str]:
@@ -147,6 +158,10 @@ def window_from_config(cfg: configparser.ConfigParser) -> Window:
     if len(sources) > 1:
         raise ConfigError(f"[chain] names {' and '.join(sources)}; give one")
     kind = cfg.get("window", "kind", fallback="perf")
+    try:
+        check_kind(kind)  # before the base window is built
+    except ConstructionError as exc:
+        raise ConfigError(str(exc))
     # A config builds what it states: no section or key goes unread.
     refuse_unread(cfg, {
         "group": {"name"},
@@ -184,7 +199,9 @@ def window_from_config(cfg: configparser.ConfigParser) -> Window:
     cap = _number(cfg.get("window", "cap", fallback="3"))
     sector_level = _number(cfg.get("window", "sector_level", fallback="1"))
     k = _number(cfg.get("window", "k", fallback="1"))
-    if not cap >= sector_level >= 1:
+    if kind == "perf" and cap < 1:
+        raise ConfigError(f"need cap >= 1 (cap={cap})")
+    if kind != "perf" and not cap >= sector_level >= 1:
         raise ConfigError(f"need cap >= sector_level >= 1 (cap={cap}, L={sector_level})")
     a = _numbers(cfg.get("window", "a", fallback="3"))
     epsilon, delta = (
@@ -330,31 +347,33 @@ def cmd_fiber(args) -> int:
     distinct = fib.distinct()
     g = win.group
     # Written by hand in the json.dumps(indent=2, sort_keys=True) layout, whose pure-Python
-    # encoder would take most of the command, and streamed in blocks.  Each hitter is
-    # formatted once, the classes are slices of the report-order texts, and the keys are
-    # sorted once for all candidates.
-    hitters = g.fmt_rows(fib.patch.rows[fib.hitters])
+    # encoder would take most of the command, and streamed in blocks from text tables.  The
+    # hitters are formatted once, in report order: a class is a range of rows, and the keys
+    # are sorted once for all candidates.  Left-justified, the quoted texts sort as their
+    # bytes; the quote sorts below every character of an element's text, so that is the
+    # order sort_keys gives the keys.
+    hitters = _quoted(g.row_text(fib.patch.rows[fib.hitters]))
+    order = np.argsort(hitters.view(f"S{hitters.shape[1]}").ravel(), kind="stable")
+    keys = np.concatenate([hitters, const_text(": ", len(hitters))], axis=1)
     bounds = [0, *itertools.accumulate(len(c) for c in fib.report.classes)]
-    order = sorted(range(len(hitters)), key=hitters.__getitem__)
-    keys = [f"{encode_basestring_ascii(hitters[i])}: " for i in order]
-    value = {c: json.dumps(v) for c, v in VALUE_OF_CODE.items()}
+    # Class codes are 0, 1, 2, so a code is its value's row.
+    value = str_text([json.dumps(v) for _, v in sorted(VALUE_OF_CODE.items())])
+    digits = _quoted(g.row_text(g.to_array(win.ds.spell(xi.rank, xi.precision))))
     report = {
         "window": json.dumps(win.window_id),
-        "shift_digits": _layout((encode_basestring_ascii(g.fmt(d))
-                                 for d in win.ds.spell(xi.rank, xi.precision)), 1, "[]"),
+        "shift_digits": _rows_layout(1, "[]", (digits, np.arange(len(digits)))),
         "patch_level": json.dumps(level),
         "classes": _object({
-            f"S{j}": _layout(map(encode_basestring_ascii, hitters[a:b]), 2, "[]")
+            f"S{j}": _rows_layout(2, "[]", (hitters, np.arange(a, b)))
             for j, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)
         }, 1),
         "full_coverage": json.dumps(fib.report.full_coverage()),
         "candidates": json.dumps(len(fib.candidates)),
         "distinct": json.dumps(distinct),
-        "labels": _layout(map(encode_basestring_ascii, fib.labels), 1, "[]"),
-        # A memoryview yields a row's int8 codes one at a time: no row is listed whole.
+        "labels": _rows_layout(1, "[]", (str_text(list(map(encode_basestring_ascii, fib.labels))),
+                                    np.arange(len(fib.labels)))),
         "values_on_hitters": _object({
-            label: _layout(map(str.__add__, keys, map(value.__getitem__, memoryview(row))),
-                           2, "{}")
+            label: _rows_layout(2, "{}", (keys, order), (value, row))
             for label, row in zip(fib.labels, fib.candidates[:, order])
         }, 1),
     }

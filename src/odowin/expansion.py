@@ -38,10 +38,11 @@ from .groups import ConstructionError, Elem, GroupContext, SubgroupChain, row_ke
 # of dim coordinates), or a product of element rows formed in one step.
 ARRAY_BUDGET = 1 << 30
 
-# Bytes allowed per candidate-hitter value of the ``odowin fiber`` report.  Held whole,
-# the report peaked at up to 184 a value (2 x 21,840, tracemalloc); streamed in
-# WRITE_BLOCK blocks it takes far less, and the figure also bounds the report's file.
-# The report is held to ARRAY_BUDGET.
+# Bytes allowed per candidate-hitter value of the ``odowin fiber`` report.  On the
+# z-irregular report (2 x 21,840 values, tracemalloc) the text peaks at 26 a value above
+# what the fiber enumeration holds: it is streamed in WRITE_BLOCK blocks from text
+# tables (held whole as one string per entry, it peaked at up to 184).  The figure also
+# bounds the report's file, and the report is held to ARRAY_BUDGET.
 REPORT_ENTRY_BYTES = 200
 
 # Entries (records, list items, object members) a writer formats and joins at once,

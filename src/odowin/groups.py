@@ -17,6 +17,7 @@ off the group's own law.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from typing import Sequence
@@ -73,12 +74,16 @@ class GroupContext(ABC):
             return "(" + ",".join(str(c) for c in g) + ")"
         return str(g)
 
-    def fmt_rows(self, rows: np.ndarray, brackets: str = "()") -> list[str]:
-        """``fmt`` of each int64 element row, with ``brackets`` around a tuple's coordinates."""
+    def row_text(self, rows: np.ndarray, brackets: str = "()") -> np.ndarray:
+        """Text table of ``fmt`` of each int64 element row, ``brackets`` around a tuple's
+        coordinates."""
         if self.dim == 1:
-            return list(map(str, rows[:, 0].tolist()))
-        template = brackets[0] + ",".join(["%d"] * self.dim) + brackets[1]
-        return [template % tuple(r) for r in rows.tolist()]
+            return int_text(rows[:, 0])
+        cols = [const_text(brackets[0], len(rows))]
+        for i in range(self.dim):
+            cols += [int_text(rows[:, i]), const_text("," if i + 1 < self.dim else brackets[1],
+                                                       len(rows))]
+        return np.concatenate(cols, axis=1)
 
     # -- congruence structure ------------------------------------------------
 
@@ -366,6 +371,77 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     for col, lo, span in zip(cols, low, spans):
         keys = keys * span + (col - lo)
     return keys
+
+
+# -- text tables ------------------------------------------------------------------
+# A text table holds one ASCII text per row as uint8 bytes.  NUL bytes pad the rows
+# and fall away when rows are joined, so a column's texts need not be aligned.
+
+
+@functools.cache
+def _chunk_digits() -> np.ndarray:
+    """Texts of 0..9999 as four bytes each, in one uint32: first without leading zeros
+    (0 as no digit at all), then zero-padded to four digits."""
+    n = np.arange(10_000)[:, None]
+    digits = (n // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    lead = digits * (n >= np.array([1000, 100, 10, 1]))
+    return np.concatenate([lead, digits]).view(np.uint32).ravel()
+
+
+def int_text(values: np.ndarray) -> np.ndarray:
+    """Text table of int64 values as ``str`` writes them, right-aligned."""
+    mag = np.abs(values).astype(np.uint64)  # abs leaves -2**63 negative; as uint64 it is 2**63
+    chunks = (len(str(int(mag.max()))) + 3) // 4 if len(mag) else 1
+    negative = values < 0
+    signed = int(negative.any())
+    # Four-digit chunks, most significant first, after a column whose last byte is the sign
+    # when a value has one.  A chunk is zero-padded below a higher nonzero chunk, else
+    # written without leading zeros.
+    text = np.zeros((len(mag), signed + chunks), np.uint32)
+    rest = mag
+    for i in reversed(range(chunks)):
+        high = rest // 10_000
+        chunk = (rest - high * 10_000).astype(np.intp)
+        if i:
+            chunk += (high > 0) * 10_000
+        text[:, signed + i] = _chunk_digits().take(chunk)
+        rest = high
+    text = text.view(np.uint8)
+    if signed:
+        text[:, 3] = negative * ord("-")
+    text[mag == 0, -1] = ord("0")
+    return text
+
+
+def ljust(table: np.ndarray) -> np.ndarray:
+    """The table with each row's text moved to its start, as wide as the longest text (or 1).
+
+    The result is C-contiguous, so its rows can be viewed as ``S`` strings and taken fast.
+    """
+    rows, width = table.shape
+    out = np.zeros(rows * width, np.uint8)
+    start = np.arange(rows) * width
+    end = start.copy()  # where each row's next text byte goes
+    for col in np.ascontiguousarray(table.T):  # a NUL written at the end is overwritten
+        out[end] = col
+        end += col != 0
+    return out.reshape(rows, width)[:, : max(1, int((end - start).max(initial=0)))].copy()
+
+
+def const_text(text: str, n: int) -> np.ndarray:
+    """Text table of ``text`` on each of n rows (a read-only view)."""
+    return np.broadcast_to(np.frombuffer(text.encode("ascii"), np.uint8), (n, len(text)))
+
+
+def str_text(texts: Sequence[str]) -> np.ndarray:
+    """Text table of ASCII strings without NUL, one per row, left-justified."""
+    table = np.array(texts, dtype="S")
+    return table.view(np.uint8).reshape(len(texts), table.itemsize)
+
+
+def join_rows(*tables: np.ndarray) -> str:
+    """Each row's texts side by side, row after row: the tables' text with the NULs dropped."""
+    return np.concatenate(tables, axis=1).tobytes().translate(None, b"\0").decode("ascii")
 
 
 _GROUPS = {g.name: g for g in (ZGroup(), Z2Group(), HeisenbergGroup())}

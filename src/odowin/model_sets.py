@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import expansion
-from .groups import ConstructionError, Elem, GroupContext, PrecisionError
+from .groups import (ConstructionError, Elem, GroupContext, PrecisionError, const_text,
+                     join_rows, str_text)
 from .odometer import OdometerPoint, embed, rank_of_point
 from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window, boundary_measure
 
@@ -152,30 +153,39 @@ def regularity(win: Window, n: int) -> Fraction:
 def patch_jsonl(win: Window, patch: SymbolicPatch) -> str:
     """One line per position: ``{"digits":[...],"element":...,"value":1|0|"?"}``, no spaces.
 
-    The text is built ``WRITE_BLOCK`` records at a time, each block joined once.  A
-    record's digits are read from tables of digit texts, one per run of consecutive
-    levels, each table at most ``WRITE_BLOCK`` long (or one level's alphabet).
+    The text is built ``WRITE_BLOCK`` records at a time from text tables: each column
+    gives a block its rows, and the block is joined once.  A record's digits are taken
+    from tables of digit texts, one per run of consecutive levels, each table at most
+    ``WRITE_BLOCK`` long (or one level's alphabet), their punctuation folded in.
     """
     ds, g, n, block = win.ds, win.group, win.cap, expansion.WRITE_BLOCK
-    alpha = [g.fmt_rows(g.to_array(ds.alphabet(j)), "[]") for j in range(1, n + 1)]
-    runs, j = [], 0  # (size below the run, digit combinations in it, their texts by index)
+
+    def alpha(j: int) -> np.ndarray:  # level j's digit texts, each after its punctuation
+        rows = g.to_array(ds.alphabet(j))
+        return np.concatenate([const_text('{"digits":[' if j == 1 else ",", len(rows)),
+                               g.row_text(rows, "[]")], axis=1)
+
+    runs, j = [], 0  # (size below the run, its digit texts by index of their combination)
     while j < n:
-        low, table = ds.size(j), alpha[j]
+        low, table = ds.size(j), alpha(j + 1)
         j += 1
-        while j < n and len(table) * len(alpha[j]) <= block:
-            table = [f"{p},{a}" for a in alpha[j] for p in table]
+        while j < n and len(table) * len(ds.alphabet(j + 1)) <= block:
+            nxt = alpha(j + 1)
+            table = np.concatenate([np.tile(table, (len(nxt), 1)),
+                                    np.repeat(nxt, len(table), axis=0)], axis=1)
             j += 1
-        runs.append((low, len(table), table))
-    text = {c: '"?"' if v is None else str(v) for c, v in VALUE_OF_CODE.items()}
+        runs.append((low, table))
+    # Class codes are 0, 1, 2, so a code is its value's row.
+    values = str_text([',"value":' + ('"?"' if v is None else str(v)) + "}\n"
+                       for _, v in sorted(VALUE_OF_CODE.items())])
     blocks = []
     for s in range(0, len(patch.ranks), block):
         ranks = patch.ranks[s : s + block]
-        digits = zip(*(map(table.__getitem__, (ranks // low % size).tolist())
-                       for low, size, table in runs))
-        blocks.append("".join(
-            f'{{"digits":[{",".join(d)}],"element":{e},"value":{text[c]}}}\n'
-            for d, e, c in zip(digits, g.fmt_rows(patch.rows[s : s + block], "[]"),
-                               patch.codes[s : s + block].tolist())
+        blocks.append(join_rows(
+            *(table.take(ranks // low % len(table), axis=0) for low, table in runs),
+            const_text('],"element":', len(ranks)),
+            g.row_text(patch.rows[s : s + block], "[]"),
+            values.take(patch.codes[s : s + block], axis=0),
         ))
     return "".join(blocks) or "\n"
 

@@ -155,8 +155,7 @@ class WindowSpec:
                 raise ConstructionError(f"level {n}: need exactly one exterior digit")
             if CLS_IN not in codes or CLS_PENDING not in codes:
                 raise ConstructionError(f"level {n}: all three parts must be nonempty")
-        if self.kind not in KINDS:
-            raise ConstructionError(f"window kind must be perf, k, or ktilde (got {self.kind!r})")
+        check_kind(self.kind)
         if self.e_rule not in (E_RULES if self.kind == "ktilde" else ("",)):
             raise ConstructionError(f"e_rule {self.e_rule or 'none'} does not fit a {self.kind} "
                                     f"window (ktilde: {', '.join(E_RULES)}; perf and k: none)")
@@ -584,12 +583,16 @@ def build_ktilde(base: Window, e_rule: str = "dovetail") -> Window:
     return Window(spec2, ds, build_log=list(base.build_log))
 
 
+def check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ConstructionError(f"window kind must be perf, k, or ktilde (got {kind!r})")
+
+
 def build_kind(
     base: Window, kind: str, k: int = 1, sector_level: int = 1, e_rule: str = "dovetail"
 ) -> Window:
     """The ``kind`` window on a perf base: the base itself, its k sectors, or those punctured."""
-    if kind not in KINDS:
-        raise ConstructionError(f"window kind must be perf, k, or ktilde (got {kind!r})")
+    check_kind(kind)
     if kind == "perf":
         return base
     win = build_k(base, k, sector_level)

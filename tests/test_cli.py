@@ -211,10 +211,33 @@ def test_config_errors_exit_two(tmp_path, cfg, capsys):
         assert not (tmp_path / "x").exists(), name  # a refused config writes nothing
 
 
+
+def test_unknown_kind_is_refused_before_any_build(tmp_path, cfg, capsys, monkeypatch):
+    # the kind is checked first: a base-window build that fails when called is never reached
+    from odowin import cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_perf was called")
+
+    monkeypatch.setattr(cli, "build_perf", no_build)
+    capsys.readouterr()
+    config = cfg("kind.cfg", IRR_CFG.replace("kind = perf", "kind = banana"))
+    assert main(["build", "--config", config, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == ("configuration error: window kind must be perf, k, or "
+                                       "ktilde (got 'banana')\n")
+    assert not (tmp_path / "x").exists()
+
 def test_bad_flags_exit_two(tmp_path, cfg, capsys, monkeypatch):
     path = cfg("w.cfg", IRR_CFG)
+    capsys.readouterr()
+    # a perf config has no sector_level, so its cap rule names only the cap
     assert main(["build", "--config", cfg("cap0.cfg", IRR_CFG.replace("cap = 3", "cap = 0")),
                  "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "configuration error: need cap >= 1 (cap=0)\n"
+    assert main(["build", "--config", cfg("k-cap0.cfg", FIBER_CFG.replace("cap = 6", "cap = 0")),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == ("configuration error: need cap >= sector_level >= 1 "
+                                       "(cap=0, L=1)\n")
     assert main(["build", "--config", path, "--out", str(tmp_path / "w")]) == 0
     win = str(tmp_path / "w" / "window.txt")
     capsys.readouterr()
@@ -381,11 +404,25 @@ def test_fiber_report_matches_json_dumps(tmp_path, w_irr, w_k, w_kt, w_z2, w_hei
     assert seen == {"empty class", "no hitters", "drops"}
 
 
+
+def test_fiber_keys_sort_as_text(tmp_path, w_irr):
+    # hitter keys follow sort_keys, the order of their texts: "10" comes before "9"
+    path = tmp_path / "w.txt"
+    path.write_text(serialize_window(w_irr))
+    out = tmp_path / "fiber.json"
+    assert main(["fiber", str(path), "--seed", "1", "--out", str(out)]) == 0
+    for values in json.loads(out.read_text())["values_on_hitters"].values():
+        keys = list(values)
+        assert keys == sorted(keys) != sorted(keys, key=int)
+        assert any(len(a) > len(b) for a, b in zip(keys, keys[1:]))
+
 def test_fiber_memory_is_bounded_by_blocks(tmp_path, cfg):
     # The report is written to the file a block of entries at a time: on the z-irregular
     # window (2 candidates x 21,840 hitters, a 1.09 MB report) the command peaks at
-    # 5.9 MiB, 4.4 MiB of which parsing and the fiber enumeration reach before writing.
-    # The whole report held as nested texts, joined and copied, peaked at 9.7 MiB.
+    # 4.4 MiB, which parsing and the fiber enumeration reach before writing; the text
+    # tables and blocks take 1.1 MiB above what the enumeration holds.  One string per
+    # entry, streamed, peaked at 5.9 MiB; the whole report held as nested texts, joined
+    # and copied, at 9.7 MiB.
     main(["build", "--config", cfg("w.cfg", IRR_CFG), "--out", str(tmp_path / "w")])
     out = tmp_path / "fiber.json"
     argv = ["fiber", str(tmp_path / "w" / "window.txt"), "--seed", "1", "--out", str(out)]

@@ -16,7 +16,11 @@ from odowin.groups import (
     ZGroup,
     geometric_moduli,
     group_by_name,
+    int_text,
+    join_rows,
+    ljust,
     row_keys,
+    str_text,
 )
 
 Z = ZGroup()
@@ -347,3 +351,47 @@ def test_vectorized_overflow_guard():
     arr = H.to_array([(1 << 40, 0, 0)])
     with pytest.raises(OverflowError):
         H.vec_mul(arr, arr)
+
+
+# Values at the edges of the formatter's four-digit chunks, and the largest coordinate
+# the int64 paths accept.
+CHUNK_EDGES = [0, 1, -1, 9999, 10000, -10000, 99999999, 10**8, 2**30 - 1]
+
+
+def texts(table):
+    """The rows of a text table as strings, NULs dropped."""
+    return [bytes(row[row != 0]).decode("ascii") for row in table]
+
+
+def test_int_text_matches_str():
+    rng = np.random.default_rng(3)
+    values = [*CHUNK_EDGES, *(-v for v in CHUNK_EDGES), -(2**63), 2**63 - 1, 10**18, 1 - 10**18]
+    values += rng.integers(-(2**62), 2**62, 200).tolist() + rng.integers(0, 10**5, 50).tolist()
+    assert texts(int_text(np.array(values, dtype=np.int64))) == [str(v) for v in values]
+    # without a negative value there is no sign column
+    assert texts(int_text(np.array([7, 10000]))) == ["7", "10000"]
+    assert int_text(np.array([7, 10000])).shape == (2, 8)
+    assert int_text(np.zeros(0, dtype=np.int64)).shape[0] == 0
+
+
+@pytest.mark.parametrize("g", [Z, Z2, H], ids=lambda g: g.name)
+def test_row_text_matches_fmt_at_chunk_edges(g):
+    coords = CHUNK_EDGES + [-v for v in CHUNK_EDGES if v]
+    elems = [c[0] if g.dim == 1 else c for c in itertools.product(coords, repeat=g.dim)]
+    rows = g.to_array(elems)
+    assert texts(g.row_text(rows)) == [g.fmt(e) for e in elems]
+    want = [g.fmt(e).replace("(", "[").replace(")", "]") for e in elems]
+    assert texts(g.row_text(rows, "[]")) == want
+    # joined row after row, as the writers join a block
+    assert join_rows(g.row_text(rows, "[]"), str_text([";"] * len(rows))) == ";".join(want) + ";"
+
+
+def test_ljust_moves_text_to_row_start():
+    table = np.array([[0, 65, 0, 66], [67, 0, 0, 0], [0, 0, 0, 0]], dtype=np.uint8)
+    assert ljust(table).tolist() == [[65, 66], [67, 0], [0, 0]]
+    assert ljust(np.zeros((0, 3), dtype=np.uint8)).shape == (0, 1)
+    rows = Z2.to_array([(10, -3), (9, 0), (-1, 123456)])
+    lj = ljust(Z2.row_text(rows))
+    assert lj.flags.c_contiguous and texts(lj) == ["(10,-3)", "(9,0)", "(-1,123456)"]
+    # left-justified texts sort as bytes: "(-" before "(1" before "(9"
+    assert np.argsort(lj.view(f"S{lj.shape[1]}").ravel()).tolist() == [2, 0, 1]

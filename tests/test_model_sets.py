@@ -239,6 +239,26 @@ def test_jsonl_matches_json_dumps(w_irr, w_z2, w_heis, monkeypatch):
     assert '"value":"?"' in patch_jsonl(w_z2, crit)
 
 
+
+def test_jsonl_coordinates_at_chunk_edges(w_irr, w_z2, w_heis, monkeypatch):
+    # explicit patches whose coordinates sit at the edges of the formatter's four-digit
+    # chunks, up to the largest coordinate the int64 paths accept, signed and unsigned
+    from odowin import expansion
+
+    edges = [0, 1, -1, 9999, 10000, -10000, 99999999, 10**8, 2**30 - 1]
+    coords = edges + [-v for v in edges if v]
+    shipped = expansion.WRITE_BLOCK
+    for win in (w_irr, w_z2, w_heis):
+        # every coordinate meets every other, in each position
+        elems = list(dict.fromkeys(
+            tuple(coords[(i + k * j) % len(coords)] for k in range(win.group.dim))
+            for i in range(len(coords)) for j in range(len(coords))))
+        patch = emit_patch(win, patch=[e[0] for e in elems] if win.group.dim == 1 else elems)
+        want = _jsonl_oracle(win, patch)
+        for block in (shipped, 1, 2, 3, 7):
+            monkeypatch.setattr(expansion, "WRITE_BLOCK", block)
+            assert patch_jsonl(win, patch) == want, (win.group.name, block)
+
 def test_jsonl_memory_is_bounded_by_blocks(w_k):
     # The text is built a block of records at a time, from digit tables no longer than a
     # block, and joined once: on the z-fiber k=2 window's 36,000-position cap-6 patch
