@@ -337,13 +337,6 @@ def cmd_fiber(args) -> int:
     xi = _shift_point(win, args)
     level = args.patch_level if args.patch_level is not None else win.cap
     fib = enumerate_fiber(win, xi, patch_level=level)
-    entries = fib.candidates.size  # candidates x hitters values in the report
-    if entries * expansion.REPORT_ENTRY_BYTES > expansion.ARRAY_BUDGET:
-        raise ConstructionError(
-            f"a fiber report of {entries} candidate-hitter values takes about "
-            f"{entries * expansion.REPORT_ENTRY_BYTES} bytes to write, over the "
-            f"{expansion.ARRAY_BUDGET}-byte budget"
-        )
     distinct = fib.distinct()
     g = win.group
     # Written by hand in the json.dumps(indent=2, sort_keys=True) layout, whose pure-Python
@@ -355,7 +348,7 @@ def cmd_fiber(args) -> int:
     hitters = _quoted(g.row_text(fib.patch.rows[fib.hitters]))
     order = np.argsort(hitters.view(f"S{hitters.shape[1]}").ravel(), kind="stable")
     keys = np.concatenate([hitters, const_text(": ", len(hitters))], axis=1)
-    bounds = [0, *itertools.accumulate(len(c) for c in fib.report.classes)]
+    bounds = fib.report.bounds
     # Class codes are 0, 1, 2, so a code is its value's row.
     value = str_text([json.dumps(v) for _, v in sorted(VALUE_OF_CODE.items())])
     digits = _quoted(g.row_text(g.to_array(win.ds.spell(xi.rank, xi.precision))))

@@ -8,9 +8,10 @@ and elements of D_n factor uniquely into digit strings
 g = t_1·t_2·...·t_n with t_j in the level-j alphabet.
 
 Each D_n is stored once: an int64 array whose rows are its elements in rank
-order, rank = d_rank + size(n-1)·t_index, plus a residue→rank table.  So D_m
-sits at ranks 0..size(m)-1 of every deeper level, and heads, depths and digit
-indices are all rank lookups.
+order, rank = d_rank + size(n-1)·t_index.  So D_m sits at ranks 0..size(m)-1 of
+every deeper level, and heads, depths and digit indices are all rank lookups.
+On Z a rank is the residue mod m_n (Lemma A, ``DomainSequence.append_level``);
+on Z2 and Heisenberg a residue→rank table maps residues to ranks.
 
 Products of digit strings are computed digit-by-digit through the carry
 recursion
@@ -19,13 +20,16 @@ recursion
 
 where p_j, q_j are the level-j digits of the factors, s is the level-(j-1)
 head of the right factor, and d_1 is the identity.  The level-j digit of the
-product is head_j(c_j).  Each carry d_j ranges over a finite set K_j computed
-here by exact closure of the reachable (carry, conjugation-context) states,
-with a witness pair for every reachable carry.
+product is head_j(c_j).  Each carry d_j ranges over a finite set K_j: on Z and
+Z2 it is {0, m_{j-1}}^d (Lemma B, ``carry_ranges``), and otherwise it is computed
+by exact closure of the reachable (carry, conjugation-context) states.  The
+closure also gives a witness pair for every reachable carry, and it stays the
+judge of both closed forms in the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import cached_property
 from typing import Sequence
@@ -63,13 +67,14 @@ class CarryRange:
 
     ``sets[j-1]`` lists K_j in canonical order.  ``witnesses[j-1]`` maps each
     carry to a pair of digit-index strings (for the two factors) whose product
-    computation produces that carry entering level j; they are spelled from
-    the automaton's parent pointers when first read.
+    computation produces that carry entering level j; when first read, they are
+    spelled from the parent pointers of the automaton of ``ds``, which is closed
+    to level ``len(sets) - 1`` then if it is not yet.
     """
 
-    def __init__(self, sets: list[list[Elem]], auto: "CarryAutomaton"):
+    def __init__(self, sets: list[list[Elem]], ds: "DomainSequence"):
         self.sets = sets
-        self._auto = auto
+        self._ds = ds
 
     def level(self, j: int) -> list[Elem]:
         return self.sets[j - 1]
@@ -77,7 +82,7 @@ class CarryRange:
     @cached_property
     def witnesses(self) -> list[dict[Elem, tuple[tuple[int, ...], tuple[int, ...]]]]:
         """Per level, each carry in order of first occurrence with the witness of its first state."""
-        auto, out = self._auto, []
+        auto, out = self._ds.automaton(len(self.sets) - 1), []
         for j in range(len(self.sets)):
             carry = auto.carry_rows(j)
             first, _ = _first_occurrence(carry)
@@ -90,9 +95,11 @@ class CarryRange:
 class DomainSequence:
     """Fundamental domains D_0 ⊆ D_1 ⊆ ... built multiplicatively from canonical transversals.
 
-    Each D_n is stored once, as the rows of an int64 array in rank order, with
-    a residue→rank table; D_0 = {identity} has modulus m_0 = 1 (Γ_0 = G).
-    D_m sits at ranks 0..size(m)-1 of every deeper level.
+    Each D_n is stored once, as the rows of an int64 array in rank order;
+    D_0 = {identity} has modulus m_0 = 1 (Γ_0 = G).  D_m sits at ranks
+    0..size(m)-1 of every deeper level.  On a one-dimensional group a rank is
+    its residue mod m_n (Lemma A at ``append_level``); on any other group each
+    level also holds a residue→rank table.
     """
 
     def __init__(self, group: GroupContext):
@@ -100,7 +107,8 @@ class DomainSequence:
         self.moduli: list[int] = []  # m_1..m_levels
         self.alphabets: list[tuple[Elem, ...]] = []
         self._dom: list[np.ndarray] = [group.to_array([group.identity])]  # D_0..D_levels
-        self._rep_rank: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]  # residue rank -> rank
+        # residue rank -> rank at levels 0..levels; none past level 0 on a one-dimensional group
+        self._rep_rank: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
         self._automaton: CarryAutomaton | None = None
 
     # -- construction --------------------------------------------------------
@@ -180,20 +188,32 @@ class DomainSequence:
     def append_level(self, modulus: int) -> None:
         """Extend by one level with the canonical transversal mod ``modulus``.
 
-        D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d] is one broadcast product.  A
-        level over ``ARRAY_BUDGET`` is refused before its transversal is listed.
+        D_n[r + size(n-1)·d] = D_{n-1}[r]·T_n[d] is one broadcast product, and a
+        residue→rank table inverts it.  A level over ``ARRAY_BUDGET`` is refused
+        before its transversal is listed.
+
+        Lemma A: on Z a rank is a residue.  T_n = {d·m_{n-1} : 0 <= d < m_n/m_{n-1}}
+        in order, and size(n-1) = m_{n-1}, so D_n[r + m_{n-1}·d] = D_{n-1}[r] + d·m_{n-1}.
+        If D_{n-1} = [0, m_{n-1}) in rank order (true for D_0 = {0}), then D_n =
+        [0, m_n) in rank order, and rank_n(g) = g mod m_n.  So a one-dimensional
+        level is the rows 0..m_n-1, with no table; ``next_alphabet`` still runs
+        every refusal.  The product-and-table route of the other groups is the
+        tests' oracle for it.
         """
         g = self.group
         alphabet, t_arr = self.next_alphabet(modulus)
         index = modulus ** g.dim
-        dom = g.vec_mul(self._dom[-1][None], t_arr[:, None]).reshape(-1, g.dim)
-        residues = g.vec_residue_rank(dom, modulus)
-        table = np.empty(index, dtype=np.int64)  # residue -> rank: D_n is a transversal
-        table[residues] = np.arange(index)
+        if g.dim == 1:
+            dom = np.arange(index, dtype=np.int64)[:, None]
+        else:
+            dom = g.vec_mul(self._dom[-1][None], t_arr[:, None]).reshape(-1, g.dim)
+            residues = g.vec_residue_rank(dom, modulus)
+            table = np.empty(index, dtype=np.int64)  # residue -> rank: D_n is a transversal
+            table[residues] = np.arange(index)
+            self._rep_rank.append(table)
         self.moduli.append(modulus)
         self.alphabets.append(tuple(alphabet))
         self._dom.append(dom)
-        self._rep_rank.append(table)
 
     # -- basic queries --------------------------------------------------------
 
@@ -285,14 +305,15 @@ class DomainSequence:
         return self.group.from_array(self._dom[n][rank : rank + 1])[0]
 
     def rank_of(self, g: Elem, n: int) -> int:
-        return int(self._rep_rank[n][self.group.residue_rank(g, self.modulus(n))])
+        rr = self.group.residue_rank(g, self.modulus(n))
+        return rr if self.group.dim == 1 else int(self._rep_rank[n][rr])
 
     # -- vectorized helpers ------------------------------------------------------
 
     def vec_rank(self, arr: np.ndarray, n: int) -> np.ndarray:
-        """Domain ranks of the heads of the rows of ``arr`` at level n."""
+        """Domain ranks of the heads of the rows of ``arr`` at level n: on Z, the residues."""
         rr = self.group.vec_residue_rank(arr, self.modulus(n))
-        return self._rep_rank[n][rr]
+        return rr if self.group.dim == 1 else self._rep_rank[n][rr]
 
     def product_ranks(self, a, b, n: int) -> np.ndarray:
         """Level-n ranks of the heads of D_n[a]·D_n[b]; either side may be a scalar rank.
@@ -375,22 +396,31 @@ class CarryAutomaton:
             carry = self.carry_rows(j)
             _, first = np.unique(row_keys(carry), return_index=True)  # sorted as sort_key sorts
             sets.append(g.from_array(carry[first]))
-        self.carry_range = CarryRange(sets, self)
+        self.carry_range = CarryRange(sets, ds)
 
     def _close_level(self, j: int) -> None:
         """Append level j's tables and parent pointers and the states entering level j+1.
 
         The inputs pass ``check_bounds`` once, and each block's products once
-        before the next ``mul_rows``, which refuses what ``vec_mul`` would.
+        before the next ``mul_rows``, which refuses what ``vec_mul`` would.  A
+        level is refused before anything is formed when its tables (an int64 per
+        transition (state, p, q)) or one state's block of state rows would exceed
+        ``ARRAY_BUDGET``.
         """
         ds, g = self.ds, self.ds.group
         src = self.states[j - 1]
         carry, ctx = src[:, : g.dim], src[:, g.dim :]
         place = ds.size(j - 1)
+        na = ds.size(j) // place
+        nbytes = over_budget(len(src) * na * na, 1) or over_budget(na * na, src.shape[1])
+        if nbytes:
+            raise ConstructionError(
+                f"level {j}: closing the carry automaton over {len(src) * na * na} transitions "
+                f"takes {nbytes} bytes, over the {ARRAY_BUDGET}-byte budget"
+            )
         alpha = ds.domain_array(j)[::place]  # the digit T_j[i] has rank i·size(j-1)
         alpha_inv = g.vec_inv(alpha)
         g.check_bounds(src, alpha_inv)
-        na = len(alpha)
         tdig = np.empty((len(src), na, na), dtype=table_dtype(na - 1))
         tstate = np.empty((len(src), na, na), dtype=np.int64)
         block_rows, block_first = [], []  # per block: its distinct new states, first transitions
@@ -609,13 +639,29 @@ def carry_mul(
 def carry_ranges(ds: DomainSequence, up_to: int) -> CarryRange:
     """Exact carry value sets K_1..K_{up_to} with witnesses.
 
-    K_j only involves transitions through level j-1, so the automaton is
-    closed to level ``up_to - 1`` and ``up_to`` may exceed the built levels by one.
+    K_j only involves transitions through level j-1, so ``up_to`` may exceed the
+    built levels by one.
+
+    Lemma B: on Z and Z2, K_1 = {0} and K_n = {0, m_{n-1}}^d for n >= 2, exactly.
+    There D_n is the box [0, m_n)^d (Lemma A on Z; on Z2 the canonical
+    transversals are grids), and a level-n digit has each coordinate in
+    [0, m_n - m_{n-1}].  The carry entering level n+1 is the tail of d + p + q,
+    with d ∈ K_n and p, q level-n digits.  If K_n ⊆ {0, m_{n-1}}^d, each
+    coordinate of d + p + q lies in [0, 2·m_n - m_{n-1}], below 2·m_n, so its
+    tail is 0 or m_n.  Each coordinate takes either value on its own: 0 at
+    p = q = 0, and m_n at p = q = (r_n - 1)·m_{n-1} with d = 0, since the ratio
+    r_n = m_n/m_{n-1} is at least 2.  So the sets of an abelian group are
+    written down here, and its automaton is closed only when the witnesses are
+    read.  On any other group the automaton is closed to level ``up_to - 1``.
     """
     if up_to < 1 or up_to > ds.levels + 1:
         raise ConstructionError(f"carry ranges available for 1..{ds.levels + 1}")
-    auto = ds.automaton(up_to - 1)
-    return CarryRange(auto.carry_range.sets[:up_to], auto)
+    g = ds.group
+    if g.abelian:
+        corners = np.array(list(itertools.product((0, 1), repeat=g.dim)), dtype=np.int64)
+        sets = [[g.identity]] + [g.from_array(corners * ds.modulus(n)) for n in range(1, up_to)]
+        return CarryRange(sets, ds)
+    return CarryRange(ds.automaton(up_to - 1).carry_range.sets[:up_to], ds)
 
 
 def verify_carry_identity(ds: DomainSequence, level: int, chunk: int = 1 << 15) -> dict:

@@ -23,31 +23,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .groups import ConstructionError, Elem, PrecisionError
+from . import expansion
+from .groups import ConstructionError, Elem, GroupContext, PrecisionError
 from .model_sets import SymbolicPatch, patch_cylinders, shifted_patch
 from .odometer import OdometerPoint, head_of_point, rank_of_point
 from .windows import CLS_IN, CLS_OUT, CLS_PENDING, Window
 
 
-@dataclass
+@dataclass(eq=False)
 class SimilarityReport:
-    """Boundary hitters of a patch, split by sector and ordered by class index."""
+    """Boundary hitters of a patch, split by sector and ordered by class index.
 
-    classes: list[list[Elem]]  # classes[j-1] = S_j ∩ patch, canonical order
+    ``rows`` are the hitters' element rows in report order, and class S_j ∩ patch
+    is ``rows[bounds[j-1]:bounds[j]]``, in canonical order.  ``classes`` spells
+    them as group elements when first read.
+    """
+
+    group: GroupContext
+    rows: np.ndarray
+    bounds: list[int]  # k + 1 offsets into rows, from 0 to len(rows)
 
     @property
     def k(self) -> int:
-        return len(self.classes)
+        return len(self.bounds) - 1
+
+    @cached_property
+    def classes(self) -> list[list[Elem]]:
+        elems = self.group.from_array(self.rows)
+        return [elems[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
 
     def hitters(self) -> list[Elem]:
-        return [g for cls in self.classes for g in cls]
+        return self.group.from_array(self.rows)
 
     def full_coverage(self) -> bool:
-        return all(self.classes)
+        return all(a < b for a, b in zip(self.bounds, self.bounds[1:]))
 
 
 @dataclass
@@ -116,8 +130,7 @@ def _classified(
     order = np.lexsort([*base.rows[pending].T[::-1], sectors])
     hitters, sectors = pending[order], sectors[order]
     bounds = np.searchsorted(sectors, np.arange(1, win.spec.k + 2)).tolist()
-    elems = win.group.from_array(base.rows[hitters])
-    report = SimilarityReport([elems[a:b] for a, b in zip(bounds, bounds[1:])])
+    report = SimilarityReport(win.group, base.rows[hitters], bounds)
     return base, report, hitters, sectors
 
 
@@ -138,21 +151,31 @@ def enumerate_fiber(
 
     The default patch is the domain at ``patch_level`` (the cap when omitted).
     k+1 threshold candidates always; punctured windows add one candidate per
-    top-class hitter in the patch (that hitter flipped to 0).
+    top-class hitter in the patch (that hitter flipped to 0).  The candidates ×
+    hitters values are counted from the classes before any is formed, and a
+    fiber whose report they would take over ``ARRAY_BUDGET`` to write, at
+    ``REPORT_ENTRY_BYTES`` each, is refused.
     """
     level = win.cap if patch_level is None else patch_level
     base, report, hitters, cls = _classified(win, xi, patch, level)
     k = report.k
+    top = np.flatnonzero(cls == k) if win.spec.kind == "ktilde" else np.empty(0, np.int64)
+    entries = (k + 1 + len(top)) * len(hitters)
+    if entries * expansion.REPORT_ENTRY_BYTES > expansion.ARRAY_BUDGET:
+        raise ConstructionError(
+            f"a fiber report of {entries} candidate-hitter values takes about "
+            f"{entries * expansion.REPORT_ENTRY_BYTES} bytes to write, over the "
+            f"{expansion.ARRAY_BUDGET}-byte budget"
+        )
     # x_j sets a hitter to IN iff its class index is at least j.
     codes = np.where(cls >= np.arange(1, k + 2)[:, None], CLS_IN, CLS_OUT).astype(np.int8)
     labels = [f"x{j}" for j in range(1, k + 2)]
-    if win.spec.kind == "ktilde":
+    if len(top):
         # x_k (all of the top class IN) with one top-class hitter set OUT.
-        top = np.flatnonzero(cls == k)
         drops = np.repeat(codes[k - 1 : k], len(top), axis=0)
         drops[np.arange(len(top)), top] = CLS_OUT
         codes = np.concatenate([codes, drops])
-        labels += [f"x{k}-drop-{win.group.fmt(g)}" for g in report.classes[-1]]
+        labels += [f"x{k}-drop-{win.group.fmt(g)}" for g in win.group.from_array(report.rows[top])]
     return FiberSet(base, hitters, codes, labels, report)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -299,8 +300,9 @@ class Window:
     """A built window: spec and domain sequence, with the tree and carries they determine.
 
     The cylinder tree is built from ``(spec, ds)`` on construction; the carry
-    sets K_1..K_cap are read from the domain sequence's automaton only when
-    asked for (the verification and build reports need them, shifts do not).
+    sets K_1..K_cap are formed by ``carry_ranges`` only when asked for (the
+    verification and build reports need them, shifts do not).  ``text`` is the
+    window file's text, serialized once.
     """
 
     spec: WindowSpec
@@ -323,11 +325,15 @@ class Window:
     def carries(self) -> CarryRange:
         return carry_ranges(self.ds, self.cap)
 
+    @cached_property
+    def text(self) -> str:
+        return serialize_window(self)
+
     @property
     def window_id(self) -> str:
         import hashlib  # loads OpenSSL, which only the commands printing this id need
 
-        digest = hashlib.sha256(serialize_window(self).encode()).hexdigest()
+        digest = hashlib.sha256(self.text.encode()).hexdigest()
         return f"{self.spec.kind}-{digest[:12]}"
 
     def boundary_sector_measure(self, n: int, sector: int) -> Fraction:
@@ -654,12 +660,17 @@ def check_genericity(win: Window) -> Report:
     escape = np.full(size, spec.cap + 1, dtype=np.int64)
     alive = np.ones(size, dtype=bool)
     depth = np.zeros(size, dtype=np.int64)  # last level with a non-identity digit
-    # D_cap[r] has rank r, so its digit indices are the radix digits of r.
-    for n, idx in enumerate(ds.radix_digits(np.arange(size), spec.cap), start=1):
-        onb = (np.array(spec.partitions[n - 1]) == CLS_PENDING)[idx]
-        escape[alive & ~onb] = n
-        alive &= onb
-        depth[idx != 0] = n
+    # D_cap[r] has rank r, whose level-n digit index is r // size(n-1) % |T_n|: the middle
+    # axis of the ranks viewed as (size(cap)/size(n), |T_n|, size(n-1)) blocks, so a mask
+    # over the digits broadcasts over the ranks.  The ranks whose last nonzero digit is at
+    # level n are size(n-1)..size(n)-1.
+    for n, codes in enumerate(spec.partitions, start=1):
+        low = ds.size(n - 1)
+        onb = (np.array(codes) == CLS_PENDING)[:, None]
+        here = alive.reshape(-1, len(codes), low)  # views: writes go to alive and escape
+        escape.reshape(here.shape)[here & ~onb] = n
+        here &= onb
+        depth[low : ds.size(n)] = n
     late = escape > np.minimum(depth + 2, spec.cap + 1)
     tail_certified = int(alive.sum())
     levels, counts = np.unique(escape, return_counts=True)
@@ -927,7 +938,6 @@ def parse_window(text: str) -> Window:
         ),
     )
     win = Window(spec, ds)
-    written = serialize_window(win)
-    if written != text:
-        raise ConstructionError(_first_difference(text, written))
+    if win.text != text:
+        raise ConstructionError(_first_difference(text, win.text))
     return win

@@ -341,6 +341,95 @@ def test_fiber_report_over_budget_writes_nothing(tmp_path, cfg, capsys, monkeypa
     assert not out.exists()
 
 
+def _config(group, moduli, **window):
+    return (f"[group]\nname = {group}\n\n[chain]\nmoduli = {moduli}\n\n[window]\n"
+            + "".join(f"{key} = {value}\n" for key, value in window.items()))
+
+
+# Configs whose fiber report or carry closure takes tens of GiB: the fiber's candidates
+# were formed as one int8 matrix, (69828, 69828) on the first, before the report's
+# budget check, and the closure's level-1 tables were allocated before any check.
+OVERSIZED = {
+    "fiber-z2-384": (_config("Z2", "6,48,384", kind="ktilde", cap=3, k=1, sector_level=3,
+                             e_rule="strict", delta=10, a=3),
+                     "construction error: a fiber report of 4876089240 candidate-hitter values "
+                     "takes about 975217848000 bytes to write, over the 1073741824-byte budget"),
+    "fiber-z2-320": (_config("Z2", "5,40,320", kind="ktilde", cap=2, k=3, sector_level=2,
+                             epsilon="1/2"),
+                     "construction error: a fiber report of 2538073428 candidate-hitter values "
+                     "takes about 507614685600 bytes to write, over the 1073741824-byte budget"),
+    "closure-heis-96": (_config("Heisenberg", "6,48,96", kind="perf", cap=3, epsilon="1/100", a=4),
+                        "configuration error: level 1: closing the carry automaton over "
+                        "12230590464 transitions takes 97844723712 bytes, over the "
+                        "1073741824-byte budget"),
+    "closure-heis-320": (_config("Heisenberg", "5,40,320", kind="ktilde", cap=2, k=1,
+                                 epsilon="1/100"),
+                         "configuration error: level 1: closing the carry automaton over "
+                         "4096000000 transitions takes 32768000000 bytes, over the "
+                         "1073741824-byte budget"),
+    "closure-heis-64": (_config("Heisenberg", "4,32,64", kind="k", cap=3, k=1, epsilon="1/100"),
+                        "configuration error: level 1: closing the carry automaton over "
+                        "1073741824 transitions takes 8589934592 bytes, over the "
+                        "1073741824-byte budget"),
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_oversized_fiber_and_closure_exit_two(tmp_path, cfg, capsys, name):
+    # each is refused from its counts, before anything of its size exists: the fiber
+    # windows build and their fiber exits 2, the closure configs' build exits 2
+    text, message = OVERSIZED[name]
+    out = tmp_path / "w"
+    argv = ["build", "--config", cfg("w.cfg", text), "--out", str(out)]
+    if name.startswith("fiber"):
+        assert main(argv) == 0
+        argv = ["fiber", str(out / "window.txt"), "--critical", "--out", str(tmp_path / "f")]
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert peak < 1 << 30
+    assert not (tmp_path / "f").exists() and (name.startswith("fiber") or not out.exists())
+
+
+@pytest.mark.parametrize("text", [IRR_CFG, FIBER_CFG, Z2_CFG], ids=["z-irregular", "z-fiber", "z2"])
+def test_abelian_build_and_verify_close_no_automaton(tmp_path, cfg, monkeypatch, text):
+    # Z and Z2 carry sets are written down (Lemma B), so neither command closes the automaton;
+    # a Heisenberg build still does
+    closed = []
+    init = odowin.expansion.CarryAutomaton.__init__
+    monkeypatch.setattr(odowin.expansion.CarryAutomaton, "__init__",
+                        lambda self, *a: closed.append(a[1]) or init(self, *a))
+    out = tmp_path / "w"
+    assert main(["build", "--config", cfg("w.cfg", text), "--out", str(out)]) == 0
+    assert main(["verify", str(out / "window.txt")]) == 0
+    assert closed == []
+    assert main(["build", "--config", cfg("h.cfg", HEIS_CFG), "--out", str(tmp_path / "h")]) == 0
+    assert closed
+
+
+def test_loaded_window_is_serialized_once(tmp_path, cfg, monkeypatch):
+    # parse_window checks the file against the window's text, and window_id hashes that text
+    from odowin import windows
+
+    out = tmp_path / "w"
+    main(["build", "--config", cfg("w.cfg", FIBER_CFG), "--out", str(out)])
+    calls = []
+    serialize = windows.serialize_window
+    monkeypatch.setattr(windows, "serialize_window", lambda w: calls.append(w) or serialize(w))
+    for command in ("fiber", "stats"):
+        calls.clear()
+        assert main([command, str(out / "window.txt"), "--seed", "1",
+                     "--out", str(tmp_path / command)]) == 0
+        assert len(calls) == 1, command
+        assert json.loads((tmp_path / command).read_text())["window"] == windows.parse_window(
+            (out / "window.txt").read_text()).window_id
+
+
 def _fiber_report_oracle(win, xi, level):
     """The report as a dict, written by json.dumps(indent=2, sort_keys=True)."""
     fib = enumerate_fiber(win, xi, patch_level=level)
@@ -555,10 +644,11 @@ def test_exhausted_chain_names_its_level(tmp_path, cfg, capsys):
         assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
         assert not (tmp_path / "x").exists()
         # A rejected modulus is probed against its alphabet and never built.  The
-        # length-24 chain peaks at 165 MiB building its accepted level 4 (2^22
-        # elements: the domain and its rank table alone hold 64 MiB); building
-        # each rejected domain, up to 2^24 elements, peaked at 721 MiB.
-        assert peak < 176 << 20
+        # length-24 chain peaks at 32.5 MiB building its accepted level 4 (2^22
+        # elements: on Z the domain alone, 32 MiB; the domain and its rank table
+        # peaked at 129 MiB); building each rejected domain, up to 2^24 elements,
+        # peaked at 721 MiB.
+        assert peak < 48 << 20
 
 
 def test_preset_must_agree_with_group_name(tmp_path, cfg, capsys):

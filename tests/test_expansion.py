@@ -213,20 +213,26 @@ def test_append_level_rejections(moduli, reps, message):
 
 
 def test_append_level_memory_is_four_domains():
-    # D_n, its residues, np.arange and the residue -> rank table: four 32 MiB arrays for a
-    # 2^22-element level on Z after 16, 512 and 32768.  Checking the whole domain for
-    # duplicate cosets held a fifth (164 MiB); the transversal check runs on T_n alone.
-    ds = DomainSequence(Z)
-    for m in (16, 512, 32768):
-        ds.append_level(m)
-    tracemalloc.start()
-    try:
-        ds.append_level(1 << 22)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 136 << 20
-    assert np.array_equal(ds.vec_rank(ds.domain_array(4), 4), np.arange(1 << 22))
+    # The product-and-table route holds D_n, its residues, np.arange and the residue -> rank
+    # table: on Z2 at a 2^20-element level after 4 and 32, 16 + 8 + 8 + 8 MiB, and 8 MiB
+    # more while the residues are formed (48.1 MiB).  Checking the whole domain for
+    # duplicate cosets held a fifth domain-sized array; the transversal check runs on T_n
+    # alone.  On Z a level is its rows 0..m_n-1 alone (Lemma A): 32 MiB for a 2^22-element
+    # level after 16, 512 and 32768, where the table route held four such arrays (128 MiB).
+    for group, moduli, bound in ((group_by_name("Z2"), (4, 32, 1024), 52 << 20),
+                                 (Z, (16, 512, 32768, 1 << 22), 34 << 20)):
+        ds = DomainSequence(group)
+        for m in moduli[:-1]:
+            ds.append_level(m)
+        tracemalloc.start()
+        try:
+            ds.append_level(moduli[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, group.name
+        assert np.array_equal(ds.vec_rank(ds.domain_array(len(moduli)), len(moduli)),
+                              np.arange(ds.size(len(moduli))))
 
 
 def test_level_zero_is_the_whole_group(ds_z_dec):
@@ -493,6 +499,55 @@ def test_carry_ranges_abelian_closure(ds_z_carry):
         expected.append(nxt)
     for j in range(1, 5):
         assert set(got.level(j)) == expected[j - 1]
+
+
+# Z and Z2 chains on which the closure is enumerated to the top level; the last is the
+# z-irregular window's telescoped chain.
+LEMMA_CHAINS = {
+    "z-pow2": ("Z", geometric_moduli(2, 2, 14)),
+    "z-dec": ("Z", geometric_moduli(10, 10, 5)),
+    "z-fiber": ("Z", [8, 48, 288, 1440, 7200, 36000]),
+    "z2-pow2": ("Z2", geometric_moduli(2, 2, 7)),
+    "z-irregular": ("Z", [16, 512, 32768]),
+}
+
+
+@pytest.mark.parametrize("name", LEMMA_CHAINS)
+def test_abelian_carry_sets_equal_the_closure(name, monkeypatch):
+    # Lemma B: K_1 = {0} and K_n = {0, m_{n-1}}^d, written down without a closure, equal the
+    # closed automaton's sets at every level, to one past the top
+    group, moduli = LEMMA_CHAINS[name]
+    ds = DomainSequence.build(SubgroupChain(group_by_name(group), moduli))
+    with monkeypatch.context() as patch:
+        patch.setattr(CarryAutomaton, "__init__", lambda *a: pytest.fail("automaton closed"))
+        rng = carry_ranges(ds, ds.levels + 1)
+    assert rng.sets == ds.automaton(ds.levels).carry_range.sets
+    assert rng.level(1) == [ds.group.identity]
+    for n in range(2, ds.levels + 2):
+        m = ds.modulus(n - 1)
+        assert rng.level(n) == ([0, m] if group == "Z" else [(0, 0), (0, m), (m, 0), (m, m)])
+    # the witnesses, read later, are the automaton's
+    assert rng.witnesses == ds.automaton().carry_range.witnesses
+
+
+@pytest.mark.parametrize("name", [n for n, (group, _) in LEMMA_CHAINS.items() if group == "Z"])
+def test_z_ranks_are_residues(name):
+    # Lemma A: on Z the domains and ranks equal those of the product-and-table route,
+    # D_n = D_{n-1}·T_n with a residue -> rank table, built here
+    _, moduli = LEMMA_CHAINS[name]
+    ds = DomainSequence.build(SubgroupChain(Z, moduli))
+    rng = np.random.default_rng(5)
+    probe = np.concatenate([rng.integers(-(1 << 29), 1 << 29, 500), [0, -1, moduli[-1]]])[:, None]
+    dom = Z.to_array([Z.identity])
+    for n in range(1, ds.levels + 1):
+        m = ds.modulus(n)
+        dom = Z.vec_mul(dom[None], Z.to_array(ds.alphabet(n))[:, None]).reshape(-1, 1)
+        table = np.empty(m, dtype=np.int64)
+        table[Z.vec_residue_rank(dom, m)] = np.arange(m)
+        assert np.array_equal(ds.domain_array(n), dom)
+        want = table[Z.vec_residue_rank(probe, m)]
+        assert np.array_equal(ds.vec_rank(probe, n), want)
+        assert [ds.rank_of(int(x), n) for x in probe[::50, 0]] == want[::50].tolist()
 
 
 def test_carry_witnesses_replay(ds_heis):

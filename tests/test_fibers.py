@@ -14,6 +14,7 @@ from odowin.fibers import (
     similarity_classes,
     t_region,
 )
+from odowin.groups import ConstructionError
 from odowin.model_sets import classify, emit_patch
 from odowin.odometer import embed, odo_mul, rank_of_point, sample_point
 from odowin.windows import CLS_IN, CLS_OUT, CLS_PENDING, boundary_measure
@@ -239,6 +240,28 @@ def test_fiber_classifies_the_patch_once(w_kt, monkeypatch):
     fib = enumerate_fiber(win, sample_point(win.ds, 23, win.cap), win.ds.domain_list(win.cap))
     assert sorted(calls) == ["product_ranks", "vec_classify"]
     assert fib.distinct() == len(fib.candidates) == win.spec.k + 1 + len(fib.report.classes[-1])
+
+
+def test_classes_are_spelled_when_read(w_irr, w_kt, monkeypatch):
+    # the report keeps its hitters as rows; the classes are group elements only once read,
+    # and a fiber over the budget is refused before its candidate matrix exists
+    from odowin import expansion
+
+    for win in (w_irr, w_kt[2]):
+        fib = enumerate_fiber(win, sample_point(win.ds, 1, win.cap))
+        rep = fib.report
+        assert "classes" not in vars(rep) and rep.full_coverage() and rep.k == win.spec.k
+        hitters = win.group.from_array(fib.patch.rows[fib.hitters])
+        assert rep.classes == [hitters[a:b] for a, b in zip(rep.bounds, rep.bounds[1:])]
+        assert rep.hitters() == hitters
+        drops = [label for label in fib.labels if "-drop-" in label]
+        assert drops == ([f"x{rep.k}-drop-{g}" for g in rep.classes[-1]]
+                         if win.spec.kind == "ktilde" else [])
+        entries = fib.candidates.size
+        monkeypatch.setattr(expansion, "ARRAY_BUDGET", entries * expansion.REPORT_ENTRY_BYTES - 1)
+        with pytest.raises(ConstructionError, match=f"a fiber report of {entries} "):
+            enumerate_fiber(win, sample_point(win.ds, 1, win.cap))
+        monkeypatch.undo()
 
 
 def test_default_and_explicit_fiber_routes_agree(w_kt, w_heis_kt2, monkeypatch):

@@ -306,6 +306,39 @@ def test_genericity_pass(w_irr, w_fiber, w_heis):
         assert rep.data["tail_certified"] == len(win.tree.pending_ranks[win.cap - 1])
 
 
+def radix_genericity(win):
+    """The genericity lines and data, each rank of D_cap decoded to its digits by divmod."""
+    ds, cap = win.ds, win.cap
+    size = ds.size(cap)
+    escape = np.full(size, cap + 1, dtype=np.int64)
+    alive = np.ones(size, dtype=bool)
+    depth = np.zeros(size, dtype=np.int64)
+    for n, idx in enumerate(ds.radix_digits(np.arange(size), cap), start=1):
+        onb = (np.array(win.spec.partitions[n - 1]) == CLS_PENDING)[idx]
+        escape[alive & ~onb] = n
+        alive &= onb
+        depth[idx != 0] = n
+    ok = not (escape > np.minimum(depth + 2, cap + 1)).any()
+    tail = int(alive.sum())
+    levels, counts = np.unique(escape, return_counts=True)
+    lines = [f"{'PASS' if ok else 'FAIL'}: identity never a boundary digit; {size - tail} elements "
+             f"escape inside the tree, {tail} escape via their identity tail (boundary representatives)"]
+    return ok, lines, {"tail_certified": tail,
+                       "escape_histogram": dict(zip(levels.tolist(), counts.tolist()))}
+
+
+@pytest.mark.parametrize("name", ["w_irr", "w_fiber", "w_z2", "w_heis", "manual"])
+def test_genericity_matches_the_radix_route(request, name):
+    # every preset, and a window whose boundary digits sit at both ends of its alphabets
+    if name == "manual":
+        win = manual_window([4, 16, 48], [((0, 2), (1,), (3,)), ((0,), (12,), (4, 8)),
+                                          ((0,), (32,), (16,))])
+    else:
+        win = request.getfixturevalue(name)
+    rep = check_genericity(win)
+    assert (rep.passed, rep.lines, rep.data) == radix_genericity(win)
+
+
 def test_genericity_adversarial_fails():
     # identity kept as a boundary digit at every level: the identity embeds
     # into every boundary layer
