@@ -203,6 +203,10 @@ def window_from_config(cfg: configparser.ConfigParser) -> Window:
         raise ConfigError(f"need cap >= 1 (cap={cap})")
     if kind != "perf" and not cap >= sector_level >= 1:
         raise ConfigError(f"need cap >= sector_level >= 1 (cap={cap}, L={sector_level})")
+    e_rule = cfg.get("window", "e_rule", fallback="dovetail")
+    if e_rule == "per-parent":
+        raise ConfigError("e_rule per-parent breaks the irredundancy certificate, so build "
+                          "refuses it; use dovetail or strict")
     a = _numbers(cfg.get("window", "a", fallback="3"))
     epsilon, delta = (
         _number(cfg.get("window", key), _fraction) if cfg.has_option("window", key) else None
@@ -211,7 +215,6 @@ def window_from_config(cfg: configparser.ConfigParser) -> Window:
     try:
         win = build_perf(group, moduli, cap, a[0] if len(a) == 1 else a,
                          epsilon=epsilon, delta=delta)
-        e_rule = cfg.get("window", "e_rule", fallback="dovetail")
         return build_kind(win, kind, k, sector_level, e_rule)
     except ConstructionError as exc:
         raise ConfigError(str(exc))
@@ -247,7 +250,7 @@ def _write(out: str | Path | None, pieces: Iterable[str]) -> None:
 def _folner_entry(win: Window, n: int) -> dict:
     """The level's van Hove ratio, or null with the rows and bytes its product would take
     where |K_n|·size(n) rows are over the array budget."""
-    carries = win.carries.level(n)
+    carries = win.carries.rows[n - 1]
     rows = len(carries) * win.ds.size(n)
     nbytes = expansion.over_budget(rows, win.group.dim)
     if nbytes:
@@ -266,7 +269,7 @@ def cmd_build(args) -> int:
         "moduli": list(win.spec.moduli),
         "levels": {
             n: {
-                "alphabet": len(win.ds.alphabet(n)),
+                "alphabet": len(win.ds.alphabet_rows(n)),
                 "interior": win.spec.partitions[n - 1].count(CLS_IN),
                 "exterior": 1,
                 "boundary": win.spec.partitions[n - 1].count(CLS_PENDING),
@@ -351,7 +354,8 @@ def cmd_fiber(args) -> int:
     bounds = fib.report.bounds
     # Class codes are 0, 1, 2, so a code is its value's row.
     value = str_text([json.dumps(v) for _, v in sorted(VALUE_OF_CODE.items())])
-    digits = _quoted(g.row_text(g.to_array(win.ds.spell(xi.rank, xi.precision))))
+    shift = enumerate(win.ds.radix_digits(xi.rank, xi.precision), start=1)
+    digits = _quoted(g.row_text(np.stack([win.ds.alphabet_rows(j)[i] for j, i in shift])))
     report = {
         "window": json.dumps(win.window_id),
         "shift_digits": _rows_layout(1, "[]", (digits, np.arange(len(digits)))),

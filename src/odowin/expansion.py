@@ -1,17 +1,19 @@
 """Digit expansions over nested fundamental domains, with exact carry arithmetic.
 
 Level n of a :class:`DomainSequence` carries a finite digit alphabet
-T_{n-1} = D_n ∩ Γ_{n-1} (canonical transversal of Γ_{n-1}/Γ_n containing the
-identity) and the fundamental domain D_n = D_{n-1}·T_{n-1}.  Every group
+T_n = D_n ∩ Γ_{n-1} (canonical transversal of Γ_{n-1}/Γ_n containing the
+identity) and the fundamental domain D_n = D_{n-1}·T_n.  Every group
 element g splits uniquely as g = head·tail with head in D_n and tail in Γ_n,
 and elements of D_n factor uniquely into digit strings
-g = t_1·t_2·...·t_n with t_j in the level-j alphabet.
+g = t_1·t_2·...·t_n with t_j in T_j.
 
 Each D_n is stored once: an int64 array whose rows are its elements in rank
 order, rank = d_rank + size(n-1)·t_index.  So D_m sits at ranks 0..size(m)-1 of
-every deeper level, and heads, depths and digit indices are all rank lookups.
-On Z a rank is the residue mod m_n (Lemma A, ``DomainSequence.append_level``);
-on Z2 and Heisenberg a residue→rank table maps residues to ranks.
+every deeper level, T_n is D_n at the ranks i·size(n-1), and heads, depths and
+digit indices are all rank lookups.  On Z a rank is the residue mod m_n
+(Lemma A, ``DomainSequence.append_level``); on Z2 and Heisenberg a residue→rank
+table maps residues to ranks.  Alphabets and carry sets are rows too; elements
+are spelled from them only for text and the scalar reference route.
 
 Products of digit strings are computed digit-by-digit through the carry
 recursion
@@ -65,16 +67,20 @@ _CLOSURE_ROWS = 1 << 14
 class CarryRange:
     """Exact per-level carry value sets K_j with realizing witnesses.
 
-    ``sets[j-1]`` lists K_j in canonical order.  ``witnesses[j-1]`` maps each
-    carry to a pair of digit-index strings (for the two factors) whose product
-    computation produces that carry entering level j; when first read, they are
-    spelled from the parent pointers of the automaton of ``ds``, which is closed
-    to level ``len(sets) - 1`` then if it is not yet.
+    ``rows[j-1]`` holds K_j as element rows in canonical order; ``sets[j-1]`` spells it.
+    ``witnesses[j-1]`` maps each carry to a pair of digit-index strings (for the two
+    factors) whose product computation produces that carry entering level j; they are
+    spelled from the parent pointers of the automaton of ``ds``, which is closed to
+    level ``len(rows) - 1`` then if it is not yet.  Both are formed on first read.
     """
 
-    def __init__(self, sets: list[list[Elem]], ds: "DomainSequence"):
-        self.sets = sets
+    def __init__(self, rows: list[np.ndarray], ds: "DomainSequence"):
+        self.rows = rows
         self._ds = ds
+
+    @cached_property
+    def sets(self) -> list[list[Elem]]:
+        return [self._ds.group.from_array(rows) for rows in self.rows]
 
     def level(self, j: int) -> list[Elem]:
         return self.sets[j - 1]
@@ -82,8 +88,8 @@ class CarryRange:
     @cached_property
     def witnesses(self) -> list[dict[Elem, tuple[tuple[int, ...], tuple[int, ...]]]]:
         """Per level, each carry in order of first occurrence with the witness of its first state."""
-        auto, out = self._ds.automaton(len(self.sets) - 1), []
-        for j in range(len(self.sets)):
+        auto, out = self._ds.automaton(len(self.rows) - 1), []
+        for j in range(len(self.rows)):
             carry = auto.carry_rows(j)
             first, _ = _first_occurrence(carry)
             g_idx, h_idx = auto.digit_strings(j, first)
@@ -105,8 +111,9 @@ class DomainSequence:
     def __init__(self, group: GroupContext):
         self.group = group
         self.moduli: list[int] = []  # m_1..m_levels
-        self.alphabets: list[tuple[Elem, ...]] = []
-        self._dom: list[np.ndarray] = [group.to_array([group.identity])]  # D_0..D_levels
+        self._dom: list[np.ndarray] = [np.zeros((1, group.dim), dtype=np.int64)]  # D_0..D_levels
+        self._radix: list[int] = []  # |T_1|..|T_levels|
+        self._spelled: dict[int, tuple[Elem, ...]] = {}  # level -> T_n spelled, on first use
         # residue rank -> rank at levels 0..levels; none past level 0 on a one-dimensional group
         self._rep_rank: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
         self._automaton: CarryAutomaton | None = None
@@ -125,7 +132,7 @@ class DomainSequence:
 
     @property
     def levels(self) -> int:
-        return len(self.alphabets)
+        return len(self.moduli)
 
     @property
     def chain(self) -> SubgroupChain:
@@ -140,8 +147,8 @@ class DomainSequence:
     def index(self, n: int) -> int:
         return self.modulus(n) ** self.group.dim
 
-    def next_alphabet(self, modulus: int) -> tuple[list[Elem], np.ndarray]:
-        """The digit alphabet of level ``levels + 1`` mod ``modulus``, as elements and rows.
+    def next_alphabet(self, modulus: int) -> np.ndarray:
+        """The digit alphabet of level ``levels + 1`` mod ``modulus``, as element rows.
 
         No domain is formed, so a modulus can be probed before it is built.  Every
         refusal runs here, for ``append_level`` too: a modulus that is not a proper
@@ -165,25 +172,30 @@ class DomainSequence:
                 f"level {n}: modulus {modulus} gives a domain of {index} elements "
                 f"({nbytes} bytes), over the {ARRAY_BUDGET}-byte budget for one level"
             )
-        alphabet = g.canonical_transversal(m_prev, modulus)
-        if alphabet[0] != g.identity:
+        t_arr = g.canonical_transversal(m_prev, modulus)
+
+        def text(i) -> str:
+            return g.fmt(g.from_array(t_arr[i : i + 1])[0])
+
+        if not len(t_arr) or t_arr[0].tolist() != self._dom[0][0].tolist():  # D_0 = {identity}
             raise ConstructionError(f"level {n}: transversal must start with the identity")
-        t_arr = g.to_array(alphabet)
         outside = np.flatnonzero(g.vec_residue_rank(t_arr, m_prev))
         if outside.size:
             raise ConstructionError(
-                f"level {n}: transversal element {g.fmt(alphabet[outside[0]])} "
-                "not in the previous subgroup"
+                f"level {n}: transversal element {text(outside[0])} not in the previous subgroup"
             )
-        first: dict[int, int] = {}  # residue -> its first digit index
-        for i, r in enumerate(g.vec_residue_rank(t_arr, modulus).tolist()):
-            if first.setdefault(r, i) != i:
-                raise ConstructionError(f"level {n}: duplicate coset for {g.fmt(alphabet[i])} "
-                                        f"and {g.fmt(alphabet[first[r]])}")
-        if self.size(n - 1) * len(alphabet) != index:
-            raise ConstructionError(f"level {n}: domain has {self.size(n - 1) * len(alphabet)} "
+        residues = g.vec_residue_rank(t_arr, modulus)
+        order = np.argsort(residues, kind="stable")  # each residue's digits in index order
+        runs = residues[order]
+        repeat = order[1:][runs[1:] == runs[:-1]]  # every digit but each residue's first
+        if repeat.size:
+            i = repeat.min()
+            first = order[np.searchsorted(runs, residues[i])]
+            raise ConstructionError(f"level {n}: duplicate coset for {text(i)} and {text(first)}")
+        if self.size(n - 1) * len(t_arr) != index:
+            raise ConstructionError(f"level {n}: domain has {self.size(n - 1) * len(t_arr)} "
                                     f"elements, index is {index}")
-        return alphabet, t_arr
+        return t_arr
 
     def append_level(self, modulus: int) -> None:
         """Extend by one level with the canonical transversal mod ``modulus``.
@@ -201,7 +213,7 @@ class DomainSequence:
         tests' oracle for it.
         """
         g = self.group
-        alphabet, t_arr = self.next_alphabet(modulus)
+        t_arr = self.next_alphabet(modulus)
         index = modulus ** g.dim
         if g.dim == 1:
             dom = np.arange(index, dtype=np.int64)[:, None]
@@ -212,7 +224,7 @@ class DomainSequence:
             table[residues] = np.arange(index)
             self._rep_rank.append(table)
         self.moduli.append(modulus)
-        self.alphabets.append(tuple(alphabet))
+        self._radix.append(len(t_arr))
         self._dom.append(dom)
 
     # -- basic queries --------------------------------------------------------
@@ -221,16 +233,23 @@ class DomainSequence:
         """#D_n (n = 0 gives 1)."""
         return len(self.domain_array(n))
 
-    def alphabet(self, n: int) -> tuple[Elem, ...]:
-        """T_n, the level-n digit alphabet (n in 1..levels)."""
+    def alphabet_rows(self, n: int) -> np.ndarray:
+        """T_n (n in 1..levels) as element rows: a view of D_n at the ranks i·size(n-1)."""
         if not 1 <= n <= self.levels:
             raise ConstructionError(f"level {n} outside the alphabet levels 1..{self.levels}")
-        return self.alphabets[n - 1]
+        return self._dom[n][:: len(self._dom[n - 1])]
+
+    def alphabet(self, n: int) -> tuple[Elem, ...]:
+        """T_n spelled as elements, once per level."""
+        spelled = self._spelled.get(n)
+        if spelled is None:
+            spelled = self._spelled[n] = tuple(self.group.from_array(self.alphabet_rows(n)))
+        return spelled
 
     def alphabet_index(self, n: int, t: Elem) -> int:
         """Index of t in the level-n alphabet; ``KeyError`` when t is not in it."""
         i = self.rank_of(t, n) // self.size(n - 1)
-        if self.alphabets[n - 1][i] != t:
+        if self.alphabet(n)[i] != t:
             raise KeyError(t)
         return i
 
@@ -278,7 +297,7 @@ class DomainSequence:
 
     def spell(self, rank: int, n: int) -> tuple[Elem, ...]:
         """The digit string of the level-n rank ``rank``, level 1 first."""
-        return tuple(self.alphabets[j][i] for j, i in enumerate(self.radix_digits(rank, n)))
+        return tuple(self.alphabet(j)[i] for j, i in enumerate(self.radix_digits(rank, n), start=1))
 
     # -- rank arithmetic --------------------------------------------------------
     # D_n is built as D_{n-1}·T_n in the order rank = d_rank + size(n-1)·t_index,
@@ -293,8 +312,8 @@ class DomainSequence:
         """
         check_ranks(self.size(n), n, rank)
         out = []
-        for alphabet in self.alphabets[:n]:
-            rank, i = divmod(rank, len(alphabet))
+        for radix in self._radix[:n]:
+            rank, i = divmod(rank, radix)
             out.append(i)
         return out
 
@@ -381,22 +400,22 @@ class CarryAutomaton:
             start = 0
             ctx = g.context_identity()
             ctx_row = np.array([() if ctx is None else ctx], dtype=np.int64)
-            self.states = [np.hstack([g.to_array([g.identity]), ctx_row])]
+            self.states = [np.hstack([ds.domain_array(0), ctx_row])]
             self.first_transition, self.trans_digit, self.trans_state = [], [], []
-            sets = [[g.identity]]
+            carries = [ds.domain_array(0)]
         else:
             start = prev.levels
             self.states = list(prev.states)
             self.first_transition = list(prev.first_transition)
             self.trans_digit = list(prev.trans_digit)
             self.trans_state = list(prev.trans_state)
-            sets = list(prev.carry_range.sets)
+            carries = list(prev.carry_range.rows)
         for j in range(start + 1, levels + 1):
             self._close_level(j)
             carry = self.carry_rows(j)
             _, first = np.unique(row_keys(carry), return_index=True)  # sorted as sort_key sorts
-            sets.append(g.from_array(carry[first]))
-        self.carry_range = CarryRange(sets, ds)
+            carries.append(carry[first])
+        self.carry_range = CarryRange(carries, ds)
 
     def _close_level(self, j: int) -> None:
         """Append level j's tables and parent pointers and the states entering level j+1.
@@ -418,7 +437,7 @@ class CarryAutomaton:
                 f"level {j}: closing the carry automaton over {len(src) * na * na} transitions "
                 f"takes {nbytes} bytes, over the {ARRAY_BUDGET}-byte budget"
             )
-        alpha = ds.domain_array(j)[::place]  # the digit T_j[i] has rank i·size(j-1)
+        alpha = ds.alphabet_rows(j)  # the digit T_j[i] has rank i·size(j-1)
         alpha_inv = g.vec_inv(alpha)
         g.check_bounds(src, alpha_inv)
         tdig = np.empty((len(src), na, na), dtype=table_dtype(na - 1))
@@ -530,7 +549,7 @@ class CarryAutomaton:
         state = np.zeros(len(g_rank), dtype=np.int64)
         out = np.zeros(len(g_rank), dtype=np.int64)
         for j in range(1, n + 1):
-            na = len(self.ds.alphabet(j))
+            na = len(self.ds.alphabet_rows(j))
             g_rank, pi = np.divmod(g_rank, na)
             h_rank, qi = np.divmod(h_rank, na)
             digit, state = self.step(j, (state * na + pi) * na + qi)
@@ -594,7 +613,7 @@ def _conjugation_witness(auto: CarryAutomaton, n: int) -> dict | None:
     ds, g = auto.ds, auto.ds.group
     for j in range(1, n + 1):
         ctx = auto.states[j - 1][:, g.dim :]
-        alpha = g.to_array(ds.alphabet(j))
+        alpha = ds.alphabet_rows(j)
         g.check_bounds(ctx, alpha)
         conj = g.conj_rows(ctx[:, None], alpha)
         moved = np.flatnonzero((conj != alpha).any(axis=-1))
@@ -603,7 +622,7 @@ def _conjugation_witness(auto: CarryAutomaton, n: int) -> dict | None:
             return {
                 "level": j,
                 "context": tuple(ctx[s].tolist()),
-                "digit": ds.alphabet(j)[p],
+                "digit": g.from_array(alpha[p : p + 1])[0],
                 "conjugated": g.from_array(conj[s, p][None])[0],
             }
     return None
@@ -659,9 +678,9 @@ def carry_ranges(ds: DomainSequence, up_to: int) -> CarryRange:
     g = ds.group
     if g.abelian:
         corners = np.array(list(itertools.product((0, 1), repeat=g.dim)), dtype=np.int64)
-        sets = [[g.identity]] + [g.from_array(corners * ds.modulus(n)) for n in range(1, up_to)]
-        return CarryRange(sets, ds)
-    return CarryRange(ds.automaton(up_to - 1).carry_range.sets[:up_to], ds)
+        rows = [ds.domain_array(0)] + [corners * ds.modulus(n) for n in range(1, up_to)]
+        return CarryRange(rows, ds)
+    return CarryRange(ds.automaton(up_to - 1).carry_range.rows[:up_to], ds)
 
 
 def verify_carry_identity(ds: DomainSequence, level: int, chunk: int = 1 << 15) -> dict:
@@ -736,7 +755,7 @@ def verify_carry_identity(ds: DomainSequence, level: int, chunk: int = 1 << 15) 
     # A step value T_n[d]·c depends only on the digit d and the next state, so
     # it is formed once for each (d, next state) pair that some transition reaches.
     carry_elems = auto.carry_rows(n)  # by state index
-    alphabet = g.to_array(ds.alphabet(n))
+    alphabet = ds.alphabet_rows(n)
     g.check_bounds(alphabet, carry_elems)
     step_digit, step_state = auto.step(n, slice(None))
     step_ok = (g.vec_residue_rank(carry_elems, ds.modulus(n)) == 0)[step_state].reshape(-1, na)

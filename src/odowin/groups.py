@@ -5,7 +5,7 @@ Three concrete groups are shipped: the integers ``Z``, the integer plane
 (a, b, c) with product (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b'), i.e. upper
 unitriangular 3x3 integer matrices).  Each comes with nested normal
 finite-index subgroups given by congruence conditions modulo a divisibility
-chain m_1 | m_2 | ..., together with the canonical transversals used by the
+chain m_1 | m_2 | ..., and one canonical transversal grid, as int64 rows, for the
 digit-expansion machinery.
 
 All scalar arithmetic is plain Python integers (arbitrary precision).  The
@@ -87,27 +87,25 @@ class GroupContext(ABC):
 
     # -- congruence structure ------------------------------------------------
 
-    @abstractmethod
     def residue(self, g: Elem, m: int) -> Elem:
         """Canonical residue of g modulo m (componentwise, in [0, m))."""
+        return tuple(c % m for c in g) if self.dim > 1 else g % m
 
     def residue_rank(self, g: Elem, m: int) -> int:
-        """Flat integer in [0, m**dim) encoding residue(g, m)."""
-        r = self.residue(g, m)
-        if isinstance(r, tuple):
-            rank = 0
-            for c in r:
-                rank = rank * m + c
-            return rank
-        return r
+        """Flat integer in [0, m**dim) encoding residue(g, m), first coordinate most significant."""
+        rank = 0
+        for c in (g if self.dim > 1 else (g,)):
+            rank = rank * m + c % m
+        return rank
 
-    @abstractmethod
-    def canonical_transversal(self, m_prev: int, m: int) -> list[Elem]:
-        """Ordered coset representatives of ker(mod m) inside ker(mod m_prev).
-
-        Contains the identity first; all entries have components that are
-        multiples of m_prev.
-        """
+    def canonical_transversal(self, m_prev: int, m: int) -> np.ndarray:
+        """Ordered coset representatives of ker(mod m) inside ker(mod m_prev), as int64 rows: the
+        multiples of m_prev below m, first coordinate slowest, so the identity comes first."""
+        steps = np.arange(0, m, m_prev)
+        grid = np.empty((len(steps),) * self.dim + (self.dim,), dtype=np.int64)
+        for i in range(self.dim):  # coordinate i varies along axis i
+            grid[..., i] = steps.reshape((-1,) + (1,) * (self.dim - 1 - i))
+        return grid.reshape(-1, self.dim)
 
     # -- conjugation contexts for carry propagation --------------------------
     # The carry recursion needs s^{-1}·x·s where s ranges over domain heads.
@@ -176,8 +174,7 @@ class GroupContext(ABC):
             if r.size:
                 r = r.reshape(-1, self.dim)
                 top = np.maximum(top, np.maximum(r.max(axis=0), -r.min(axis=0)))
-        m = self.from_array(top[None])[0]
-        need = max(top.max(), self.to_array([self.mul(m, m)]).max())
+        need = max(top.max(), self.mul_rows(top, top).max())  # exact: top is below 2**30
         return next(dt for dt in (np.int16, np.int32, np.int64) if need <= np.iinfo(dt).max)
 
     @abstractmethod
@@ -227,12 +224,6 @@ class ZGroup(GroupContext):
     def inv(self, a):
         return -a
 
-    def residue(self, g, m):
-        return g % m
-
-    def canonical_transversal(self, m_prev, m):
-        return [i * m_prev for i in range(m // m_prev)]
-
     def mul_rows(self, a, b):
         return a + b
 
@@ -261,13 +252,6 @@ class Z2Group(GroupContext):
 
     def inv(self, a):
         return (-a[0], -a[1])
-
-    def residue(self, g, m):
-        return (g[0] % m, g[1] % m)
-
-    def canonical_transversal(self, m_prev, m):
-        r = m // m_prev
-        return [(i * m_prev, j * m_prev) for i in range(r) for j in range(r)]
 
     def mul_rows(self, a, b):
         return a + b
@@ -304,14 +288,6 @@ class HeisenbergGroup(GroupContext):
 
     def inv(self, a):
         return (-a[0], -a[1], -a[2] + a[0] * a[1])
-
-    def residue(self, g, m):
-        return (g[0] % m, g[1] % m, g[2] % m)
-
-    def canonical_transversal(self, m_prev, m):
-        r = m // m_prev
-        steps = [i * m_prev for i in range(r)]
-        return [(x, y, z) for x in steps for y in steps for z in steps]
 
     # Conjugation s^{-1}(a,b,c)s with s=(x,y,z) gives (a, b, c + a·y - b·x):
     # only (x, y) of s matters, which keeps carry states small.

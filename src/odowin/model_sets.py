@@ -161,7 +161,7 @@ def patch_jsonl(win: Window, patch: SymbolicPatch) -> str:
     ds, g, n, block = win.ds, win.group, win.cap, expansion.WRITE_BLOCK
 
     def alpha(j: int) -> np.ndarray:  # level j's digit texts, each after its punctuation
-        rows = g.to_array(ds.alphabet(j))
+        rows = ds.alphabet_rows(j)
         return np.concatenate([const_text('{"digits":[' if j == 1 else ",", len(rows)),
                                g.row_text(rows, "[]")], axis=1)
 
@@ -169,7 +169,7 @@ def patch_jsonl(win: Window, patch: SymbolicPatch) -> str:
     while j < n:
         low, table = ds.size(j), alpha(j + 1)
         j += 1
-        while j < n and len(table) * len(ds.alphabet(j + 1)) <= block:
+        while j < n and len(table) * len(ds.alphabet_rows(j + 1)) <= block:
             nxt = alpha(j + 1)
             table = np.concatenate([np.tile(table, (len(nxt), 1)),
                                     np.repeat(nxt, len(table), axis=0)], axis=1)

@@ -63,7 +63,7 @@ def sample_point(ds: DomainSequence, rng_seed: int, n: int) -> OdometerPoint:
     if n > ds.levels:
         raise PrecisionError(f"only {ds.levels} digit levels are built")
     rng = random.Random(rng_seed)
-    rank = sum(rng.randrange(len(ds.alphabet(j))) * ds.size(j - 1) for j in range(1, n + 1))
+    rank = sum(rng.randrange(len(ds.alphabet_rows(j))) * ds.size(j - 1) for j in range(1, n + 1))
     return OdometerPoint(rank, n)
 
 

@@ -143,7 +143,7 @@ class WindowSpec:
                 f"need a partition for each of the {self.cap} levels (got {len(self.partitions)})"
             )
         for n, codes in enumerate(self.partitions, start=1):
-            digits = len(ds.alphabet(n))
+            digits = len(ds.alphabet_rows(n))
             if len(codes) != digits:
                 raise ConstructionError(f"level {n}: need a class code for each of the {digits} "
                                         f"digits (got {len(codes)})")
@@ -413,21 +413,21 @@ def vanhove_boundary(ds: DomainSequence, probe: Sequence[Elem], n: int) -> list[
     return g.from_array(rows[bnd][np.argsort(keys[bnd])])
 
 
-def carry_safe_digits(g: GroupContext, carries: Sequence[Elem], alphabet: np.ndarray, modulus: int,
+def carry_safe_digits(g: GroupContext, carries: np.ndarray, alphabet: np.ndarray, modulus: int,
                       n: int) -> np.ndarray:
     """Mask over the level-n digit indices of the t with carries·t inside D_n (eligible boundary
-    digits), given T_n = ``alphabet`` mod ``modulus``."""
-    return translate_mask(g, g.to_array(carries), alphabet, alphabet, modulus, n).all(axis=0)
+    digits), given the rows of T_n = ``alphabet`` mod ``modulus`` and of the carries."""
+    return translate_mask(g, carries, alphabet, alphabet, modulus, n).all(axis=0)
 
 
-def folner_ratio(ds: DomainSequence, carries: Sequence[Elem], n: int) -> Fraction:
-    """Diagnostic #boundary(D_n)/#D_n for the inverted carry probe (K = carries).
+def folner_ratio(ds: DomainSequence, carries: np.ndarray, n: int) -> Fraction:
+    """Diagnostic #boundary(D_n)/#D_n for the inverted carry probe (K = the rows ``carries``).
 
     Counted from the carry-tail table: with d_r distinct tails of k·D_n[r]
     over k ∈ K, #boundary = Σ d_r over the columns with d_r >= 2, which is
     ``len(vanhove_boundary(ds, [k⁻¹ for k in K], n))``.
     """
-    _rows, _keys, first = _carry_tail_table(ds, ds.group.to_array(carries), n)
+    _rows, _keys, first = _carry_tail_table(ds, carries, n)
     return Fraction(int(_straddling(first).sum()), ds.size(n))
 
 
@@ -473,8 +473,8 @@ def build_perf(
         while pointer < len(raw):
             m = raw[pointer]
             pointer += 1
-            _, alphabet = ds.next_alphabet(m)
-            carries = carry_ranges(ds, n).level(n)
+            alphabet = ds.next_alphabet(m)
+            carries = carry_ranges(ds, n).rows[n - 1]
             safe = np.flatnonzero(carry_safe_digits(group, carries, alphabet, m, n))
             total = len(alphabet)
             n_boundary = len(safe) - a_n
@@ -732,14 +732,14 @@ def check_self_similarity(win: Window) -> Report:
     ds, spec, carries = win.ds, win.spec, win.carries
     g = ds.group
     for n, codes in enumerate(spec.partitions, start=1):
-        level_carries = carries.level(n)
+        level_carries = carries.rows[n - 1]
         boundary = np.flatnonzero(np.array(codes) == CLS_PENDING)
-        alphabet = g.to_array(ds.alphabet(n))
-        inside = translate_mask(g, g.to_array(level_carries), alphabet[boundary], alphabet,
-                                ds.modulus(n), n)
+        alphabet = ds.alphabet_rows(n)
+        inside = translate_mask(g, level_carries, alphabet[boundary], alphabet, ds.modulus(n), n)
         bad = np.flatnonzero(~inside.all(axis=0))
         if bad.size:  # the first failing digit's first failing carry: argmin finds a False
-            k, c = level_carries[np.argmin(inside[:, bad[0]])], ds.alphabet(n)[boundary[bad[0]]]
+            i = np.argmin(inside[:, bad[0]])
+            k, c = g.from_array(np.stack([level_carries[i], alphabet[boundary[bad[0]]]]))
             witness = {"level": n, "carry": k, "digit": c}
             lines = [f"FAIL at level {n}: carry {g.fmt(k)} pushes boundary digit {g.fmt(c)} "
                      "outside the domain"]

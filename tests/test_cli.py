@@ -1,5 +1,7 @@
 """Command-line behavior: determinism, round trips, exit codes."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -124,10 +126,29 @@ def test_build_report_contains_measure_bound(tmp_path, cfg):
 
 
 def test_verify_fails_on_broken_window(tmp_path, cfg):
-    # per-parent punctures break the one-excluded-child certificates
+    # per-parent punctures break the one-excluded-child certificates; build refuses them,
+    # so the library writes the window file
+    assert main(["build", "--config", cfg("w.cfg", FIBER_CFG), "--out", str(tmp_path / "k")]) == 0
+    win = build_ktilde(parse_window((tmp_path / "k" / "window.txt").read_text()), "per-parent")
+    path = tmp_path / "window.txt"
+    path.write_text(serialize_window(win))
+    assert main(["verify", str(path)]) == 1
+
+
+def test_per_parent_config_is_refused_before_any_build(tmp_path, cfg, capsys, monkeypatch):
+    from odowin import cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_perf was called")
+
+    monkeypatch.setattr(cli, "build_perf", no_build)
     path = cfg("w.cfg", FIBER_CFG.replace("kind = k", "kind = ktilde") + "e_rule = per-parent\n")
-    main(["build", "--config", path, "--out", str(tmp_path / "w")])
-    assert main(["verify", str(tmp_path / "w" / "window.txt")]) == 1
+    capsys.readouterr()
+    assert main(["build", "--config", path, "--out", str(tmp_path / "w")]) == 2
+    assert capsys.readouterr().err == ("configuration error: e_rule per-parent breaks the "
+                                       "irredundancy certificate, so build refuses it; use "
+                                       "dovetail or strict\n")
+    assert not (tmp_path / "w").exists()
 
 
 def test_verify_fails_on_corrupted_boundary_digits(tmp_path, cfg):
@@ -861,6 +882,81 @@ def test_mutated_window_file_verifies_or_exits_two(tmp_path_factory, mutation_so
     size = win.ds.size(win.cap)
     walk = [win.tree.classify_indices(r)[0] for r in range(size)]
     assert win.tree.vec_classify(np.arange(size)).tolist() == walk
+
+
+# Per group: chain presets, and the largest modulus a drawn chain may reach, which keeps each
+# domain and carry closure within tens of milliseconds.  heis-pow2 is left out: where its
+# level 1 telescopes to modulus 16, closing that level takes seconds (16.7M transitions).
+FUZZ_GROUPS = {"Z": (["z-carry", "z-pow2", "z-dec", "z-fiber"], 10_000),
+               "Z2": (["z2-pow2"], 64), "Heisenberg": (["heis-window"], 16)}
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Config text over a drawn group, chain, kind, k, sector level, e_rule, delta or epsilon,
+    and a.  The values are mostly ones a window can be built from; the rest describe none,
+    and the build must say so on one line."""
+    group = draw(st.sampled_from(sorted(FUZZ_GROUPS)))
+    chain_presets, top = FUZZ_GROUPS[group]
+    source = draw(st.sampled_from(["preset", "moduli", "rule"]))
+    if source == "preset":
+        chain = f"preset = {draw(st.sampled_from(chain_presets))}"
+    else:
+        base = draw(st.integers(2, 4))
+        ratios = draw(st.lists(st.integers(2, 6), min_size=2, max_size=8))
+        moduli = [base]
+        for r in ratios:
+            if moduli[-1] * r <= top:
+                moduli.append(moduli[-1] * r)
+        chain = (f"moduli = {','.join(map(str, moduli))}" if source == "moduli" else
+                 f"rule = geometric\nbase = {base}\nratio = {ratios[0]}\nlength = {len(moduli)}")
+    kind = draw(st.sampled_from(["perf", "k", "ktilde"]))
+    cap = draw(st.integers(1, 4))
+    window = {"kind": kind, "cap": cap}
+    if kind != "perf":
+        window["k"] = draw(st.sampled_from([1, 2, 3, 0]))
+        window["sector_level"] = draw(st.integers(1, cap))
+    if kind == "ktilde":
+        rule = draw(st.sampled_from([None, "dovetail", "strict", "per-parent"]))
+        if rule:
+            window["e_rule"] = rule
+    if draw(st.booleans()):
+        window["delta"] = draw(st.sampled_from(["104", "60", "40", "20", "5/2", "0", "-1/2"]))
+    else:
+        window["epsilon"] = draw(st.sampled_from(["1/2", "1/10", "1/100", "9/10", "0", "3/2"]))
+    a = draw(st.lists(st.sampled_from([3, 4, 3, 5, 2]), min_size=1, max_size=cap))
+    window["a"] = ",".join(map(str, a if len(a) == cap else a[:1]))
+    return (f"[group]\nname = {group}\n\n[chain]\n{chain}\n\n[window]\n"
+            + "".join(f"{key} = {value}\n" for key, value in window.items()))
+
+
+def _exit_and_errors(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=fuzz_configs())
+def test_config_builds_a_verified_window_or_exits_two(tmp_path_factory, text):
+    # Every config ends in a window that verifies, or in exit 2 with one line and no files;
+    # each command on a built window exits 0 or 2, and its file reads back as itself.
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "w.cfg").write_text(text)
+    out = work / "w"
+    code, err = _exit_and_errors(["build", "--config", str(work / "w.cfg"), "--out", str(out)])
+    if code == 2:
+        assert len(err) == 1 and not out.exists(), (text, err)
+        return
+    assert code == 0, text
+    window = out / "window.txt"
+    assert _exit_and_errors(["verify", str(window)]) == (0, []), text
+    for command in (["emit"], ["fiber", "--seed", "3"], ["stats", "--seed", "5"]):
+        code, err = _exit_and_errors([command[0], str(window), *command[1:],
+                                      "--out", str(work / command[0])])
+        assert code == 0 or (code == 2 and len(err) == 1), (text, command, code, err)
+    assert serialize_window(parse_window(window.read_text())) == window.read_text()
 
 
 def test_bench_tracer_targets_exist(monkeypatch):

@@ -172,7 +172,7 @@ def test_transversal_outside_subgroup_rejected():
         def canonical_transversal(self, m_prev, m):
             reps = super().canonical_transversal(m_prev, m)
             if m_prev > 1:
-                reps[1] = reps[1] + 1  # no longer a multiple of m_prev
+                reps[1] += 1  # no longer a multiple of m_prev
             return reps
 
     ds = DomainSequence(BadZ())
@@ -182,11 +182,13 @@ def test_transversal_outside_subgroup_rejected():
 
 
 def _broken_z(reps):
-    """Z whose transversal for (m_prev, m) is replaced by ``reps[(m_prev, m)]``."""
+    """Z whose transversal for (m_prev, m) is replaced by the rows of ``reps[(m_prev, m)]``."""
 
     class BrokenZ(type(Z)):
         def canonical_transversal(self, m_prev, m):
-            return reps.get((m_prev, m)) or super().canonical_transversal(m_prev, m)
+            if (m_prev, m) in reps:
+                return np.array(reps[m_prev, m], dtype=np.int64).reshape(-1, 1)
+            return super().canonical_transversal(m_prev, m)
 
     return BrokenZ()
 
@@ -200,6 +202,8 @@ def _broken_z(reps):
         ([2], {(1, 2): [0]}, "level 1: domain has 1 elements, index is 2"),
         ([2, 1 << 28], {}, "level 2: modulus 268435456 gives a domain of 268435456 elements "
          "(2147483648 bytes), over the 1073741824-byte budget for one level"),
+        # the first digit, in index order, whose coset came before, and that coset's first digit
+        ([2, 8], {(2, 8): [0, 12, 4, 2, 20]}, "level 2: duplicate coset for 4 and 12"),
     ],
 )
 def test_append_level_rejections(moduli, reps, message):
@@ -210,6 +214,53 @@ def test_append_level_rejections(moduli, reps, message):
         ds.append_level(moduli[-1])
     assert str(exc.value) == message
     assert ds.levels == len(moduli) - 1  # a rejected level leaves nothing behind
+
+
+@pytest.mark.parametrize("name", ["Z", "Z2", "Heisenberg"])
+def test_transversal_rows_are_the_multiples_grid(name):
+    # the one row grid equals the per-group comprehension it replaced: the multiples of
+    # m_prev below m, first coordinate slowest
+    g = group_by_name(name)
+    for m_prev, m in ((1, 2), (1, 6), (2, 8), (3, 12), (4, 20), (8, 48)):
+        rows = g.canonical_transversal(m_prev, m)
+        want = [list(t) for t in itertools.product(range(0, m, m_prev), repeat=g.dim)]
+        assert rows.dtype == np.int64 and rows.shape == (len(want), g.dim)
+        assert rows.tolist() == want
+
+
+def _preset_levels(name):
+    """The levels of a preset chain whose domains have at most 2**18 elements."""
+    group, moduli = presets.CHAINS[name]
+    return sum(m ** group_by_name(group).dim <= 1 << 18 for m in moduli)
+
+
+@pytest.mark.parametrize("name", sorted(presets.CHAINS))
+def test_alphabet_is_the_domain_at_digit_ranks(name):
+    # T_n is D_n at the ranks i·size(n-1), spelled once per level: the multiples grid
+    ds = presets.domains(name, _preset_levels(name))
+    g = ds.group
+    for n in range(1, ds.levels + 1):
+        spelled = tuple(g.from_array(ds.domain_array(n)[:: ds.size(n - 1)]))
+        assert ds.alphabet(n) == spelled and ds.alphabet(n) is ds.alphabet(n)
+        steps = range(0, ds.modulus(n), ds.modulus(n - 1))
+        grid = [t if g.dim > 1 else t[0] for t in itertools.product(steps, repeat=g.dim)]
+        assert list(spelled) == grid
+        assert ds.alphabet_rows(n).tolist() == g.to_array(spelled).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(presets.CHAINS))
+def test_domains_are_built_without_spelling(name, monkeypatch):
+    # the domains, alphabets and transversal checks stay rows: no element is spelled or
+    # read back while a chain is built
+    from odowin.groups import GroupContext
+
+    def spelled(*args):
+        raise AssertionError("an element was spelled while building")
+
+    monkeypatch.setattr(GroupContext, "to_array", spelled)
+    monkeypatch.setattr(GroupContext, "from_array", spelled)
+    ds = presets.domains(name, _preset_levels(name))
+    assert ds.levels == _preset_levels(name)
 
 
 def test_append_level_memory_is_four_domains():

@@ -259,7 +259,7 @@ def test_carry_safe_equals_vanhove_complement(w_irr):
         carries = w_irr.carries.level(n)
         probe = [Z.inv(k) for k in carries]
         bnd = set(vanhove_boundary(ds, probe, n))
-        safe = carry_safe_digits(Z, carries, Z.to_array(ds.alphabet(n)), ds.modulus(n), n)
+        safe = carry_safe_digits(Z, w_irr.carries.rows[n - 1], ds.alphabet_rows(n), ds.modulus(n), n)
         assert safe.tolist() == [t not in bnd for t in ds.alphabet(n)]
 
 
@@ -287,11 +287,11 @@ def test_folner_ratio_counts_the_boundary(request, name):
     for n in range(1, win.cap + 1):
         carries = win.carries.level(n)
         boundary = vanhove_boundary(ds, [g.inv(k) for k in carries], n)
-        assert folner_ratio(ds, carries, n) == Fraction(len(boundary), ds.size(n))
+        assert folner_ratio(ds, win.carries.rows[n - 1], n) == Fraction(len(boundary), ds.size(n))
 
 
 def test_folner_ratios_decrease(w_irr):
-    ratios = [folner_ratio(w_irr.ds, w_irr.carries.level(n), n) for n in range(1, w_irr.cap + 1)]
+    ratios = [folner_ratio(w_irr.ds, w_irr.carries.rows[n - 1], n) for n in range(1, w_irr.cap + 1)]
     assert ratios[0] == 0  # level-1 carries are only the identity
     assert all(a >= b for a, b in zip(ratios[1:], ratios[2:]))
 
