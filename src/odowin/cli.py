@@ -28,7 +28,7 @@ from . import expansion
 from .fibers import birkhoff_stats, critical_point, enumerate_fiber
 from .groups import (ConstructionError, const_text, group_by_name, geometric_moduli,
                      join_rows, ljust, str_text)
-from .model_sets import VALUE_OF_CODE, emit_patch, patch_jsonl, patch_pgm
+from .model_sets import VALUE_OF_CODE, emit_patch, jsonl_blocks, patch_pgm
 from .odometer import embed, sample_point
 from .presets import CHAINS
 from .windows import (
@@ -315,7 +315,7 @@ def cmd_emit(args) -> int:
     xi = _shift_point(win, args)
     level = args.patch_level if args.patch_level is not None else win.cap - 1
     patch = emit_patch(win, xi, patch_level=level)
-    _write(args.out, [patch_jsonl(win, patch)])
+    _write(args.out, jsonl_blocks(win, patch))
     if args.out:
         print(f"patch written to {args.out} ({len(patch.ranks)} positions, "
               f"{np.count_nonzero(patch.codes == CLS_PENDING)} undecided)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -153,10 +153,18 @@ def regularity(win: Window, n: int) -> Fraction:
 def patch_jsonl(win: Window, patch: SymbolicPatch) -> str:
     """One line per position: ``{"digits":[...],"element":...,"value":1|0|"?"}``, no spaces.
 
-    The text is built ``WRITE_BLOCK`` records at a time from text tables: each column
-    gives a block its rows, and the block is joined once.  A record's digits are taken
-    from tables of digit texts, one per run of consecutive levels, each table at most
-    ``WRITE_BLOCK`` long (or one level's alphabet), their punctuation folded in.
+    The whole text, joined from :func:`jsonl_blocks`; a writer streams those blocks instead.
+    """
+    return "".join(jsonl_blocks(win, patch))
+
+
+def jsonl_blocks(win: Window, patch: SymbolicPatch) -> Iterator[str]:
+    """The text of :func:`patch_jsonl`, ``WRITE_BLOCK`` records at a time.
+
+    Each block is built from text tables: each column gives the block its rows, and the
+    block is joined once.  A record's digits are taken from tables of digit texts, one
+    per run of consecutive levels, each table at most ``WRITE_BLOCK`` long (or one
+    level's alphabet), their punctuation folded in.  An empty patch is one empty line.
     """
     ds, g, n, block = win.ds, win.group, win.cap, expansion.WRITE_BLOCK
 
@@ -178,16 +186,16 @@ def patch_jsonl(win: Window, patch: SymbolicPatch) -> str:
     # Class codes are 0, 1, 2, so a code is its value's row.
     values = str_text([',"value":' + ('"?"' if v is None else str(v)) + "}\n"
                        for _, v in sorted(VALUE_OF_CODE.items())])
-    blocks = []
     for s in range(0, len(patch.ranks), block):
         ranks = patch.ranks[s : s + block]
-        blocks.append(join_rows(
+        yield join_rows(
             *(table.take(ranks // low % len(table), axis=0) for low, table in runs),
             const_text('],"element":', len(ranks)),
             g.row_text(patch.rows[s : s + block], "[]"),
             values.take(patch.codes[s : s + block], axis=0),
-        ))
-    return "".join(blocks) or "\n"
+        )
+    if not len(patch.ranks):
+        yield "\n"
 
 
 def patch_pgm(win: Window, patch: SymbolicPatch, level: int) -> bytes:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -295,6 +295,22 @@ class CylinderTree:
         )
 
 
+@cache
+def builtin_sha256():
+    """SHA-256 from the interpreter's builtin module (``_sha2`` on 3.12+, ``_sha256`` on 3.10
+    and 3.11), and from ``hashlib`` only where neither exists: ``hashlib`` loads OpenSSL
+    (3.5 MB resident) for one short digest.  Looked up once per process, since a failed
+    import searches the path again; ``builtin_sha256.cache_clear()`` looks again."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 @dataclass
 class Window:
     """A built window: spec and domain sequence, with the tree and carries they determine.
@@ -331,10 +347,8 @@ class Window:
 
     @property
     def window_id(self) -> str:
-        import hashlib  # loads OpenSSL, which only the commands printing this id need
-
-        digest = hashlib.sha256(self.text.encode()).hexdigest()
-        return f"{self.spec.kind}-{digest[:12]}"
+        """The kind and the first 12 hex digits of the SHA-256 of the window file's text."""
+        return f"{self.spec.kind}-{builtin_sha256()(self.text.encode()).hexdigest()[:12]}"
 
     def boundary_sector_measure(self, n: int, sector: int) -> Fraction:
         """Exact measure of the level-n boundary layer inside one sector."""

@@ -20,7 +20,7 @@ import odowin
 from odowin.cli import main
 from odowin.fibers import critical_point, enumerate_fiber
 from odowin.groups import ConstructionError
-from odowin.model_sets import VALUE_OF_CODE
+from odowin.model_sets import VALUE_OF_CODE, emit_patch, patch_jsonl
 from odowin.odometer import sample_point
 from odowin.windows import build_k, build_ktilde, parse_window, serialize_window
 
@@ -262,15 +262,18 @@ def test_bad_flags_exit_two(tmp_path, cfg, capsys, monkeypatch):
     assert main(["build", "--config", path, "--out", str(tmp_path / "w")]) == 0
     win = str(tmp_path / "w" / "window.txt")
     capsys.readouterr()
-    for argv in (
+    # Each refusal comes before the output file is opened: none appears.
+    refused = tmp_path / "refused"
+    for i, argv in enumerate((
         ["stats", win, "--seed", "1", "--levels", "x"],
         ["fiber", win, "--critical", "--patch-level", "9"],
         ["fiber", win, "--critical", "--patch-level", "-1"],
         ["emit", win, "--patch-level", "-1"],
         *([cmd, win, "--seed", "1", "--critical"] for cmd in ("fiber", "emit", "stats")),
-    ):
-        assert main(argv) == 2, argv
+    )):
+        assert main([*argv, "--out", str(refused / f"{i}.out")]) == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
+    assert not refused.exists()
     # argparse errors return 2 with one line too; stats reads no patch, so it takes no --patch-level
     cwd = tmp_path / "cwd"
     cwd.mkdir()
@@ -547,6 +550,29 @@ def test_fiber_memory_is_bounded_by_blocks(tmp_path, cfg):
     assert peak < 7 << 20
 
 
+def test_emit_memory_is_bounded_by_blocks(tmp_path, cfg, capsys):
+    # The patch is written to the file a block of 1,024 records at a time, each block
+    # built as it is written: on the z-fiber k=2 window (36,000 records, a 2.06 MiB file)
+    # the command peaks at 1.5 MiB.  The whole text built first, then written, peaked at
+    # 4.83 MiB.
+    main(["build", "--config", cfg("w.cfg", FIBER_CFG), "--out", str(tmp_path / "w")])
+    win = str(tmp_path / "w" / "window.txt")
+    out = tmp_path / "patch.jsonl"
+    tracemalloc.start()
+    try:
+        assert main(["emit", win, "--patch-level", "6", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 19
+    window = parse_window(Path(win).read_text())
+    text = patch_jsonl(window, emit_patch(window, patch_level=6))
+    assert out.read_text() == text and text.count("\n") == 36000
+    capsys.readouterr()
+    assert main(["emit", win, "--patch-level", "6"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_unwritable_out_exits_two(tmp_path, cfg, capsys):
     # an --out that is a directory, a regular file where build wants a directory, or a
     # path under a regular file: one stderr line naming it, no stdout, nothing written
@@ -590,27 +616,29 @@ def _odowin(argv, **kwargs):
                             stderr=subprocess.PIPE, **kwargs)
 
 
-def test_only_the_window_id_loads_openssl(tmp_path, cfg):
-    # hashlib, and with it OpenSSL's _hashlib, is imported only for the window id that
-    # fiber and stats print: each command runs in a fresh process.
+def test_no_command_loads_openssl(tmp_path, cfg):
+    # The window id that fiber and stats print is hashed by the interpreter's builtin
+    # SHA-256, so no command loads OpenSSL's _hashlib: one fresh process runs them all.
     src = str(Path(odowin.__file__).resolve().parents[1])
     config, out = cfg("w.cfg", Z2_CFG), tmp_path / "w"
     win = str(out / "window.txt")
-    runs = {
-        "build": ["build", "--config", config, "--out", str(out)],
-        "verify": ["verify", win],
-        "emit": ["emit", win, "--out", str(tmp_path / "patch.jsonl")],
-        "render": ["render", win, "--out", str(tmp_path / "patch.pgm")],
-        "fiber": ["fiber", win, "--seed", "1", "--out", str(tmp_path / "fiber.json")],
-        "stats": ["stats", win, "--seed", "1", "--out", str(tmp_path / "stats.json")],
-    }
+    runs = [
+        ["build", "--config", config, "--out", str(out)],
+        ["verify", win],
+        ["emit", win, "--out", str(tmp_path / "patch.jsonl")],
+        ["render", win, "--out", str(tmp_path / "patch.pgm")],
+        ["fiber", win, "--seed", "1", "--out", str(tmp_path / "fiber.json")],
+        ["stats", win, "--seed", "1", "--out", str(tmp_path / "stats.json")],
+    ]
     script = ("import sys, json; sys.path.insert(0, sys.argv[1]); from odowin.cli import main; "
-              "code = main(json.loads(sys.argv[2])); print(code, '_hashlib' in sys.modules)")
-    for name, argv in runs.items():
-        proc = subprocess.run([sys.executable, "-c", script, src, json.dumps(argv)],
-                              capture_output=True, text=True, check=True)
-        loads = name in ("fiber", "stats")
-        assert proc.stdout.splitlines()[-1] == f"0 {loads}", name
+              "codes = [main(argv) for argv in json.loads(sys.argv[2])]; "
+              "print(codes, '_hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, src, json.dumps(runs)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} False"
+    window_id = parse_window((out / "window.txt").read_text()).window_id
+    for report in ("fiber.json", "stats.json"):
+        assert json.loads((tmp_path / report).read_text())["window"] == window_id
 
 
 def test_closed_stdout_pipe_ends_quietly(tmp_path, cfg):

@@ -1,5 +1,7 @@
 """Window construction, verification checks, and serialization."""
 
+import hashlib
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from odowin.windows import (
     build_ktilde,
     build_perf,
     boundary_fraction_threshold,
+    builtin_sha256,
     check_genericity,
     check_irredundancy,
     check_self_similarity,
@@ -660,3 +663,26 @@ def test_parse_rejects_garbage(malformed_windows):
     for text in ["format = something-else\n", *malformed_windows.values()]:
         with pytest.raises(ConstructionError):
             parse_window(text)
+
+
+def test_window_id_is_the_sha256_of_the_file_text(monkeypatch, w_irr, w_z2, w_heis_kt2):
+    wins = (w_irr, w_z2, w_heis_kt2)
+    want = [f"{w.spec.kind}-{hashlib.sha256(serialize_window(w).encode()).hexdigest()[:12]}"
+            for w in wins]
+    assert [w.spec.kind for w in wins] == ["perf", "perf", "ktilde"]
+    builtin_sha256.cache_clear()
+    try:
+        assert [w.window_id for w in wins] == want
+        assert builtin_sha256().__module__ in ("_sha2", "_sha256")
+        # The constructor is looked up once: with both builtin modules blocked, a later id
+        # is still hashed by the builtin found first, with no search of the path.
+        found = builtin_sha256()
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert [w.window_id for w in wins] == want and builtin_sha256() is found
+        # Looked up again with neither builtin module, the id comes from hashlib.
+        builtin_sha256.cache_clear()
+        assert [w.window_id for w in wins] == want
+        assert builtin_sha256() is hashlib.sha256
+    finally:
+        builtin_sha256.cache_clear()
